@@ -567,12 +567,8 @@ class PlanExecutor:
             parts: Optional[List[np.ndarray]] = None
             if m.acc > 0:
                 if m.min_threshold is None:
-                    profile = provider.profile(m.address, m.pattern)
-                    population = profile.population
-                    strong_floor = 10.0 ** (population.mu_strong
-                                            - 3.0 * population.sigma_strong)
-                    m.min_threshold = min(float(profile.hc_first()),
-                                          strong_floor)
+                    m.min_threshold = provider.disturbance_floor(
+                        m.address, m.pattern)
                 if m.acc >= m.min_threshold:
                     if m.thresholds is None:
                         m.thresholds = provider.profile(

@@ -45,6 +45,9 @@ from repro.dram.row_mapping import RowMapping, make_mapping
 from repro.dram.seeding import derive_seed, normal_for, uniform_for
 from repro.dram.trr import TrrConfig
 
+#: ``(channel, pseudo channel, bank, physical row, pattern)``.
+_RowKey = Tuple[int, int, int, int, str]
+
 #: Pattern-level BER coupling factors (mean Checkered 0.76% vs mean
 #: Rowstripe 0.67% across rows; Obsv. 3).
 _PATTERN_BER = {
@@ -207,6 +210,12 @@ class ChipProfile:
         self._die_ber = tuple(f / mean_die for f in spec.die_ber_factors)
         self._spatial_tables: Optional[SpatialTables] = None
         self._pattern_hc_tables: Dict[str, np.ndarray] = {}
+        #: Per-(channel, pc, bank, physical row, pattern) memos shared by
+        #: every device built from this chip: the row's cell population
+        #: and its disturbance floor.  Both are pure functions of the
+        #: key, so a hit is bit-identical to a fresh derivation.
+        self._populations: Dict[_RowKey, CellPopulation] = {}
+        self._floors: Dict[_RowKey, float] = {}
         from repro import perf
         from repro.chips import cache as calibration_cache
         with perf.timed_phase("calibrate"):
@@ -495,12 +504,28 @@ class ChipProfile:
     def profile(self, address: RowAddress,
                 pattern: str) -> RowDisturbanceProfile:
         """Provider protocol entry point used by the device engine."""
+        key = (address.channel, address.pseudo_channel, address.bank,
+               address.row, pattern)
+        population = self._populations.get(key)
+        if population is None:
+            population = self.cell_population(address, pattern)
+            self._populations[key] = population
         seed = derive_seed(self.spec.seed, 0xD0, address.channel,
                            address.pseudo_channel, address.bank, address.row,
                            _pattern_id(pattern))
-        return RowDisturbanceProfile(
-            self.cell_population(address, pattern), seed,
-            self.geometry.row_bits)
+        return RowDisturbanceProfile(population, seed,
+                                     self.geometry.row_bits)
+
+    def disturbance_floor(self, address: RowAddress, pattern: str) -> float:
+        """The row's weakest cell threshold under ``pattern``, memoized
+        (see :meth:`RowDisturbanceProfile.disturbance_floor`)."""
+        key = (address.channel, address.pseudo_channel, address.bank,
+               address.row, pattern)
+        floor = self._floors.get(key)
+        if floor is None:
+            floor = self.profile(address, pattern).disturbance_floor()
+            self._floors[key] = floor
+        return floor
 
     # ------------------------------------------------------------------
     # Device construction

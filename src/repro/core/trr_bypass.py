@@ -183,10 +183,7 @@ def run_attack_epochs(session: BenderSession,
                           dtype=np.uint8)
     profile = device.profile_provider.profile(
         victim, classify_victim_pattern(expected))
-    population = profile.population
-    strong_floor = 10.0 ** (population.mu_strong
-                            - 3.0 * population.sigma_strong)
-    min_threshold = min(float(profile.hc_first()), strong_floor)
+    min_threshold = profile.disturbance_floor()
     thresholds: Optional[np.ndarray] = None
     floor = retention.row_retention_ns(victim) \
         if retention is not None else None

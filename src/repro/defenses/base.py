@@ -21,6 +21,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+from repro.dram.batch import batch_enabled
 from repro.dram.device import HBM2Stack
 from repro.dram.commands import Command, CommandKind
 from repro.dram.geometry import RowAddress
@@ -219,3 +220,46 @@ class DefendedDevice:
         if self.device.now_ns - self._window_start_ns >= window:
             self._window_start_ns = self.device.now_ns
             self.controller.on_window_rollover(self.device.now_ns)
+
+
+def catch_up_refreshes(device, channel: int, pseudo_channel: int,
+                       next_ref_ns: float, t_refi: float) -> float:
+    """Issue the REFs a tREFI schedule owes; return the next deadline.
+
+    The reference semantics is a memory controller's per-REF loop: while
+    ``device.now_ns >= next_ref_ns``, one REF and ``next_ref_ns +=
+    t_refi``.  ``HBMSIM_BATCH=0`` runs exactly that loop.  The batched
+    path pre-simulates it (a clean REF advances the clock by exactly
+    tRFC), bursts the leading run of owed REFs the device reports clean
+    (:meth:`~repro.dram.device.HBM2Stack.clean_ref_prefix`), steps the
+    first faulted REF through the scalar ``refresh`` and re-checks: a
+    dropped REF advances the clock by 0 and a ghost REF by 2 tRFC, so
+    the REF count follows the fault schedule, bit-identically to the
+    loop.
+    """
+    if device.now_ns < next_ref_ns:
+        return next_ref_ns
+    if not batch_enabled():
+        while device.now_ns >= next_ref_ns:
+            device.refresh(channel, pseudo_channel)
+            next_ref_ns += t_refi
+        return next_ref_ns
+    t_rfc = device.timings.t_rfc
+    while device.now_ns >= next_ref_ns:
+        owed = 0
+        now_sim = device.now_ns
+        deadline = next_ref_ns
+        while now_sim >= deadline:
+            owed += 1
+            now_sim += t_rfc
+            deadline += t_refi
+        clean = device.clean_ref_prefix(owed)
+        if clean:
+            device.refresh_burst(channel, pseudo_channel, clean)
+        if clean == owed:
+            next_ref_ns = deadline
+            continue
+        device.refresh(channel, pseudo_channel)
+        for __ in range(clean + 1):
+            next_ref_ns += t_refi
+    return next_ref_ns

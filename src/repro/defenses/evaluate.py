@@ -19,8 +19,8 @@ from repro.bender.routines.rowinit import initialize_window
 from repro.chips.profiles import ChipProfile
 from repro.core import metrics
 from repro.core.patterns import CHECKERED0, DataPattern
-from repro.defenses.base import DefendedDevice, MitigationController
-from repro.dram.batch import batch_enabled
+from repro.defenses.base import (DefendedDevice, MitigationController,
+                                 catch_up_refreshes)
 from repro.dram.geometry import RowAddress
 
 
@@ -86,37 +86,9 @@ class _RefPacer:
         self.next_ref_ns = session.device.now_ns + self.t_refi
 
     def tick(self) -> None:
-        device = self.session.device
-        if device.now_ns < self.next_ref_ns:
-            return
-        from repro.faults.injector import FaultyStack
-
-        if batch_enabled() and not isinstance(device, FaultyStack):
-            # Pre-simulate the catch-up loop arithmetically (each REF
-            # advances the clock by exactly tRFC), then issue the whole
-            # burst at once.  refresh_burst — both the stack's and the
-            # DefendedDevice wrapper's — is bit-identical to the
-            # sequential REFs, so the report hash cannot move.  A
-            # FaultyStack takes the sequential loop: refresh_burst
-            # would delegate through ``__getattr__`` past the fault
-            # draws, while per-REF calls tick the injector's counter
-            # exactly like the scalar engine.
-            count = 0
-            now_sim = device.now_ns
-            next_sim = self.next_ref_ns
-            t_rfc = device.timings.t_rfc
-            while now_sim >= next_sim:
-                count += 1
-                now_sim += t_rfc
-                next_sim += self.t_refi
-            device.refresh_burst(self.victim.channel,
-                                 self.victim.pseudo_channel, count)
-            self.next_ref_ns = next_sim
-            return
-        while device.now_ns >= self.next_ref_ns:
-            device.refresh(self.victim.channel,
-                           self.victim.pseudo_channel)
-            self.next_ref_ns += self.t_refi
+        self.next_ref_ns = catch_up_refreshes(
+            self.session.device, self.victim.channel,
+            self.victim.pseudo_channel, self.next_ref_ns, self.t_refi)
 
 
 def burst_double_sided(session: BenderSession, victim: RowAddress,

@@ -233,11 +233,7 @@ class RowBatchProfile:
             self.init_units[index] = units
 
             profile = provider.profile(victim, self.pattern_name)
-            population = profile.population
-            strong_floor = 10.0 ** (population.mu_strong
-                                    - 3.0 * population.sigma_strong)
-            self.min_thresholds[index] = min(float(profile.hc_first()),
-                                             strong_floor)
+            self.min_thresholds[index] = profile.disturbance_floor()
             self.thresholds[index] = profile.materialize()
             if device.retention is not None:
                 self.retention_floors[index] = \

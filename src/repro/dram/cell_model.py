@@ -327,6 +327,19 @@ class RowDisturbanceProfile:
         """
         return float(self.hc_nth(1, amplification)[0])
 
+    def disturbance_floor(self) -> float:
+        """Lower bound on every cell threshold of the row.
+
+        The analytic weak minimum equals :meth:`materialize`'s weakest
+        weak cell bit-for-bit (shared order-statistics stream), and the
+        strong population is truncated at -3 sigma, so the combined
+        bound is exact: accumulated disturbance below it flips nothing.
+        """
+        population = self.population
+        strong_floor = 10.0 ** (population.mu_strong
+                                - 3.0 * population.sigma_strong)
+        return min(self.hc_first(), strong_floor)
+
     def hc_nth(self, n: int, amplification: float = 1.0) -> np.ndarray:
         """Hammer counts at which the first ``n`` bitflips appear."""
         thresholds = self.population.smallest_thresholds_from_draws(

@@ -97,6 +97,11 @@ class UniformProfileProvider:
                            address.row, hash_pattern(pattern))
         return RowDisturbanceProfile(self.population, seed, self.row_bits)
 
+    def disturbance_floor(self, address: RowAddress, pattern: str) -> float:
+        """The (row, pattern) pair's weakest cell threshold (see
+        :meth:`RowDisturbanceProfile.disturbance_floor`)."""
+        return self.profile(address, pattern).disturbance_floor()
+
 
 def hash_pattern(pattern: str) -> int:
     """Stable integer id for a pattern name (order-independent)."""
@@ -545,6 +550,11 @@ class HBM2Stack:
         self.now_ns = float(ref_t[count])
         self.stats.refs += count
 
+    def clean_ref_prefix(self, limit: int) -> int:
+        """How many of the next ``limit`` REFs execute as issued: all of
+        them on a fault-free device (the fault layer overrides this)."""
+        return limit
+
     # ------------------------------------------------------------------
     # Inspection helpers (no time advance, no state mutation)
     # ------------------------------------------------------------------
@@ -692,17 +702,9 @@ class HBM2Stack:
         flips: List[np.ndarray] = []
         if state.acc_units > 0:
             if state.min_threshold is None:
-                # The analytic weak minimum equals materialize()'s
-                # weakest weak cell bit-for-bit (shared order-statistics
-                # stream); the strong population is truncated at -3
-                # sigma, so the combined bound is exact.
-                profile = self.profile_provider.profile(physical,
-                                                        state.pattern)
-                population = profile.population
-                strong_floor = 10.0 ** (population.mu_strong
-                                        - 3.0 * population.sigma_strong)
-                state.min_threshold = min(float(profile.hc_first()),
-                                          strong_floor)
+                state.min_threshold = \
+                    self.profile_provider.disturbance_floor(physical,
+                                                            state.pattern)
             if state.acc_units >= state.min_threshold:
                 thresholds = self._thresholds_for(physical, state)
                 flips.append(np.flatnonzero(

@@ -18,6 +18,8 @@ constraints while summing to exactly 16384 rows.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, List, Sequence, Tuple
@@ -48,7 +50,7 @@ class SubarrayLayout:
         if any(size <= 0 for size in self.sizes):
             raise ValueError("subarray sizes must be positive")
 
-    @property
+    @functools.cached_property
     def rows(self) -> int:
         """Total number of rows covered by the layout."""
         return sum(self.sizes)
@@ -58,7 +60,7 @@ class SubarrayLayout:
         """Number of subarrays in the bank."""
         return len(self.sizes)
 
-    @property
+    @functools.cached_property
     def boundaries(self) -> Tuple[int, ...]:
         """Starting row of each subarray, plus the end sentinel."""
         starts = [0]
@@ -69,12 +71,7 @@ class SubarrayLayout:
     def subarray_of(self, row: int) -> int:
         """Return the subarray index containing ``row``."""
         self._check_row(row)
-        offset = 0
-        for index, size in enumerate(self.sizes):
-            offset += size
-            if row < offset:
-                return index
-        raise AssertionError("unreachable: row bounds checked above")
+        return bisect.bisect_right(self.boundaries, row) - 1
 
     def position_in_subarray(self, row: int) -> Tuple[int, int, int]:
         """Return ``(subarray_index, offset, size)`` for ``row``."""

@@ -18,8 +18,8 @@ the row coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -53,6 +53,10 @@ class RetentionModel:
     ladder_spacing: float = 0.25
     #: Seed namespace separating retention draws from threshold draws.
     seed: int = 0x52455445
+    #: ``(channel, pc, bank, row)`` -> :meth:`row_retention_ns`, shared
+    #: by every device built on this model (a pure function of the key).
+    _floors: Dict[Tuple[int, int, int, int], float] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def _rng(self, address: RowAddress) -> np.random.Generator:
         return generator_for(self.seed, address.channel,
@@ -61,9 +65,16 @@ class RetentionModel:
 
     def row_retention_ns(self, address: RowAddress) -> float:
         """Weakest-cell retention time of the row (ns), floored at 33 ms."""
-        rng = self._rng(address)
-        draw = self.median_ns * 10.0 ** rng.normal(0.0, self.sigma_log10)
-        return max(draw, GUARANTEED_RETENTION_NS * 1.03125)
+        key = (address.channel, address.pseudo_channel, address.bank,
+               address.row)
+        floor = self._floors.get(key)
+        if floor is None:
+            rng = self._rng(address)
+            draw = self.median_ns * 10.0 ** rng.normal(0.0,
+                                                       self.sigma_log10)
+            floor = max(draw, GUARANTEED_RETENTION_NS * 1.03125)
+            self._floors[key] = floor
+        return floor
 
     def cell_ladder(self, address: RowAddress) -> Tuple[np.ndarray,
                                                         np.ndarray]:

@@ -60,6 +60,10 @@ _TAG_STUCK = TAG_STUCK
 _DROPPABLE = DROPPABLE
 _GHOSTABLE = GHOSTABLE
 
+#: Command counters :meth:`FaultyStack.clean_ref_prefix` classifies at
+#: least at once (one vectorized pass serves many short catch-ups).
+_REF_LOOKAHEAD = 1024
+
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -94,6 +98,10 @@ class FaultyStack:
         self.plan = plan
         self.events: List[FaultEvent] = []
         self._counter = 0
+        #: Highest command counter known to carry no REF fault (see
+        #: :meth:`clean_ref_prefix`); lets a burst reuse the window its
+        #: caller just classified instead of drawing it twice.
+        self._clean_through = 0
         self._stuck_cache: Dict[Tuple[int, int, int, int],
                                 Optional[Tuple[np.ndarray, np.ndarray]]] = {}
 
@@ -225,6 +233,52 @@ class FaultyStack:
         if action == "ghost":
             self.wrapped.refresh(channel, pseudo_channel)
         return result
+
+    def refresh_burst(self, channel: int, pseudo_channel: int,
+                      count: int) -> None:
+        """``count`` REFs, bit-identical to ``count`` :meth:`refresh`.
+
+        Clean runs of REF counters go to the wrapped device's burst in
+        one call (counter advanced by the same amount); each faulted
+        counter — stall, hang, drop or ghost — steps through the scalar
+        :meth:`refresh`, so events, clock and counter follow the fault
+        schedule exactly.  Defined here rather than reached through
+        ``__getattr__``, which would skip every fault draw.
+        """
+        remaining = int(count)
+        while remaining > 0:
+            clean = self.clean_ref_prefix(remaining)
+            if clean:
+                self.wrapped.refresh_burst(channel, pseudo_channel, clean)
+                self._counter += clean
+                remaining -= clean
+            if remaining:
+                self.refresh(channel, pseudo_channel)
+                remaining -= 1
+
+    def clean_ref_prefix(self, limit: int) -> int:
+        """How many of the next ``limit`` REFs draw no fault.
+
+        Classifies the upcoming counters with the plan's vectorized
+        samplers (stall, hang, drop, ghost — the faults a REF can take)
+        and returns the length of the leading clean run, capped at
+        ``limit``.  Issues nothing.
+        """
+        counter = self._counter
+        if self._clean_through - counter >= limit:
+            return limit
+        # Classify at least a look-ahead window: REF-cleanliness is a
+        # pure function of the counter, so the verdict serves every
+        # later catch-up until the counter reaches the first fault.
+        plan = self.plan
+        window = max(limit, _REF_LOOKAHEAD)
+        indices = np.arange(counter + 1, counter + window + 1,
+                            dtype=np.int64)
+        hits = (plan.stall_mask(indices) | plan.hang_mask(indices)
+                | plan.drop_mask(indices) | plan.ghost_mask(indices))
+        clean = int(hits.argmax()) if hits.any() else window
+        self._clean_through = counter + clean
+        return min(clean, limit)
 
     def write_row(self, address: RowAddress, data: np.ndarray) -> None:
         _, action = self._platform("WR")

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.chips.profiles import ChipProfile
-from repro.defenses.base import DefendedDevice, MitigationController
-from repro.dram.batch import batch_enabled
+from repro.defenses.base import (DefendedDevice, MitigationController,
+                                 catch_up_refreshes)
 from repro.dram.trr import TrrConfig
 from repro.workloads.traces import AccessTrace, benign_trace
 
@@ -54,29 +54,13 @@ def measure_benign_overhead(
     target = DefendedDevice(device, controller) \
         if controller is not None else device
     start_ns = device.now_ns
-    next_ref_ns = start_ns + device.timings.t_refi
     t_refi = device.timings.t_refi
-    t_rfc = device.timings.t_rfc
-    use_burst = batch_enabled()
+    next_ref_ns = start_ns + t_refi
     for address, count in trace.addresses():
         target.hammer(address, count)
-        if device.now_ns < next_ref_ns:
-            continue
-        if use_burst:
-            # Pre-simulate the catch-up (each REF advances exactly
-            # tRFC) and issue one burst — bit-identical to the loop.
-            refs = 0
-            now_sim = device.now_ns
-            while now_sim >= next_ref_ns:
-                refs += 1
-                now_sim += t_rfc
-                next_ref_ns += t_refi
-            target.refresh_burst(trace.channel, trace.pseudo_channel,
-                                 refs)
-        else:
-            while device.now_ns >= next_ref_ns:
-                target.refresh(trace.channel, trace.pseudo_channel)
-                next_ref_ns += t_refi
+        next_ref_ns = catch_up_refreshes(target, trace.channel,
+                                         trace.pseudo_channel, next_ref_ns,
+                                         t_refi)
     # Integrity spot check: benign rows must read back what was written.
     import numpy as np
 

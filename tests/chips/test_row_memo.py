@@ -1,0 +1,87 @@
+"""The per-chip row memo, asserted as call counts.
+
+A :class:`ChipProfile` derives each row's cell population and
+disturbance floor once per ``(channel, pc, bank, physical row,
+pattern)`` and shares them with every device built from the chip.  The
+counts below make a silent memo miss (or a key collision) fail.
+"""
+
+import dataclasses
+
+import pytest
+
+from repro.chips.profiles import CHIP_SPECS, ChipProfile
+from repro.defenses import (defended_session, pick_vulnerable_victim,
+                            rowpress_burst)
+from repro.dram.geometry import RowAddress
+
+ROW = RowAddress(1, 0, 3, 4321)
+
+
+def counting_chip(index, monkeypatch):
+    """A fresh chip (empty memo) logging every ``cell_population`` key."""
+    chip = ChipProfile(CHIP_SPECS[index])
+    keys = []
+    derive = chip.cell_population
+
+    def cell_population(address, pattern):
+        keys.append((address.channel, address.pseudo_channel,
+                     address.bank, address.row, pattern))
+        return derive(address, pattern)
+
+    monkeypatch.setattr(chip, "cell_population", cell_population)
+    return chip, keys
+
+
+def unmemoized_floor(index, address, pattern):
+    return ChipProfile(CHIP_SPECS[index]).profile(
+        address, pattern).disturbance_floor()
+
+
+def test_two_chips_never_share_an_entry(monkeypatch):
+    chip_a, keys_a = counting_chip(0, monkeypatch)
+    chip_b, keys_b = counting_chip(1, monkeypatch)
+    floor_a = chip_a.disturbance_floor(ROW, "Checkered0")
+    floor_b = chip_b.disturbance_floor(ROW, "Checkered0")
+    assert floor_a != floor_b
+    assert floor_a == unmemoized_floor(0, ROW, "Checkered0")
+    assert floor_b == unmemoized_floor(1, ROW, "Checkered0")
+    assert len(keys_a) == len(keys_b) == 1
+    assert len(chip_a._floors) == len(chip_b._floors) == 1
+
+
+def test_two_patterns_of_one_row_never_share_an_entry(monkeypatch):
+    chip, keys = counting_chip(0, monkeypatch)
+    floors = {pattern: chip.disturbance_floor(ROW, pattern)
+              for pattern in ("Checkered0", "Rowstripe0")}
+    assert floors["Checkered0"] != floors["Rowstripe0"]
+    for pattern, floor in floors.items():
+        assert floor == unmemoized_floor(0, ROW, pattern)
+        assert chip.disturbance_floor(ROW, pattern) == floor
+    assert len(keys) == len(set(keys)) == 2
+
+
+def test_second_device_reuses_the_first_devices_rows(monkeypatch):
+    chip, keys = counting_chip(0, monkeypatch)
+    victim = pick_vulnerable_victim(chip)
+    outcomes = []
+    for __ in range(2):
+        calls_before = len(keys)
+        session = defended_session(chip, None)
+        flips = rowpress_burst(session, victim)
+        outcomes.append((flips, dataclasses.asdict(session.device.stats),
+                         len(keys) - calls_before))
+    (flips_a, stats_a, calls_a), (flips_b, stats_b, calls_b) = outcomes
+    assert flips_a > 0 and calls_a > 0
+    assert (flips_b, stats_b) == (flips_a, stats_a)
+    assert calls_b == 0
+
+
+def test_ext_defenses_derives_each_key_once(monkeypatch):
+    from repro.experiments import ext_defense_matrix
+
+    chip, keys = counting_chip(0, monkeypatch)
+    monkeypatch.setattr(ext_defense_matrix, "make_chip", lambda index: chip)
+    ext_defense_matrix.run(scale=0.01)
+    assert keys
+    assert len(keys) == len(set(keys)) == len(chip._populations)

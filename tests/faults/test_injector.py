@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bender.host import BenderSession
 from repro.bender.interpreter import Interpreter
+from repro.defenses import BlockHammer, Graphene
+from repro.defenses.base import DefendedDevice
 from repro.dram.cell_model import CellPopulation
 from repro.dram.device import HBM2Stack, UniformProfileProvider
 from repro.dram.geometry import RowAddress
@@ -172,3 +176,86 @@ class TestWiring:
         once = FaultyStack(inner, plan)
         twice = FaultyStack(once, plan)
         assert twice.wrapped is inner
+
+
+def _ref_stack(plan, defense):
+    """A FaultyStack over a plain or defended device; a defended one is
+    parked 20 tRFC short of its tREFW rollover so bursts cross it."""
+    device = make_device()
+    if defense is None:
+        return FaultyStack(device, plan)
+    controller = (Graphene(threshold=600, entries=8)
+                  if defense == "Graphene" else BlockHammer())
+    defended = DefendedDevice(device, controller)
+    defended.hammer(RowAddress(0, 0, 0, 5000), 40)
+    timings = device.timings
+    device.wait(timings.t_refw - 20 * timings.t_rfc - device.now_ns)
+    return FaultyStack(defended, plan)
+
+
+def _ref_snapshot(stack):
+    snapshot = {"counter": stack._counter, "events": list(stack.events),
+                "digest": stack.schedule_digest(), "now": stack.now_ns,
+                "stats": stack.stats}
+    if isinstance(stack.wrapped, DefendedDevice):
+        snapshot["window"] = stack.wrapped._window_start_ns
+        snapshot["controller"] = stack.wrapped.controller.stats
+    return snapshot
+
+
+def _issue_refs(stack, count, burst):
+    """Issue ``count`` REFs; returns whether the platform hung."""
+    try:
+        if burst:
+            stack.refresh_burst(0, 0, count)
+        else:
+            for __ in range(count):
+                stack.refresh(0, 0)
+    except PlatformHangError:
+        return True
+    return False
+
+
+class TestRefreshBurst:
+    def test_fault_layer_defines_its_own_burst(self):
+        # Reached through __getattr__, the wrapped device's burst would
+        # skip every fault draw.
+        assert "refresh_burst" in vars(FaultyStack)
+        assert "clean_ref_prefix" in vars(FaultyStack)
+
+    def test_burst_follows_the_fault_schedule(self):
+        plan = FaultPlan(seed=3, drop_rate=0.05, ghost_rate=0.05)
+        stack = FaultyStack(make_device(), plan)
+        stack.refresh_burst(0, 0, 400)
+        faults = [event.fault for event in stack.events]
+        assert "drop" in faults and "ghost" in faults
+        assert stack._counter == 400
+        assert stack.stats.refs == (400 - faults.count("drop")
+                                    + faults.count("ghost"))
+
+    def test_clean_prefix_stops_at_first_fault(self):
+        plan = FaultPlan(seed=3, drop_rate=0.05)
+        stack = FaultyStack(make_device(), plan)
+        clean = stack.clean_ref_prefix(400)
+        indices = np.arange(1, 401)
+        first_hit = int(np.flatnonzero(plan.drop_mask(indices))[0])
+        assert clean == first_hit
+        assert stack._counter == 0  # classification issues nothing
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 20),
+           drop=st.floats(0.0, 0.05), ghost=st.floats(0.0, 0.05),
+           stall=st.floats(0.0, 0.05),
+           hang=st.sampled_from([0.0, 0.0, 0.002, 0.01]),
+           count=st.integers(0, 400),
+           defense=st.sampled_from([None, "Graphene", "BlockHammer"]))
+    def test_burst_equals_scalar_refs(self, seed, drop, ghost, stall, hang,
+                                      count, defense):
+        plan = FaultPlan(seed=seed, drop_rate=drop, ghost_rate=ghost,
+                         stall_rate=stall, stall_seconds=0.0,
+                         hang_rate=hang)
+        scalar = _ref_stack(plan, defense)
+        burst = _ref_stack(plan, defense)
+        hung = _issue_refs(scalar, count, burst=False)
+        assert _issue_refs(burst, count, burst=True) == hung
+        assert _ref_snapshot(burst) == _ref_snapshot(scalar)
