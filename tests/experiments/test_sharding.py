@@ -146,6 +146,39 @@ class TestPoolFanout:
         assert results[0].data["shard_index"] == 1
         assert results[0].data["shard_count"] == 4
 
+    @staticmethod
+    def _pooled_submits(ids, jobs=2):
+        """Run ``ids`` through the pool; return the run and the
+        (experiment id, shard) of every ``ResilientPool.submit``."""
+        submit = runner.ResilientPool.submit
+        with mock.patch.object(runner, "_available_cores",
+                               return_value=jobs), \
+                mock.patch.object(runner.ResilientPool, "submit",
+                                  autospec=True,
+                                  side_effect=submit) as spy:
+            results, records = run_timed(ids, SCALE, jobs=jobs)
+        calls = [(call.args[1], call.kwargs.get("shard"))
+                 for call in spy.call_args_list]
+        return results, records, calls
+
+    def test_indivisible_invocations_submitted_before_shards(self):
+        ids = ["fig05", "table1", "fig07", "fig03"]
+        serial, serial_records = run_timed(ids, SCALE, jobs=1)
+        pooled, records, calls = self._pooled_submits(ids)
+        assert calls == [("table1", None), ("fig03", None),
+                         ("fig05", "0/2"), ("fig05", "1/2"),
+                         ("fig07", "0/2"), ("fig07", "1/2")]
+        assert [r.experiment_id for r in records] == ids
+        assert [r.index for r in records] == \
+            [r.index for r in serial_records]
+        assert all(r.status == "ok" for r in records)
+        assert [r.text for r in pooled] == [r.text for r in serial]
+
+    def test_all_shardable_request_keeps_submit_order(self):
+        __, __, calls = self._pooled_submits(["fig07", "fig05"])
+        assert calls == [("fig07", "0/2"), ("fig07", "1/2"),
+                         ("fig05", "0/2"), ("fig05", "1/2")]
+
     def test_submit_validates_shard_strings(self):
         pool = runner.ResilientPool(slots=1)
         try:
