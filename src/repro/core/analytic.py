@@ -12,22 +12,19 @@ t_AggON, sidedness) to effective disturbance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from collections import OrderedDict
 
 from repro.chips.profiles import ChipProfile
-from repro.chips.vectorized import (PopulationBatch, PopulationGrid,
-                                    population_batch, population_combos,
+from repro.chips.vectorized import (PopulationBatch, population_combos,
                                     population_grid)
 from repro.core import metrics
 from repro.core.patterns import ALL_PATTERNS
 from repro.dram.cells import (allocate_cells, cells_chunk_elems,
                               chunk_combo_blocks)
-from repro.dram.geometry import RowAddress
 
 #: One (channel, pseudo_channel, bank) coordinate of a study sweep.
 Combo = Tuple[int, int, int]
@@ -49,65 +46,13 @@ def amplification(chip: ChipProfile, t_on: Optional[float]) -> float:
     return chip.disturbance.amplification(t_on)
 
 
-@dataclass
-class GridMeasurement:
-    """BER and HC_first arrays for one (bank, pattern) row population."""
-
-    chip: ChipProfile
-    grid: PopulationGrid
-    hammer_count: int
-    t_on: Optional[float]
-
-    @property
-    def rows(self) -> np.ndarray:
-        """Row indices measured."""
-        return self.grid.rows
-
-    def ber(self, sampled: bool = True,
-            rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        """Per-row BER at the configured hammer count and on-time."""
-        eff = effective_hammers(self.chip, self.hammer_count, self.t_on)
-        if sampled:
-            return self.grid.sampled_ber(eff, rng)
-        return self.grid.ber(eff)
-
-    def hc_first(self) -> np.ndarray:
-        """Per-row HC_first at the configured on-time."""
-        return self.grid.hc_first(amplification(self.chip, self.t_on))
-
-    def hc_nth(self, n: int) -> np.ndarray:
-        """Per-row hammer counts of the first ``n`` bitflips."""
-        return self.grid.hc_nth(n, amplification(self.chip, self.t_on))
-
-
-def measure(chip: ChipProfile, channel: int, pseudo_channel: int, bank: int,
-            rows: np.ndarray, pattern: str,
-            hammer_count: int = metrics.BER_TEST_HAMMERS,
-            t_on: Optional[float] = None) -> GridMeasurement:
-    """Analytic measurement of a row population in one bank."""
-    grid = population_grid(chip, channel, pseudo_channel, bank,
-                           np.asarray(rows), pattern)
-    return GridMeasurement(chip, grid, hammer_count, t_on)
-
-
 def wcdp_hc_first(chip: ChipProfile, channel: int, pseudo_channel: int,
                   bank: int, rows: np.ndarray,
                   t_on: Optional[float] = None) -> Dict[str, np.ndarray]:
-    """Per-row HC_first for every pattern plus the WCDP minimum.
-
-    Returns a dict with one entry per pattern name plus ``"WCDP"``
-    (the per-row minimum across patterns; Section 3.1).
-    """
-    rows = np.asarray(rows)
-    amp = amplification(chip, t_on)
-    per_pattern = {}
-    for pattern in ALL_PATTERNS:
-        grid = population_grid(chip, channel, pseudo_channel, bank, rows,
-                               pattern.name)
-        per_pattern[pattern.name] = grid.hc_first(amp)
-    stacked = np.stack(list(per_pattern.values()))
-    per_pattern["WCDP"] = stacked.min(axis=0)
-    return per_pattern
+    """One-bank :func:`wcdp_hc_first_multi`: per-row arrays by pattern."""
+    multi = wcdp_hc_first_multi(chip, [(channel, pseudo_channel, bank)],
+                                rows, t_on)
+    return {name: values[0] for name, values in multi.items()}
 
 
 def wcdp_ber(chip: ChipProfile, channel: int, pseudo_channel: int,
@@ -117,25 +62,10 @@ def wcdp_ber(chip: ChipProfile, channel: int, pseudo_channel: int,
              sampled: bool = True,
              rng: Optional[np.random.Generator] = None
              ) -> Dict[str, np.ndarray]:
-    """Per-row BER for every pattern plus the worst-case (WCDP) BER.
-
-    The WCDP of a row is the pattern with the smallest HC_first (tie-
-    broken by BER; Section 3.1); its BER is reported per row.
-    """
-    rows = np.asarray(rows)
-    hc = wcdp_hc_first(chip, channel, pseudo_channel, bank, rows, t_on)
-    bers = {}
-    for pattern in ALL_PATTERNS:
-        grid = population_grid(chip, channel, pseudo_channel, bank, rows,
-                               pattern.name)
-        m = GridMeasurement(chip, grid, hammer_count, t_on)
-        bers[pattern.name] = m.ber(sampled=sampled, rng=rng)
-    names = [pattern.name for pattern in ALL_PATTERNS]
-    hc_matrix = np.stack([hc[name] for name in names])
-    ber_matrix = np.stack([bers[name] for name in names])
-    wcdp_index = np.argmin(hc_matrix, axis=0)
-    bers["WCDP"] = ber_matrix[wcdp_index, np.arange(rows.size)]
-    return bers
+    """One-bank :func:`wcdp_ber_multi`: per-row arrays by pattern."""
+    multi = wcdp_ber_multi(chip, [(channel, pseudo_channel, bank)], rows,
+                           hammer_count, t_on, sampled, rng)
+    return {name: values[0] for name, values in multi.items()}
 
 
 #: Memo of recent combo batches.  The WCDP helpers evaluate HC_first and
@@ -171,7 +101,9 @@ def combo_population(chip: ChipProfile, combos: Sequence[Combo],
     result to ``(len(combos), len(rows))`` recovers one
     :func:`population_grid` result per combo, bit-identically (the
     batched and grid kernels share ``_population_arrays``).  Results are
-    memoized (treat the returned batch as read-only).
+    memoized (treat the returned batch as read-only).  Each distinct
+    combo is address-checked before the first evaluation, so a bad
+    coordinate names itself (``channel 9 out of range [0, 8)``).
     """
     rows = np.asarray(rows, dtype=np.int64)
     key = (chip.spec.index, chip.spec.seed, tuple(combos),
@@ -180,6 +112,8 @@ def combo_population(chip: ChipProfile, combos: Sequence[Combo],
     if batch is not None:
         _COMBO_CACHE.move_to_end(key)
         return batch
+    for channel, pseudo_channel, bank in dict.fromkeys(combos):
+        chip.geometry.check_address(channel, pseudo_channel, bank, 0)
     batch = population_combos(
         chip,
         [channel for channel, __, __ in combos],
@@ -208,13 +142,8 @@ def combo_ber_matrix(chip: ChipProfile, combos: Sequence[Combo],
     all-at-once :func:`combo_population` evaluation at any chunk size.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    shape = (len(combos), rows.size)
-    chunks = _combo_chunks(len(combos), rows.size)
-    if len(chunks) <= 1:
-        batch = combo_population(chip, combos, rows, pattern)
-        return batch.ber(effective_hammers).reshape(shape)
-    matrix = allocate_cells(shape, float)
-    for start, stop in chunks:
+    matrix = allocate_cells((len(combos), rows.size), float)
+    for start, stop in _combo_chunks(len(combos), rows.size):
         batch = combo_population(chip, list(combos[start:stop]), rows,
                                  pattern)
         matrix[start:stop] = batch.ber(effective_hammers).reshape(
@@ -247,16 +176,15 @@ def wcdp_hc_first_multi(chip: ChipProfile, combos: Sequence[Combo],
                         rows: np.ndarray,
                         t_on: Optional[float] = None
                         ) -> Dict[str, np.ndarray]:
-    """Batched :func:`wcdp_hc_first` over many (ch, pc, bank) combos.
+    """Per-row HC_first for every pattern plus the WCDP minimum.
 
-    Returns pattern name (plus ``"WCDP"``) -> ``(len(combos),
-    len(rows))`` arrays; row ``c`` equals ``wcdp_hc_first(chip,
-    *combos[c], rows, t_on)`` bit-for-bit.
+    Returns pattern name (plus ``"WCDP"``, the per-row minimum across
+    patterns; Section 3.1) -> ``(len(combos), len(rows))`` arrays.
 
-    Populations above the ``HBMSIM_CELLS_CHUNK`` working-set bound are
-    evaluated in whole-combo chunks — every kernel is elementwise with
-    per-combo seed-chain prefixes, so a chunk is the same bits as the
-    matching slice of an all-at-once batch (asserted in
+    Populations are evaluated in whole-combo chunks under the
+    ``HBMSIM_CELLS_CHUNK`` working-set bound — every kernel is
+    elementwise with per-combo seed-chain prefixes, so a chunk is the
+    same bits as the matching slice of an all-at-once batch (asserted in
     ``tests/core/test_chunked_population.py``); only the assembled
     output arrays (placed by :func:`repro.dram.cells.allocate_cells`,
     optionally memory-mapped) span the full population.
@@ -264,20 +192,10 @@ def wcdp_hc_first_multi(chip: ChipProfile, combos: Sequence[Combo],
     rows = np.asarray(rows)
     amp = amplification(chip, t_on)
     shape = (len(combos), rows.size)
-    chunks = _combo_chunks(len(combos), rows.size)
-    if len(chunks) <= 1:
-        # One chunk: the historical all-at-once path, byte-for-byte.
-        per_pattern = {}
-        for pattern in ALL_PATTERNS:
-            batch = combo_population(chip, combos, rows, pattern.name)
-            per_pattern[pattern.name] = batch.hc_first(amp).reshape(shape)
-        stacked = np.stack(list(per_pattern.values()))
-        per_pattern["WCDP"] = stacked.min(axis=0)
-        return per_pattern
     per_pattern = {pattern.name: allocate_cells(shape, float)
                    for pattern in ALL_PATTERNS}
     wcdp = allocate_cells(shape, float)
-    for start, stop in chunks:
+    for start, stop in _combo_chunks(len(combos), rows.size):
         chunk_combos = list(combos[start:stop])
         running: Optional[np.ndarray] = None
         for pattern in ALL_PATTERNS:
@@ -303,72 +221,52 @@ def wcdp_ber_multi(chip: ChipProfile, combos: Sequence[Combo],
                    sampled: bool = True,
                    rng: Optional[np.random.Generator] = None
                    ) -> Dict[str, np.ndarray]:
-    """Batched :func:`wcdp_ber` over many (ch, pc, bank) combos.
+    """Per-row BER for every pattern plus the worst-case (WCDP) BER.
 
     Returns pattern name (plus ``"WCDP"``) -> ``(len(combos),
-    len(rows))`` arrays equal to per-combo :func:`wcdp_ber` calls.  The
-    closed-form probabilities are computed in one batch per pattern; the
-    binomial sampling then consumes ``rng`` in the exact scalar order
-    (combo-major, pattern-minor) so shared-generator studies draw the
-    same variates as the per-combo loop.
+    len(rows))`` arrays.  The WCDP of a row is the pattern with the
+    smallest HC_first (ties go to the earlier pattern; Section 3.1); its
+    BER is reported per row.
+
+    Per chunk, HC_first (for the WCDP argmin) and the closed-form
+    probabilities are evaluated together; only the assembled outputs
+    span the full population.  The binomial sampling then consumes
+    ``rng`` combo-major, pattern-minor over the assembled arrays; with
+    ``rng=None`` each (combo, pattern) draws from a fresh generator
+    seeded by its first profile seed, so a combo's noise does not depend
+    on which other combos share the call.
     """
     rows = np.asarray(rows)
     shape = (len(combos), rows.size)
     eff = effective_hammers(chip, hammer_count, t_on)
+    amp = amplification(chip, t_on)
     names = [pattern.name for pattern in ALL_PATTERNS]
-    chunks = _combo_chunks(len(combos), rows.size)
-    if len(chunks) <= 1:
-        # One chunk: the historical all-at-once path, byte-for-byte.
-        hc = wcdp_hc_first_multi(chip, combos, rows, t_on)
-        probabilities = {}
-        seeds = {}
+    probabilities = {name: allocate_cells(shape, float) for name in names}
+    first_seeds = {name: np.empty(len(combos), dtype=np.uint64)
+                   for name in names}
+    wcdp_index = np.empty(shape, dtype=np.int64)
+    for start, stop in _combo_chunks(len(combos), rows.size):
+        chunk_combos = list(combos[start:stop])
+        cshape = (stop - start, rows.size)
+        hc_chunk = []
         for name in names:
-            batch = combo_population(chip, combos, rows, name)
-            probabilities[name] = batch.ber(eff).reshape(shape)
-            seeds[name] = batch.profile_seeds.reshape(shape)
-        first_seeds = {name: seeds[name][:, 0] for name in names}
-        hc_matrix = np.stack([hc[name] for name in names])
-        wcdp_index = np.argmin(hc_matrix, axis=0)
-    else:
-        # Streamed: per chunk, evaluate HC_first (for the WCDP argmin)
-        # and the closed-form probabilities; only the assembled outputs
-        # span the full population.  The binomial sampling below still
-        # consumes ``rng`` combo-major / pattern-minor over the fully
-        # assembled arrays — the exact scalar draw order.
-        amp = amplification(chip, t_on)
-        probabilities = {name: allocate_cells(shape, float)
-                         for name in names}
-        first_seeds = {name: np.empty(len(combos), dtype=np.uint64)
-                       for name in names}
-        wcdp_index = np.empty(shape, dtype=np.int64)
-        for start, stop in chunks:
-            chunk_combos = list(combos[start:stop])
-            cshape = (stop - start, rows.size)
-            hc_chunk = []
-            for name in names:
-                batch = combo_population(chip, chunk_combos, rows, name)
-                hc_chunk.append(batch.hc_first(amp).reshape(cshape))
-                probabilities[name][start:stop] = \
-                    batch.ber(eff).reshape(cshape)
-                first_seeds[name][start:stop] = \
-                    batch.profile_seeds.reshape(cshape)[:, 0]
-            wcdp_index[start:stop] = np.argmin(np.stack(hc_chunk),
-                                               axis=0)
-    bers: Dict[str, np.ndarray] = {}
+            batch = combo_population(chip, chunk_combos, rows, name)
+            hc_chunk.append(batch.hc_first(amp).reshape(cshape))
+            probabilities[name][start:stop] = batch.ber(eff).reshape(cshape)
+            first_seeds[name][start:stop] = \
+                batch.profile_seeds.reshape(cshape)[:, 0]
+        wcdp_index[start:stop] = np.argmin(np.stack(hc_chunk), axis=0)
     if not sampled:
-        bers.update(probabilities)
+        bers = dict(probabilities)
     else:
-        sampled_values = {name: np.empty(shape) for name in names}
+        bers = {name: np.empty(shape) for name in names}
         for index in range(len(combos)):
             for name in names:
-                # rng=None replays the scalar per-grid default: a fresh
-                # generator seeded from the grid's first profile seed.
                 generator = rng if rng is not None else \
                     np.random.default_rng(
                         int(first_seeds[name][index]) & 0x7FFFFFFF)
-                sampled_values[name][index] = generator.binomial(
+                bers[name][index] = generator.binomial(
                     8192, probabilities[name][index]) / 8192.0
-        bers.update(sampled_values)
     # Gather the WCDP pattern's BER per element without stacking the
     # full (patterns, combos, rows) cube: selection by argmin index is
     # the same values as the fancy-indexed stack, element for element.

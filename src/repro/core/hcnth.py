@@ -23,7 +23,6 @@ from repro.chips.profiles import ChipProfile
 from repro.core import analytic
 from repro.core.patterns import ALL_PATTERNS
 from repro.analysis.fits import pearson_correlation, polynomial_fit
-from repro.dram.batch import batch_enabled
 
 #: Paper population: 32 rows per segment, 3 segments, 2 channels per chip.
 ROWS_PER_SEGMENT = 32
@@ -33,18 +32,11 @@ SEGMENTS = ("first", "middle", "last")
 def most_vulnerable_channels(chip: ChipProfile, count: int = 2,
                              probe_rows: int = 256) -> List[int]:
     """Channels with the smallest minimum HC_first (the paper's choice)."""
-    minima = {}
     rows = analytic.stratified_rows(chip.geometry.rows, probe_rows)
-    if batch_enabled():
-        combos = [(channel, 0, 0)
-                  for channel in range(chip.geometry.channels)]
-        wcdp = analytic.wcdp_hc_first_multi(chip, combos, rows)["WCDP"]
-        for channel in range(chip.geometry.channels):
-            minima[channel] = float(wcdp[channel].min())
-    else:
-        for channel in range(chip.geometry.channels):
-            hc = analytic.wcdp_hc_first(chip, channel, 0, 0, rows)["WCDP"]
-            minima[channel] = float(hc.min())
+    combos = [(channel, 0, 0) for channel in range(chip.geometry.channels)]
+    wcdp = analytic.wcdp_hc_first_multi(chip, combos, rows)["WCDP"]
+    minima = {channel: float(wcdp[channel].min())
+              for channel in range(chip.geometry.channels)}
     ordered = sorted(minima, key=minima.get)
     return ordered[:count]
 
@@ -141,7 +133,6 @@ def hcnth_study(chips: Sequence[ChipProfile], n: int = 10,
     """Run the Section 5 study over the paper's row population."""
     if patterns is None:
         patterns = [p.name for p in ALL_PATTERNS]
-    use_batch = batch_enabled()
     study = HcNthStudy(n)
     for chip in chips:
         channels = most_vulnerable_channels(chip)
@@ -149,31 +140,18 @@ def hcnth_study(chips: Sequence[ChipProfile], n: int = 10,
             analytic.segment_rows(chip.geometry.rows, segment,
                                   rows_per_segment)
             for segment in SEGMENTS])
-        if use_batch:
-            # One batch per pattern over both channels; hc_nth has no
-            # shared RNG, so compute-then-emit keeps the scalar
-            # measurement order without replaying its loop structure.
-            combos = [(channel, pseudo_channel, bank)
-                      for channel in channels]
-            by_pattern = {}
+        # One batch per pattern over both channels; hc_nth draws no
+        # shared RNG, so compute-then-emit keeps the channel-major,
+        # pattern-minor measurement order.
+        combos = [(channel, pseudo_channel, bank) for channel in channels]
+        by_pattern = {}
+        for pattern in patterns:
+            batch = analytic.combo_population(chip, combos, rows, pattern)
+            by_pattern[pattern] = batch.hc_nth(n).reshape(
+                len(channels), rows.size, n)
+        for index, channel in enumerate(channels):
             for pattern in patterns:
-                batch = analytic.combo_population(chip, combos, rows,
-                                                  pattern)
-                by_pattern[pattern] = batch.hc_nth(n).reshape(
-                    len(channels), rows.size, n)
-            for index, channel in enumerate(channels):
-                for pattern in patterns:
-                    hc = by_pattern[pattern][index]
-                    for i, row in enumerate(rows):
-                        study.measurements.append(RowHcNth(
-                            chip_label=chip.label, channel=channel,
-                            row=int(row), pattern=pattern, hc_nth=hc[i]))
-            continue
-        for channel in channels:
-            for pattern in patterns:
-                grid = analytic.population_grid(
-                    chip, channel, pseudo_channel, bank, rows, pattern)
-                hc = grid.hc_nth(n)
+                hc = by_pattern[pattern][index]
                 for i, row in enumerate(rows):
                     study.measurements.append(RowHcNth(
                         chip_label=chip.label, channel=channel,

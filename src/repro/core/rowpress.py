@@ -30,7 +30,6 @@ from repro.bender.routines.ber_test import RowBerResult, measure_row_ber
 from repro.bender.routines.rowinit import initialize_window
 from repro.chips.profiles import ChipProfile
 from repro.core import analytic, metrics
-from repro.dram.batch import batch_enabled
 from repro.dram.geometry import RowAddress
 from repro.dram.timing import DEFAULT_TIMINGS
 
@@ -107,8 +106,8 @@ def rowpress_ber_study(chips: Sequence[ChipProfile],
 
     Sampling noise is unit-local per (channel, t_on) — each draw comes
     from a fresh generator seeded by the channel population's first
-    profile seed, exactly the scalar ``sampled_ber(eff, None)`` default
-    — so a ``channel_range`` slice measures exactly the matching
+    profile seed, exactly a per-bank grid's ``sampled_ber(eff, None)``
+    default — so a ``channel_range`` slice measures exactly the matching
     channels of the full study (the shard-parallel Fig. 12 contract).
     """
     channel_means: Dict[str, Dict[float, Dict[int, float]]] = {}
@@ -128,36 +127,20 @@ def rowpress_ber_study(chips: Sequence[ChipProfile],
                 raise ValueError(f"channel range {channel_range} outside "
                                  f"[0, {len(channels)}]")
             channels = channels[start:stop]
-        if batch_enabled() and channels:
-            combos = [(channel, pseudo_channel, bank)
-                      for channel in channels]
-            batch = analytic.combo_population(chip, combos, rows, pattern)
-            first_seeds = batch.profile_seeds.reshape(
-                len(channels), rows.size)[:, 0]
-            for t_on in t_ons:
-                eff = analytic.effective_hammers(chip, hammer_count, t_on)
-                probabilities = batch.ber(eff).reshape(len(channels),
-                                                       rows.size)
-                for index, channel in enumerate(channels):
-                    rng = np.random.default_rng(
-                        int(first_seeds[index]) & 0x7FFFFFFF)
-                    by_t[t_on][channel] = float((rng.binomial(
-                        8192, probabilities[index]) / 8192.0).mean())
-                    expected_by_t[t_on][channel] = float(
-                        probabilities[index].mean())
-        else:
-            grids = {
-                channel: analytic.population_grid(
-                    chip, channel, pseudo_channel, bank, rows, pattern)
-                for channel in channels}
-            for t_on in t_ons:
-                eff = analytic.effective_hammers(chip, hammer_count, t_on)
-                by_t[t_on] = {
-                    channel: float(grid.sampled_ber(eff, None).mean())
-                    for channel, grid in grids.items()}
-                expected_by_t[t_on] = {
-                    channel: float(grid.ber(eff).mean())
-                    for channel, grid in grids.items()}
+        combos = [(channel, pseudo_channel, bank) for channel in channels]
+        batch = analytic.combo_population(chip, combos, rows, pattern)
+        first_seeds = batch.profile_seeds.reshape(len(channels),
+                                                  rows.size)[:, 0]
+        for t_on in t_ons:
+            eff = analytic.effective_hammers(chip, hammer_count, t_on)
+            probabilities = batch.ber(eff).reshape(len(channels), rows.size)
+            for index, channel in enumerate(channels):
+                rng = np.random.default_rng(
+                    int(first_seeds[index]) & 0x7FFFFFFF)
+                by_t[t_on][channel] = float((rng.binomial(
+                    8192, probabilities[index]) / 8192.0).mean())
+                expected_by_t[t_on][channel] = float(
+                    probabilities[index].mean())
         channel_means[chip.label] = by_t
         expected_means[chip.label] = expected_by_t
     return RowPressBerStudy(hammer_count, pattern, tuple(t_ons),
@@ -217,34 +200,22 @@ def rowpress_hcfirst_study(chips: Sequence[ChipProfile],
         channels = channels[start:stop]
     hc_by_chip: Dict[str, Dict[float, np.ndarray]] = {}
     included: Dict[str, int] = {}
-    use_batch = batch_enabled() and bool(channels)
     for chip in chips:
         rows = analytic.stratified_rows(chip.geometry.rows,
                                         rows_per_channel)
         timings = DEFAULT_TIMINGS
         per_t: Dict[float, List[np.ndarray]] = {t: [] for t in t_ons}
         keep_masks = []
-        # amplification_array is element-wise identical to the scalar
-        # method, so both paths may share the one vectorized call.
         amplifications = dict(zip(
             t_ons, chip.disturbance.amplification_array(list(t_ons))))
-        if use_batch:
-            combos = [(channel, pseudo_channel, bank)
-                      for channel in channels]
-            batch = analytic.combo_population(chip, combos, rows, pattern)
-            hc_matrix = {
-                t: batch.hc_first(amplifications[t]).reshape(
-                    len(channels), rows.size)
-                for t in t_ons}
+        combos = [(channel, pseudo_channel, bank) for channel in channels]
+        batch = analytic.combo_population(chip, combos, rows, pattern)
+        hc_matrix = {
+            t: batch.hc_first(amplifications[t]).reshape(
+                len(channels), rows.size)
+            for t in t_ons}
         for index, channel in enumerate(channels):
-            if use_batch:
-                hc_per_t = {t: hc_matrix[t][index] for t in t_ons}
-            else:
-                grid = analytic.population_grid(chip, channel,
-                                                pseudo_channel, bank,
-                                                rows, pattern)
-                hc_per_t = {t: grid.hc_first(amplifications[t])
-                            for t in t_ons}
+            hc_per_t = {t: hc_matrix[t][index] for t in t_ons}
             mask = np.ones(rows.size, dtype=bool)
             for t in t_ons:
                 # At t_AggON = 16 ms each aggressor fits exactly once in

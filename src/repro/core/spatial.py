@@ -22,7 +22,6 @@ import numpy as np
 from repro.chips.profiles import ChipProfile
 from repro.core import analytic, metrics
 from repro.core.patterns import ALL_PATTERNS
-from repro.dram.batch import batch_enabled
 
 #: Pattern columns reported by the figures (Table 1 order plus WCDP).
 PATTERN_COLUMNS = tuple(p.name for p in ALL_PATTERNS) + ("WCDP",)
@@ -113,10 +112,9 @@ def chip_ber_flats(chips: Sequence[ChipProfile],
     profile seed (``rng=None`` down the stack) — so a unit's values do
     not depend on which other units share the call.  Concatenating the
     flats of consecutive unit ranges therefore reproduces the
-    whole-sweep flat bit-for-bit, on either engine — the contract of the
-    shard-parallel experiment path.
+    whole-sweep flat bit-for-bit — the contract of the shard-parallel
+    experiment path.
     """
-    use_batch = batch_enabled()
     flats: Dict[str, Dict[str, np.ndarray]] = {}
     for chip in chips:
         channels = list(range(chip.geometry.channels))
@@ -126,33 +124,13 @@ def chip_ber_flats(chips: Sequence[ChipProfile],
                 raise ValueError(
                     f"unit range {unit_range} outside [0, {len(channels)}]")
             channels = channels[start:stop]
-        if not channels:
-            flats[chip.label] = {name: np.empty(0)
-                                 for name in PATTERN_COLUMNS}
-            continue
         rows = analytic.stratified_rows(chip.geometry.rows,
                                         rows_per_channel)
-        if use_batch:
-            combos = [(channel, pseudo_channel, bank)
-                      for channel in channels]
-            bers = analytic.wcdp_ber_multi(chip, combos, rows,
-                                           hammer_count, rng=None,
-                                           sampled=sampled)
-            flats[chip.label] = {
-                name: np.asarray(bers[name]).reshape(-1)
-                for name in PATTERN_COLUMNS}
-        else:
-            per_pattern: Dict[str, List[np.ndarray]] = {
-                name: [] for name in PATTERN_COLUMNS}
-            for channel in channels:
-                bers = analytic.wcdp_ber(chip, channel, pseudo_channel,
-                                         bank, rows, hammer_count,
-                                         rng=None, sampled=sampled)
-                for name in PATTERN_COLUMNS:
-                    per_pattern[name].append(bers[name])
-            flats[chip.label] = {
-                name: np.concatenate(values)
-                for name, values in per_pattern.items()}
+        combos = [(channel, pseudo_channel, bank) for channel in channels]
+        bers = analytic.wcdp_ber_multi(chip, combos, rows, hammer_count,
+                                       rng=None, sampled=sampled)
+        flats[chip.label] = {name: np.asarray(bers[name]).reshape(-1)
+                             for name in PATTERN_COLUMNS}
     return flats
 
 
@@ -204,7 +182,7 @@ def hcfirst_flat(chip: ChipProfile, rows_per_bank: int,
     selected units (all of them when ``unit_range`` is ``None``) with
     ``banks``.  The flat layout is the contract of the shard-parallel
     experiment path: concatenating the flats of consecutive unit ranges
-    reproduces the whole-sweep flat bit-for-bit, on either engine.
+    reproduces the whole-sweep flat bit-for-bit.
     """
     rows = analytic.stratified_rows(chip.geometry.rows, rows_per_bank)
     units = spatial_units(chip.geometry.channels, pseudo_channels)
@@ -214,19 +192,10 @@ def hcfirst_flat(chip: ChipProfile, rows_per_bank: int,
             raise ValueError(
                 f"unit range {unit_range} outside [0, {len(units)})")
         units = units[start:stop]
-    combos = unit_combos(units, banks)
-    if batch_enabled():
-        hc = analytic.wcdp_hc_first_multi(chip, combos, rows)
-        return {name: np.asarray(hc[name]).reshape(-1)
-                for name in PATTERN_COLUMNS}
-    collected: Dict[str, List[np.ndarray]] = {
-        name: [] for name in PATTERN_COLUMNS}
-    for channel, pc, bank in combos:
-        hc = analytic.wcdp_hc_first(chip, channel, pc, bank, rows)
-        for name in PATTERN_COLUMNS:
-            collected[name].append(hc[name])
-    return {name: np.concatenate(values)
-            for name, values in collected.items()}
+    hc = analytic.wcdp_hc_first_multi(chip, unit_combos(units, banks),
+                                      rows)
+    return {name: np.asarray(hc[name]).reshape(-1)
+            for name in PATTERN_COLUMNS}
 
 
 def chip_hcfirst_study(chips: Sequence[ChipProfile],
@@ -399,18 +368,11 @@ def row_ber_profile(chip: ChipProfile,
     property the shard-parallel Fig. 8 path relies on.
     """
     rows = np.arange(0, chip.geometry.rows, row_stride)
-    ber_by_channel = {}
-    if batch_enabled() and channels:
-        combos = [(channel, pseudo_channel, bank) for channel in channels]
-        bers = analytic.wcdp_ber_multi(chip, combos, rows, hammer_count,
-                                       rng=None)
-        for index, channel in enumerate(channels):
-            ber_by_channel[channel] = bers["WCDP"][index]
-    else:
-        for channel in channels:
-            bers = analytic.wcdp_ber(chip, channel, pseudo_channel, bank,
-                                     rows, hammer_count, rng=None)
-            ber_by_channel[channel] = bers["WCDP"]
+    combos = [(channel, pseudo_channel, bank) for channel in channels]
+    wcdp = analytic.wcdp_ber_multi(chip, combos, rows, hammer_count,
+                                   rng=None)["WCDP"]
+    ber_by_channel = {channel: wcdp[index]
+                      for index, channel in enumerate(channels)}
     return RowProfileStudy(
         chip_label=chip.label,
         channels=tuple(channels),
@@ -491,27 +453,15 @@ def bank_variation_study(chip: ChipProfile, rows_per_segment: int = 100,
             raise ValueError(
                 f"combo range {combo_range} outside [0, {len(combos)}]")
         combos = combos[start:stop]
-    if not combos:
-        return study
-    if batch_enabled():
-        # Chunk-streamed: the 256-bank cross is the largest single
-        # population of the suite and must not materialize whole-device.
-        probabilities = analytic.combo_ber_matrix(chip, combos, rows,
-                                                  pattern, eff)
-        first_seeds = analytic.combo_first_seeds(chip, combos, rows,
-                                                 pattern)
-    else:
-        probabilities = first_seeds = None
+    # Chunk-streamed: the 256-bank cross is the largest single
+    # population of the suite and must not materialize whole-device.
+    probabilities = analytic.combo_ber_matrix(chip, combos, rows, pattern,
+                                              eff)
+    first_seeds = analytic.combo_first_seeds(chip, combos, rows, pattern)
     for index, (channel, pc, bank) in enumerate(combos):
-        if probabilities is not None:
-            # Same generator the scalar grid path seeds below.
-            rng = np.random.default_rng(
-                int(first_seeds[index]) & 0x7FFFFFFF)
-            ber = rng.binomial(8192, probabilities[index]) / 8192.0
-        else:
-            grid = analytic.population_grid(chip, channel, pc, bank, rows,
-                                            pattern)
-            ber = grid.sampled_ber(eff, None)
+        # The generator a per-bank grid's ``sampled_ber(eff, None)`` seeds.
+        rng = np.random.default_rng(int(first_seeds[index]) & 0x7FFFFFFF)
+        ber = rng.binomial(8192, probabilities[index]) / 8192.0
         mean = float(ber.mean())
         cv = float(ber.std() / mean) if mean > 0 else 0.0
         study.points.append(BankPoint(channel, pc, bank, mean, cv))

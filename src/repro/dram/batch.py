@@ -38,9 +38,10 @@ session layer classifies each victim's window with the plan's
 vectorized samplers (:meth:`repro.faults.plan.FaultPlan.drop_mask` and
 friends), measures the untouched windows through this engine, and
 replays only the fault-hit windows per-command.  ``HBMSIM_BATCH=0``
-still forces the scalar path everywhere (the escape hatch), and the
-scalar interpreter remains the oracle in the differential property
-tests.
+(the escape hatch) selects only the command-level oracles: the scalar
+interpreter, per-REF catch-up and per-row profiling; the closed-form
+analytic layer has one implementation and ignores it.  The scalar
+interpreter remains the oracle in the differential property tests.
 
 The module also defines the **epoch plan** lowering used by the TRR-aware
 executors: a hammer schedule between two REF commands, represented as

@@ -41,8 +41,10 @@ _MMAP_ENV = "HBMSIM_CELLS_MMAP"
 #: chunk's ~15 float64 intermediate arrays inside a few MiB while still
 #: amortizing numpy kernel launch cost; every population up to 21 full
 #: combos of 3072 rows (the Table 2 fig05/fig07 shape) streams in a
-#: handful of chunks, and the scale-0.25 bench populations fit in one
-#: chunk (the historical all-at-once code path, byte-for-byte).
+#: handful of chunks, and the scale-0.25 bench populations fit in one.
+#: The bound changes only the working set, never a result; it is not an
+#: engine switch (``HBMSIM_BATCH=0`` selects only the command-level
+#: interpreter, per-REF catch-up and row-profiling oracles).
 DEFAULT_CHUNK_ELEMS = 65536
 
 _MMAP_ON = frozenset({"1", "true", "yes", "on"})

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import analytic
+from repro.core import analytic, metrics
 from repro.dram.geometry import RowAddress
 
 
@@ -20,12 +20,22 @@ class TestEffectiveHammers:
         assert analytic.amplification(chip0, None) == 1.0
 
 
+def one_bank(chip, channel, pseudo_channel, bank, rows,
+             pattern="Checkered0"):
+    """Noise-free BER at the BER test count and HC_first of one bank."""
+    batch = analytic.combo_population(
+        chip, [(channel, pseudo_channel, bank)], rows, pattern)
+    eff = analytic.effective_hammers(chip, metrics.BER_TEST_HAMMERS)
+    return batch.ber(eff), batch.hc_first(analytic.amplification(chip,
+                                                                  None))
+
+
 class TestMeasure:
+    """One-bank analytic measurement through :func:`combo_population`."""
+
     def test_ber_and_hc(self, chip0):
         rows = np.arange(1000, 1100)
-        measurement = analytic.measure(chip0, 0, 0, 0, rows, "Checkered0")
-        ber = measurement.ber(sampled=False)
-        hc = measurement.hc_first()
+        ber, hc = one_bank(chip0, 0, 0, 0, rows)
         assert ber.shape == rows.shape
         assert hc.shape == rows.shape
         assert np.all(ber > 0)
@@ -38,15 +48,13 @@ class TestMeasure:
         from repro.core.patterns import CHECKERED0
 
         victim = RowAddress(1, 0, 2, 7000)
-        measurement = analytic.measure(chip0, 1, 0, 2,
-                                       np.array([7000]), "Checkered0")
+        ber, hc = one_bank(chip0, 1, 0, 2, np.array([7000]))
         device_ber = measure_row_ber(session, victim, CHECKERED0,
-                                     hammer_count=512_000).ber
-        assert device_ber == pytest.approx(
-            float(measurement.ber(sampled=False)[0]), abs=0.008)
+                                     hammer_count=metrics.BER_TEST_HAMMERS
+                                     ).ber
+        assert device_ber == pytest.approx(float(ber[0]), abs=0.008)
         device_hc = search_hc_first(session, victim, CHECKERED0).hc_first
-        assert device_hc == pytest.approx(
-            float(measurement.hc_first()[0]), rel=0.02)
+        assert device_hc == pytest.approx(float(hc[0]), rel=0.02)
 
 
 class TestWcdp:

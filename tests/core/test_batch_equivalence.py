@@ -1,13 +1,14 @@
-"""Equivalence suite for the batched analytic experiment path.
+"""Equivalence suite for the closed-form analytic engine.
 
-Three invariants from the batched-engine contract:
+Three invariants pin the one chunk-streamed kernel:
 
 - :func:`population_combos` (the block-chained, base-cached kernel) is
   bit-identical to per-combo :func:`population_grid` results,
-- the ``*_multi`` WCDP helpers equal their scalar per-combo forms,
-- the experiment reports are byte-identical with batching on and off
-  (``HBMSIM_BATCH=0``), pinning the seed reference hashes for fig05 and
-  fig07.
+- the WCDP helpers (``*_multi`` and their one-combo forms) equal a
+  test-local reference built from per-bank :func:`population_grid`
+  measurements, at one chunk and at many,
+- the closed-form experiment reports keep their pinned sha256 digests:
+  fig05 and fig07 at scale 0.25, and the Figs. 4-13 studies at 0.02.
 """
 
 import hashlib
@@ -19,9 +20,10 @@ from repro.chips import vectorized
 from repro.chips.profiles import make_chip
 from repro.chips.vectorized import population_combos, population_grid
 from repro.core import analytic
-from repro.core.analytic import (combo_population, wcdp_ber,
-                                 wcdp_ber_multi, wcdp_hc_first,
+from repro.core.analytic import (combo_ber_matrix, combo_population,
+                                 wcdp_ber, wcdp_ber_multi, wcdp_hc_first,
                                  wcdp_hc_first_multi)
+from repro.core.patterns import ALL_PATTERNS
 from repro.experiments.registry import run_experiment
 
 COMBOS = [(0, 0, 0), (2, 1, 3), (7, 0, 15)]
@@ -92,23 +94,151 @@ class TestPopulationCombos:
         assert combo_population(chip, COMBOS, ROWS, PATTERN) is first
 
 
-class TestWcdpMulti:
-    def test_hc_first_multi_matches_scalar(self, chip):
-        clear_caches()
-        multi = wcdp_hc_first_multi(chip, COMBOS, ROWS)
-        for index, (channel, pc, bank) in enumerate(COMBOS):
-            scalar = wcdp_hc_first(chip, channel, pc, bank, ROWS)
-            for name, values in scalar.items():
-                assert np.array_equal(multi[name][index], values), name
+NAMES = [pattern.name for pattern in ALL_PATTERNS]
+HAMMERS = 300_000
 
-    def test_ber_multi_matches_scalar(self, chip):
+
+def reference_hc_first(chip, combo, rows):
+    """Per-grid HC_first per pattern plus the stacked WCDP minimum."""
+    per_pattern = {name: population_grid(chip, *combo, rows,
+                                         name).hc_first(1.0)
+                   for name in NAMES}
+    per_pattern["WCDP"] = np.stack(list(per_pattern.values())).min(axis=0)
+    return per_pattern
+
+
+def reference_ber(chip, combo, rows, sampled, rng):
+    """Per-grid BER per pattern; WCDP gathers the argmin-HC pattern."""
+    eff = analytic.effective_hammers(chip, HAMMERS)
+    grids = [population_grid(chip, *combo, rows, name) for name in NAMES]
+    bers = {name: grid.sampled_ber(eff, rng) if sampled else grid.ber(eff)
+            for name, grid in zip(NAMES, grids)}
+    hc = reference_hc_first(chip, combo, rows)
+    worst = np.argmin(np.stack([hc[name] for name in NAMES]), axis=0)
+    stacked = np.stack([bers[name] for name in NAMES])
+    bers["WCDP"] = stacked[worst, np.arange(rows.size)]
+    return bers
+
+
+def chunk_bounds(monkeypatch):
+    """Yield once under the default bound and once at two combos a
+    chunk (so the three combos stream in two chunks), caches cleared."""
+    for bound in (None, 2 * ROWS.size):
+        if bound is None:
+            monkeypatch.delenv("HBMSIM_CELLS_CHUNK", raising=False)
+        else:
+            monkeypatch.setenv("HBMSIM_CELLS_CHUNK", str(bound))
         clear_caches()
-        multi = wcdp_ber_multi(chip, COMBOS, ROWS, hammer_count=300_000)
-        for index, (channel, pc, bank) in enumerate(COMBOS):
-            scalar = wcdp_ber(chip, channel, pc, bank, ROWS,
-                              hammer_count=300_000)
-            for name, values in scalar.items():
-                assert np.array_equal(multi[name][index], values), name
+        yield bound
+
+
+class TestWcdpMulti:
+    """The streamed kernels against the per-bank (scalar) reference."""
+
+    def test_hc_first_multi_matches_scalar(self, chip, monkeypatch):
+        for __ in chunk_bounds(monkeypatch):
+            multi = wcdp_hc_first_multi(chip, COMBOS, ROWS)
+            for index, combo in enumerate(COMBOS):
+                for name, values in reference_hc_first(chip, combo,
+                                                       ROWS).items():
+                    assert np.array_equal(multi[name][index], values), \
+                        name
+
+    def test_ber_multi_matches_scalar(self, chip, monkeypatch):
+        """``rng=None``: unit-local noise per (combo, pattern); also the
+        noise-free probabilities."""
+        for __ in chunk_bounds(monkeypatch):
+            for sampled in (True, False):
+                multi = wcdp_ber_multi(chip, COMBOS, ROWS,
+                                       hammer_count=HAMMERS,
+                                       sampled=sampled)
+                for index, combo in enumerate(COMBOS):
+                    expected = reference_ber(chip, combo, ROWS, sampled,
+                                             None)
+                    for name, values in expected.items():
+                        assert np.array_equal(multi[name][index],
+                                              values), name
+
+    def test_ber_multi_shared_generator(self, chip, monkeypatch):
+        """A shared generator is consumed combo-major, pattern-minor."""
+        for __ in chunk_bounds(monkeypatch):
+            multi = wcdp_ber_multi(chip, COMBOS, ROWS,
+                                   hammer_count=HAMMERS,
+                                   rng=np.random.default_rng(99))
+            rng = np.random.default_rng(99)
+            for index, combo in enumerate(COMBOS):
+                expected = reference_ber(chip, combo, ROWS, True, rng)
+                for name, values in expected.items():
+                    assert np.array_equal(multi[name][index], values), \
+                        name
+
+    def test_one_combo_forms(self, chip):
+        clear_caches()
+        combo = COMBOS[1]
+        hc = wcdp_hc_first(chip, *combo, ROWS)
+        for name, values in reference_hc_first(chip, combo, ROWS).items():
+            assert np.array_equal(hc[name], values), name
+        for seed in (None, 7):
+            rng = None if seed is None else np.random.default_rng(seed)
+            bers = wcdp_ber(chip, *combo, ROWS, hammer_count=HAMMERS,
+                            rng=rng)
+            rng = None if seed is None else np.random.default_rng(seed)
+            expected = reference_ber(chip, combo, ROWS, True, rng)
+            for name, values in expected.items():
+                assert np.array_equal(bers[name], values), name
+
+
+BAD_ADDRESSES = [
+    ((9, 0, 0), ROWS, r"channel 9 out of range \[0, 8\)"),
+    ((0, 2, 0), ROWS, r"pseudo channel 2 out of range \[0, 2\)"),
+    ((0, 0, 16), ROWS, r"bank 16 out of range \[0, 16\)"),
+    ((0, 0, 0), np.array([0, 16384]), "row index out of range"),
+]
+
+ENTRY_POINTS = {
+    "wcdp_hc_first": lambda chip, combo, rows:
+        wcdp_hc_first(chip, *combo, rows),
+    "wcdp_ber": lambda chip, combo, rows: wcdp_ber(chip, *combo, rows),
+    "wcdp_hc_first_multi": lambda chip, combo, rows:
+        wcdp_hc_first_multi(chip, [(0, 0, 0), combo], rows),
+    "wcdp_ber_multi": lambda chip, combo, rows:
+        wcdp_ber_multi(chip, [(0, 0, 0), combo], rows),
+    "combo_ber_matrix": lambda chip, combo, rows:
+        combo_ber_matrix(chip, [(0, 0, 0), combo], rows, PATTERN, 1.0e5),
+}
+
+
+class TestAddressCheck:
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("combo,rows,message", BAD_ADDRESSES,
+                             ids=["channel", "pseudo-channel", "bank",
+                                  "row"])
+    def test_out_of_range_raises(self, chip, entry, combo, rows,
+                                 message):
+        clear_caches()
+        with pytest.raises(ValueError, match=message):
+            ENTRY_POINTS[entry](chip, combo, rows)
+
+
+#: Report sha256 of the closed-form Figs. 4-13 studies at scale 0.02.
+REPORT_DIGESTS = {
+    "fig04": "f30c0db25395b5b702af315f29757e08"
+             "b421f1e0e4f44ef055d8b265811fc7dc",
+    "fig06": "723a847a9814e392ba299e740f2ecb81"
+             "6bdac12eba62e109ed916df931f57586",
+    "fig08": "9766352528c6b79947e72136dfaf58fd"
+             "810f81272dbc66d067065b88f7509dfa",
+    "fig09": "a44b7960d4e4f42807723c21cefe3a3f"
+             "35a81dc93442c52d78f55cbd77c6a668",
+    "fig10": "619a0769ebeeb02d6f31ca58ac53fa1a"
+             "b2bbf22d8a03d7278e7c20f553c98c1d",
+    "fig11": "9f57b768061e0f689a61497df41cd9fc"
+             "2acda990e0893a3811b044298d09a6ef",
+    "fig12": "740fbabc112725ab505ca14aa318d4e6"
+             "3f9ae299711870dac8aa858d63f30e7d",
+    "fig13": "34ed4ac50aa347cf3cfc89bcac2252d9"
+             "116b4ef63577b0d2cd3f15540a2885ac",
+}
 
 
 def report_hash(experiment_id: str, scale: float) -> str:
@@ -123,12 +253,9 @@ class TestExperimentEquivalence:
     def test_fig07_reference_hash(self):
         assert report_hash("fig07", 0.25) == "e22a1494c3310f21"
 
-    @pytest.mark.parametrize("experiment_id,scale",
-                             [("fig04", 0.02), ("fig08", 0.02),
-                              ("fig10", 0.02), ("fig13", 0.02)])
-    def test_batch_off_is_byte_identical(self, experiment_id, scale,
-                                         monkeypatch):
-        batched = run_experiment(experiment_id, scale).text
-        monkeypatch.setenv("HBMSIM_BATCH", "0")
-        scalar = run_experiment(experiment_id, scale).text
-        assert scalar == batched
+    @pytest.mark.parametrize("experiment_id", sorted(REPORT_DIGESTS))
+    def test_closed_form_report_digest(self, experiment_id):
+        """Each closed-form study keeps its report sha256 at 0.02."""
+        text = run_experiment(experiment_id, 0.02).text
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            REPORT_DIGESTS[experiment_id]
