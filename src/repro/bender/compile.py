@@ -52,7 +52,7 @@ from repro.bender.program import (Instruction, Loop, ReadRequest,
                                   TestProgram, _flatten)
 from repro.dram.commands import Command, CommandKind
 from repro.dram.device import HBM2Stack, _RowState, _xor_bits
-from repro.dram.geometry import RowAddress, adjacent_rows
+from repro.dram.geometry import RowAddress
 from repro.faults import FaultPlan, active_plan, wrap_device
 from repro.faults.injector import FaultyStack
 
@@ -267,7 +267,7 @@ class _EpochContext:
         geometry = device.geometry
         timings = device.timings
         model = device.disturbance
-        layout = geometry.subarrays
+        self.layout = geometry.subarrays
         self.temp = device.temperature_disturbance_factor()
         self.accel = device.retention_acceleration()
         self.blast = model.blast_radius
@@ -307,13 +307,13 @@ class _EpochContext:
                 else max(command.t_on, timings.t_ras)
             duration = command.count * timings.act_to_act(effective_t_on)
             neighbors: List[Tuple[int, int, float]] = []
-            for neighbor in adjacent_rows(physical, geometry, self.blast):
-                distance = abs(neighbor.row - physical.row)
+            for row, distance in self.layout.neighbors(physical.row,
+                                                       self.blast):
                 units = command.count * self.temp \
                     * model.units_per_activation(effective_t_on, distance)
                 if units <= 0:
                     continue
-                neighbors.append((neighbor.bank, neighbor.row, units))
+                neighbors.append((physical.bank, row, units))
             self.ops.append(("H", len(self.entries)))
             self.entries.append((physical, command.count, duration,
                                  neighbors))
@@ -349,13 +349,11 @@ class _EpochContext:
         cached = self._victim_neighbors.get(key)
         if cached is not None:
             return cached
-        physical = RowAddress(self.pc_key[0], self.pc_key[1], bank, row)
         neighbors: List[Tuple[int, int, float]] = []
-        for neighbor in adjacent_rows(physical, self.device.geometry,
-                                      self.blast):
-            units = self.trr_units[abs(neighbor.row - physical.row)]
+        for other, distance in self.layout.neighbors(row, self.blast):
+            units = self.trr_units[distance]
             if units > 0:
-                neighbors.append((neighbor.bank, neighbor.row, units))
+                neighbors.append((bank, other, units))
         self._victim_neighbors[key] = neighbors
         return neighbors
 

@@ -166,7 +166,6 @@ def run_attack_epochs(session: BenderSession,
     device = session.device
     geometry = device.geometry
     timings = config.timings
-    layout = geometry.subarrays
     model = device.disturbance
     victim = victim_physical.validate(geometry)
     if len(session.aggressors_of(victim)) != 2:
@@ -175,6 +174,9 @@ def run_attack_epochs(session: BenderSession,
 
     temp = device.temperature_disturbance_factor()
     blast = model.blast_radius
+    # Rows whose activation disturbs the victim -> distance (disturbance
+    # reach is symmetric, so these are the victim's own neighbors).
+    reach = dict(geometry.subarrays.neighbors(victim.row, blast))
     t_ras = timings.t_ras
     retention = device.retention
     accel = device.retention_acceleration()
@@ -210,9 +212,8 @@ def run_attack_epochs(session: BenderSession,
         if t_on < t_ras:
             now = open_since + t_ras
             t_on = t_ras
-        distance = abs(row - victim.row)
-        if past_victim and 1 <= distance <= blast \
-                and layout.same_subarray(row, victim.row):
+        distance = reach.get(row)
+        if past_victim and distance is not None:
             units = (1 * temp) * model.units_per_activation(t_on, distance)
             if units > 0:
                 acc += units
@@ -234,10 +235,9 @@ def run_attack_epochs(session: BenderSession,
     entry_durations = plan.entry_durations(timings)
     entry_units = []
     for row, count in zip(plan.rows.tolist(), plan.counts.tolist()):
-        distance = abs(row - victim.row)
+        distance = reach.get(row)
         units = 0.0
-        if 1 <= distance <= blast \
-                and layout.same_subarray(row, victim.row):
+        if distance is not None:
             units = (count * temp) \
                 * model.units_per_activation(t_ras, distance)
         entry_units.append(units if units > 0 else 0.0)
@@ -300,9 +300,8 @@ def run_attack_epochs(session: BenderSession,
                 if row == victim.row:
                     commit(now)
                     continue
-                distance = abs(row - victim.row)
-                if 1 <= distance <= blast \
-                        and layout.same_subarray(row, victim.row):
+                distance = reach.get(row)
+                if distance is not None:
                     units = trr_disturb[distance]
                     if units > 0:
                         acc += units

@@ -202,7 +202,7 @@ class RowBatchProfile:
         #: Open time of one window-init write (stretched to tRAS).
         self.t_write_on = max(timings.t_rcd + ROW_IO_NS, timings.t_ras)
         temperature = device.temperature_disturbance_factor()
-        distances = sorted(model.distance_factors)
+        init_reach = min(radius, model.blast_radius)
 
         for index, victim in enumerate(self.victims):
             row = victim.row
@@ -210,22 +210,17 @@ class RowBatchProfile:
                 raise ValueError("victim has no neighbors in the bank")
             self.has_low_aggressor[index] = row - 1 >= 0
             self.has_high_aggressor[index] = row + 1 < geometry.rows
-            self.low_disturbs[index] = (
-                row - 1 >= 0 and layout.same_subarray(row, row - 1))
-            self.high_disturbs[index] = (
-                row + 1 < geometry.rows
-                and layout.same_subarray(row, row + 1))
+            adjacent = layout.neighbors(row, 1)
+            self.low_disturbs[index] = (row - 1, 1) in adjacent
+            self.high_disturbs[index] = (row + 1, 1) in adjacent
             self.upper_writes[index] = min(radius,
                                            geometry.rows - 1 - row)
             # Window-init disturbance: rewriting the victim clears its
             # accumulator, so only the writes *after* it (rows victim+d,
             # ascending d) contribute — replayed in the same add order.
             units = 0.0
-            for distance in distances:
-                neighbor = row + distance
-                if distance > radius or neighbor >= geometry.rows:
-                    continue
-                if not layout.same_subarray(row, neighbor):
+            for neighbor, distance in layout.neighbors(row, init_reach):
+                if neighbor < row:
                     continue
                 contribution = (1 * temperature) \
                     * model.units_per_activation(self.t_write_on, distance)

@@ -30,8 +30,7 @@ import numpy as np
 from repro.dram.cell_model import CellPopulation, RowDisturbanceProfile
 from repro.dram.commands import Command, CommandKind
 from repro.dram.disturbance import DEFAULT_DISTURBANCE, DisturbanceModel
-from repro.dram.geometry import (DEFAULT_GEOMETRY, HBM2Geometry, RowAddress,
-                                 adjacent_rows)
+from repro.dram.geometry import DEFAULT_GEOMETRY, HBM2Geometry, RowAddress
 from repro.dram.mode_registers import ModeRegisters
 from repro.dram.retention import DEFAULT_RETENTION, RetentionModel
 from repro.dram.row_mapping import IdentityMapping, RowMapping
@@ -682,13 +681,13 @@ class HBM2Stack:
                            t_on: float) -> None:
         radius = self.disturbance.blast_radius
         temperature_factor = self.temperature_disturbance_factor()
-        for neighbor in adjacent_rows(physical, self.geometry, radius):
-            distance = abs(neighbor.row - physical.row)
+        for row, distance in self.geometry.subarrays.neighbors(
+                physical.row, radius):
             units = count * temperature_factor \
                 * self.disturbance.units_per_activation(t_on, distance)
             if units <= 0:
                 continue
-            state = self._row_state(neighbor)
+            state = self._row_state(physical.with_row(row))
             state.acc_units += units
 
     def _last_restore(self, physical: RowAddress, state: _RowState) -> float:

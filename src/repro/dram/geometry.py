@@ -22,7 +22,7 @@ import bisect
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, Tuple
 
 #: Canonical subarray sizes for one bank: sixteen 832-row and four 768-row
 #: subarrays (16 * 832 + 4 * 768 == 16384).  Row 8192 starts subarray 10
@@ -75,13 +75,26 @@ class SubarrayLayout:
 
     def position_in_subarray(self, row: int) -> Tuple[int, int, int]:
         """Return ``(subarray_index, offset, size)`` for ``row``."""
-        self._check_row(row)
-        start = 0
-        for index, size in enumerate(self.sizes):
-            if row < start + size:
-                return index, row - start, size
-            start += size
-        raise AssertionError("unreachable: row bounds checked above")
+        index = self.subarray_of(row)
+        return index, row - self.boundaries[index], self.sizes[index]
+
+    def neighbors(self, row: int,
+                  radius: int) -> Tuple[Tuple[int, int], ...]:
+        """``(row, distance)`` pairs an aggressor at ``row`` disturbs.
+
+        The one definition of disturbance reach: rows within ``radius``,
+        in ascending row order, never across a subarray boundary.  Sense
+        amplifier stripes isolate neighboring subarrays, which is what
+        the paper's subarray reverse engineering exploits (footnote 3).
+        Subarrays partition the bank, so this also clips to the bank.
+        The relation is symmetric: ``row`` is in the neighborhood of
+        each row it returns.
+        """
+        index = self.subarray_of(row)
+        low = max(self.boundaries[index], row - radius)
+        high = min(self.boundaries[index + 1], row + radius + 1)
+        return tuple((other, abs(other - row))
+                     for other in range(low, high) if other != row)
 
     def rows_of(self, subarray: int) -> range:
         """Return the row range of subarray ``subarray``."""
@@ -94,10 +107,6 @@ class SubarrayLayout:
         """Whether ``row`` is the first or last row of its subarray."""
         __, offset, size = self.position_in_subarray(row)
         return offset == 0 or offset == size - 1
-
-    def same_subarray(self, row_a: int, row_b: int) -> bool:
-        """Whether two rows share a subarray (disturbance domain)."""
-        return self.subarray_of(row_a) == self.subarray_of(row_b)
 
     @property
     def middle_subarray(self) -> int:
@@ -215,28 +224,6 @@ class RowAddress:
     def bank_key(self) -> Tuple[int, int, int]:
         """Hashable bank identity ``(channel, pseudo_channel, bank)``."""
         return (self.channel, self.pseudo_channel, self.bank)
-
-
-def adjacent_rows(address: RowAddress, geometry: HBM2Geometry,
-                  radius: int = 1) -> List[RowAddress]:
-    """Physically adjacent rows within ``radius``, clipped to the subarray.
-
-    Disturbance does not cross subarray boundaries (sense-amplifier stripes
-    isolate neighboring subarrays), which is exactly what the paper's
-    subarray reverse engineering exploits (footnote 3).
-    """
-    layout = geometry.subarrays
-    neighbors = []
-    for offset in range(-radius, radius + 1):
-        if offset == 0:
-            continue
-        row = address.row + offset
-        if not 0 <= row < geometry.rows:
-            continue
-        if not layout.same_subarray(address.row, row):
-            continue
-        neighbors.append(address.with_row(row))
-    return neighbors
 
 
 #: Geometry shared by every chip the paper tests.

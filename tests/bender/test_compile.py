@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from repro.bender.compile import (MAX_DIRTY_FRACTION, MIN_EPOCH_REPEATS,
                                   EpochSegment, PlanExecutor,
-                                  ScalarSegment, compile_program,
-                                  dirty_window_mask)
+                                  ScalarSegment, _EpochContext,
+                                  compile_program, dirty_window_mask)
 from repro.bender.host import BenderSession
 from repro.bender.interpreter import Interpreter
 from repro.bender.program import TestProgram
@@ -275,6 +275,41 @@ class TestPlanExecutorDifferential:
         for mask in ("drop_mask", "ghost_mask", "draw_bitflips_array"):
             assert np.array_equal(getattr(CHAOS_PLAN, mask)(indices),
                                   getattr(CHAOS_PLAN, mask)(indices))
+
+    @pytest.mark.parametrize("aggressor, victim", [
+        # Row 831 ends subarray 0 and row 832 starts subarray 1: each
+        # victim refresh may disturb only its own side of the boundary,
+        # where no other command touches a row.
+        pytest.param(830, 831, id="subarray-end"),
+        pytest.param(833, 832, id="subarray-start"),
+        # Row 0 has no lower neighbor at all.
+        pytest.param(1, 0, id="bank-edge"),
+    ])
+    @pytest.mark.parametrize("plan", [None, CHAOS_PLAN],
+                             ids=["fault-free", "chaos"])
+    def test_trr_victim_refresh_at_edges_bit_identical(
+            self, monkeypatch, aggressor, victim, plan):
+        """TRR victim refreshes at a subarray boundary and at the bank
+        edge reach the compiled engine's neighbor lookup and stay
+        bit-identical to the interpreter."""
+        seen = set()
+        lookup = _EpochContext.victim_neighbors
+
+        def spy(context, bank, row):
+            seen.add(row)
+            return lookup(context, bank, row)
+
+        monkeypatch.setattr(_EpochContext, "victim_neighbors", spy)
+        program = TestProgram(name="trr-edges")
+        victim_address = RowAddress(0, 0, 0, victim)
+        program.write_row(victim_address,
+                          np.zeros(ROW_BYTES, dtype=np.uint8))
+        with program.loop(200) as body:
+            body.hammer(RowAddress(0, 0, 0, aggressor), 30)
+            body.refresh(0, 0)
+        program.read_row(victim_address, tag="victim")
+        assert_identical(*run_both(program, plan))
+        assert victim in seen
 
     def test_hang_error_parity(self):
         """A hang raised mid-segment leaves both engines equally dead."""

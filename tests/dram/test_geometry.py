@@ -3,8 +3,11 @@
 import pytest
 
 from repro.dram.geometry import (DEFAULT_GEOMETRY, DEFAULT_SUBARRAY_SIZES,
-                                 HBM2Geometry, RowAddress, SubarrayLayout,
-                                 adjacent_rows)
+                                 HBM2Geometry, RowAddress, SubarrayLayout)
+
+#: Small layout with odd sizes and 1-row subarrays (rows with no
+#: neighbors at all), one inside the bank and one at its end.
+ODD_LAYOUT = SubarrayLayout(sizes=(3, 1, 5, 2, 1))
 
 
 class TestSubarrayLayout:
@@ -58,8 +61,8 @@ class TestSubarrayLayout:
 
     def test_same_subarray(self):
         layout = SubarrayLayout()
-        assert layout.same_subarray(0, 831)
-        assert not layout.same_subarray(831, 832)
+        assert layout.subarray_of(0) == layout.subarray_of(831)
+        assert layout.subarray_of(831) != layout.subarray_of(832)
 
     def test_out_of_range_row_rejected(self):
         layout = SubarrayLayout()
@@ -148,24 +151,39 @@ class TestRowAddress:
         assert RowAddress(3, 1, 7, 9).bank_key == (3, 1, 7)
 
 
-class TestAdjacentRows:
-    def test_middle_row_has_two_neighbors_at_radius_one(self):
-        neighbors = adjacent_rows(RowAddress(0, 0, 0, 100),
-                                  DEFAULT_GEOMETRY, radius=1)
-        assert sorted(n.row for n in neighbors) == [99, 101]
+def reference_neighbors(layout, row, radius):
+    """Brute force: offsets -radius..radius, bank-clipped, same subarray."""
+    return tuple(
+        (row + offset, abs(offset))
+        for offset in range(-radius, radius + 1)
+        if offset != 0 and 0 <= row + offset < layout.rows
+        and layout.subarray_of(row + offset) == layout.subarray_of(row))
 
-    def test_bank_edge_row_has_one_neighbor(self):
-        neighbors = adjacent_rows(RowAddress(0, 0, 0, 0),
-                                  DEFAULT_GEOMETRY, radius=1)
-        assert [n.row for n in neighbors] == [1]
 
-    def test_subarray_boundary_blocks_disturbance(self):
+class TestNeighbors:
+    @pytest.mark.parametrize("layout, row, radius, expected", [
+        pytest.param(SubarrayLayout(), 100, 1, ((99, 1), (101, 1)),
+                     id="middle-row"),
+        pytest.param(SubarrayLayout(), 0, 1, ((1, 1),), id="bank-edge"),
         # Row 831 is the last row of subarray 0; row 832 starts subarray 1.
-        neighbors = adjacent_rows(RowAddress(0, 0, 0, 831),
-                                  DEFAULT_GEOMETRY, radius=1)
-        assert [n.row for n in neighbors] == [830]
-
-    def test_radius_two_respects_boundaries(self):
-        neighbors = adjacent_rows(RowAddress(0, 0, 0, 830),
-                                  DEFAULT_GEOMETRY, radius=2)
-        assert sorted(n.row for n in neighbors) == [828, 829, 831]
+        pytest.param(SubarrayLayout(), 831, 1, ((830, 1),),
+                     id="subarray-boundary"),
+        pytest.param(SubarrayLayout(), 830, 2,
+                     ((828, 2), (829, 1), (831, 1)),
+                     id="radius-two-boundary"),
+    ] + [
+        pytest.param(layout, None, radius, None,
+                     id=f"{name}-every-row-radius{radius}")
+        for name, layout in (("default", SubarrayLayout()),
+                             ("odd", ODD_LAYOUT))
+        for radius in (1, 2, 3)
+    ])
+    def test_matches_reference(self, layout, row, radius, expected):
+        """``neighbors`` equals the brute-force clip, same rows in the
+        same (ascending) order; ``row=None`` checks every row."""
+        rows = range(layout.rows) if row is None else [row]
+        for victim in rows:
+            assert layout.neighbors(victim, radius) == \
+                reference_neighbors(layout, victim, radius), victim
+        if expected is not None:
+            assert layout.neighbors(row, radius) == expected

@@ -1,5 +1,7 @@
 """Tests for the extension experiments (Section 8 implications)."""
 
+import hashlib
+
 import pytest
 
 from repro.experiments.registry import EXTENSIONS, run_experiment
@@ -33,6 +35,11 @@ class TestTemperatureExtension:
         retention = result.data["retention"]
         assert retention[102.0] > retention[82.0]
 
+    def test_report_digest(self, result):
+        """Full report pin at scale 0.2 (batch row profiling path)."""
+        assert hashlib.sha256(result.text.encode()).hexdigest() == (
+            "f255ccfc71c9be79ea2720b62eab5b7a0750447bf15a725170c4e196c8c69bd2")
+
 
 class TestDefenseExtension:
     @pytest.fixture(scope="class")
@@ -56,3 +63,8 @@ class TestDefenseExtension:
             "benign_refreshes_per_kilo_act"]
         assert graphene < 0.2 * para
         assert result.data["BlockHammer"]["benign_slowdown"] < 0.01
+
+    def test_report_digest(self, result):
+        """Full report pin at scale 0.2 (scalar device hammer path)."""
+        assert hashlib.sha256(result.text.encode()).hexdigest() == (
+            "b14e4d9113b0804b727fea03d1409c5c72e0adfe0cb6ce49e28366481f433513")

@@ -1,6 +1,8 @@
 """Tests that each experiment's rendered report carries its headline
 content (the text the benchmark harness archives and prints)."""
 
+import hashlib
+
 import pytest
 
 from repro.experiments.registry import run_experiment
@@ -28,6 +30,19 @@ EXPECTATIONS = {
     "fig15": (0.01, ["Fig. 15", "974,935", "Hamming(7,4)"]),
 }
 
+#: Full report sha256 of the command-level ids (TRR bypass, Section 7)
+#: at their scales here: fig14 at 0.05, sec7 at 1.0.
+REPORT_SHA256 = {
+    "fig14":
+        "241fd4a667712bc6bb9a6c57dc93c3c4a054f31d22e4cbd16b97c98999b574e7",
+    "sec7":
+        "6f298b14b51fb61eb48ec3235a3a9fe0642e31a581d188533a206a7880d07695",
+}
+
+
+def report_sha256(result):
+    return hashlib.sha256(result.text.encode()).hexdigest()
+
 
 @pytest.mark.parametrize("experiment_id", sorted(EXPECTATIONS))
 def test_report_contains_headlines(experiment_id):
@@ -35,6 +50,8 @@ def test_report_contains_headlines(experiment_id):
     result = run_experiment(experiment_id, scale)
     for substring in substrings:
         assert substring in result.text, (experiment_id, substring)
+    if experiment_id in REPORT_SHA256:
+        assert report_sha256(result) == REPORT_SHA256[experiment_id]
 
 
 def test_sec7_report(chip_sec7_result):
@@ -42,6 +59,7 @@ def test_sec7_report(chip_sec7_result):
     for substring in ("Obsv. 24", "Obsv. 25", "Obsv. 26", "Obsv. 27",
                       "17"):
         assert substring in text
+    assert report_sha256(chip_sec7_result) == REPORT_SHA256["sec7"]
 
 
 @pytest.fixture(scope="module")

@@ -99,8 +99,8 @@ class TestDeviceInvariants:
         device_b = plain_device_factory()
         aggressor = RowAddress(0, 0, 0, row)
         victim = aggressor.neighbor(1)
-        if victim.row >= 16384 or not DEFAULT_GEOMETRY.subarrays \
-                .same_subarray(aggressor.row, victim.row):
+        if (victim.row, 1) not in DEFAULT_GEOMETRY.subarrays.neighbors(
+                aggressor.row, 1):
             return
         device_a.hammer(aggressor, count)
         device_a.hammer(aggressor, count)
