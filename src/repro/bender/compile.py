@@ -53,6 +53,7 @@ from repro.bender.program import (Instruction, Loop, ReadRequest,
 from repro.dram.commands import Command, CommandKind
 from repro.dram.device import HBM2Stack, _RowState, _xor_bits
 from repro.dram.geometry import RowAddress
+from repro.dram.retention import RETENTION_FLOOR_NS
 from repro.faults import FaultPlan, active_plan, wrap_device
 from repro.faults.injector import FaultyStack
 
@@ -573,12 +574,11 @@ class PlanExecutor:
                             m.address, m.pattern).materialize()
                     parts = [np.flatnonzero(m.thresholds <= m.acc)]
             if retention is not None:
-                reference = ref_times.get(m.row, 0.0)
+                reference = device.last_rolling_refresh_ns(m.address)
                 if m.restored_at > reference:
                     reference = m.restored_at
-                elapsed = time - reference
-                if elapsed > 0:
-                    effective = elapsed * accel
+                effective = (time - reference) * accel
+                if effective >= RETENTION_FLOOR_NS:
                     if m.retention_floor is None:
                         m.retention_floor = retention.row_retention_ns(
                             m.address)
@@ -662,7 +662,6 @@ class PlanExecutor:
             tail = np.arange(max(0, slots - rows_total), slots,
                              dtype=np.int64)
             ref_t = np.asarray(ref_starts, dtype=np.float64)
-            ref_times.update(zip(((pointer + tail) % rows_total).tolist(),
-                                 ref_t[tail // per_ref].tolist()))
+            ref_times[(pointer + tail) % rows_total] = ref_t[tail // per_ref]
             device._ref_pointer[context.pc_key] = \
                 (pointer + slots) % rows_total

@@ -10,14 +10,18 @@ attacker-visible latency (benign workloads rarely hit the blacklist).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.defenses.base import MitigationController
 from repro.dram.geometry import RowAddress
 from repro.dram.row_mapping import RowMapping
+from repro.dram.seeding import splitmix64
 from repro.dram.timing import DEFAULT_TIMINGS, TimingParameters
+
+#: Keys whose hash indices one filter memoizes before it starts over.
+_INDEX_MEMO_SIZE = 1 << 14
 
 
 class CountingBloomFilter:
@@ -35,14 +39,22 @@ class CountingBloomFilter:
             rng = np.random.default_rng(seed)
         self._salts = [int(s) for s in rng.integers(1, 2 ** 62,
                                                     size=hashes)]
+        #: key -> its (read-only) hash indices; the hashes are a pure
+        #: function of the key and the fixed salts.
+        self._index_memo: Dict[int, np.ndarray] = {}
 
     def _indices(self, key: int) -> np.ndarray:
-        # Full-avalanche mixing: multiplicative hashing modulo a
-        # power-of-two size catastrophically aliases low bits.
-        from repro.dram.seeding import splitmix64
-
-        return np.array([splitmix64(key ^ salt) % self.size
-                         for salt in self._salts], dtype=int)
+        indices = self._index_memo.get(key)
+        if indices is None:
+            if len(self._index_memo) >= _INDEX_MEMO_SIZE:
+                self._index_memo.clear()
+            # Full-avalanche mixing: multiplicative hashing modulo a
+            # power-of-two size catastrophically aliases low bits.
+            indices = np.array([splitmix64(key ^ salt) % self.size
+                                for salt in self._salts], dtype=int)
+            indices.flags.writeable = False
+            self._index_memo[key] = indices
+        return indices
 
     def add(self, key: int, count: int = 1) -> None:
         self.counts[self._indices(key)] += count
@@ -115,12 +127,10 @@ class BlockHammer(MitigationController):
             return 0.0
         # Pace the row: it may spend at most max_safe activations per
         # window, i.e. one activation per (tREFW / max_safe).
-        window_elapsed = now_ns - self._window_start_ns
         pace_ns = self.timings.t_refw / self.max_safe_activations
         earliest = self._window_start_ns + estimate * pace_ns
         target = max(now_ns, earliest) + (count - 1) * max(
             0.0, pace_ns - self.timings.t_rc)
-        del window_elapsed
         return max(0.0, target - now_ns)
 
     def observe(self, address: RowAddress, count: int,

@@ -32,7 +32,8 @@ from repro.dram.commands import Command, CommandKind
 from repro.dram.disturbance import DEFAULT_DISTURBANCE, DisturbanceModel
 from repro.dram.geometry import DEFAULT_GEOMETRY, HBM2Geometry, RowAddress
 from repro.dram.mode_registers import ModeRegisters
-from repro.dram.retention import DEFAULT_RETENTION, RetentionModel
+from repro.dram.retention import (DEFAULT_RETENTION, RETENTION_FLOOR_NS,
+                                  RetentionModel)
 from repro.dram.row_mapping import IdentityMapping, RowMapping
 from repro.dram.seeding import derive_seed
 from repro.dram.timing import DEFAULT_TIMINGS, TimingParameters
@@ -220,13 +221,15 @@ class HBM2Stack:
         self._rows: Dict[Tuple[int, int, int], Dict[int, _RowState]] = {}
         self._trr: Dict[Tuple[int, int], TrrEngine] = {}
         self._ref_pointer: Dict[Tuple[int, int], int] = {}
-        self._pc_ref_time: Dict[Tuple[int, int], Dict[int, float]] = {}
+        #: Per pseudo channel, each row's last rolling-refresh time (0.0
+        #: until swept); read it through :meth:`last_rolling_refresh_ns`.
+        self._pc_ref_time: Dict[Tuple[int, int], np.ndarray] = {}
         for channel in range(geometry.channels):
             for pc in range(geometry.pseudo_channels):
                 self._trr[(channel, pc)] = TrrEngine(
                     trr_config, geometry.banks, geometry.rows)
                 self._ref_pointer[(channel, pc)] = 0
-                self._pc_ref_time[(channel, pc)] = {}
+                self._pc_ref_time[(channel, pc)] = np.zeros(geometry.rows)
 
     # ------------------------------------------------------------------
     # Command interface
@@ -426,13 +429,12 @@ class HBM2Stack:
         pointer = self._ref_pointer[pc_key]
         per_ref = self.timings.rows_refreshed_per_ref
         ref_times = self._pc_ref_time[pc_key]
+        materialized = self._materialized_banks(channel, pseudo_channel)
         for offset in range(per_ref):
             row = (pointer + offset) % self.geometry.rows
             ref_times[row] = self.now_ns
-            for bank_index in range(self.geometry.banks):
-                bank_rows = self._rows.get(
-                    (channel, pseudo_channel, bank_index))
-                if bank_rows and row in bank_rows:
+            for bank_index, bank_rows in materialized:
+                if row in bank_rows:
                     self._commit(RowAddress(channel, pseudo_channel,
                                             bank_index, row))
         self._ref_pointer[pc_key] = (pointer + per_ref) % self.geometry.rows
@@ -469,7 +471,6 @@ class HBM2Stack:
         t_rfc = timings.t_rfc
         per_ref = timings.rows_refreshed_per_ref
         rows = self.geometry.rows
-        banks = self.geometry.banks
         pointer = self._ref_pointer[pc_key]
         ref_times = self._pc_ref_time[pc_key]
         # Per-REF timestamps with the scalar clock's exact accumulation
@@ -485,11 +486,9 @@ class HBM2Stack:
         # commits: everything materialized now, plus whatever a TRR
         # victim refresh may materialize mid-burst (its blast radius).
         candidates = set()
-        for bank_index in range(banks):
-            bank_rows = self._rows.get((channel, pseudo_channel,
-                                        bank_index))
-            if bank_rows:
-                candidates.update(bank_rows)
+        materialized = self._materialized_banks(channel, pseudo_channel)
+        for __bank, bank_rows in materialized:
+            candidates.update(bank_rows)
         radius = self.disturbance.blast_radius
         for __, victims in victim_schedule:
             for __bank, victim_row in victims:
@@ -529,22 +528,21 @@ class HBM2Stack:
                     self._disturb_neighbors(physical, count=1,
                                             t_on=timings.t_ras)
                     self.stats.trr_victim_refreshes += 1
+                # Only victim refreshes materialize rows mid-burst.
+                materialized = self._materialized_banks(channel,
+                                                        pseudo_channel)
             else:
                 row = payload
                 ref_times[row] = self.now_ns
-                for bank_index in range(banks):
-                    bank_rows = self._rows.get(
-                        (channel, pseudo_channel, bank_index))
-                    if bank_rows and row in bank_rows:
+                for bank_index, bank_rows in materialized:
+                    if row in bank_rows:
                         self._commit(RowAddress(channel, pseudo_channel,
                                                 bank_index, row))
 
         # Bulk ref-time update: only each row's *last* touch survives,
-        # so replaying the final min(slots, rows) slots suffices (zip
-        # feeds dict.update in ascending slot order; later wins).
+        # and the final min(slots, rows) slots sweep distinct rows.
         tail = np.arange(max(0, slots - rows), slots, dtype=np.int64)
-        ref_times.update(zip(((pointer + tail) % rows).tolist(),
-                             ref_t[tail // per_ref].tolist()))
+        ref_times[(pointer + tail) % rows] = ref_t[tail // per_ref]
         self._ref_pointer[pc_key] = (pointer + slots) % rows
         self.now_ns = float(ref_t[count])
         self.stats.refs += count
@@ -596,9 +594,13 @@ class HBM2Stack:
         """Device time of the last rolling refresh of a physical row
         (0.0 if the row has not been swept since power-up)."""
         pc_key = (physical.channel, physical.pseudo_channel)
-        if pc_key not in self._pc_ref_time:
+        ref_times = self._pc_ref_time.get(pc_key)
+        if ref_times is None:
             raise ValueError(f"no such pseudo channel {pc_key}")
-        return self._pc_ref_time[pc_key].get(physical.row, 0.0)
+        if not 0 <= physical.row < ref_times.size:
+            raise ValueError(f"row {physical.row} out of range "
+                             f"[0, {ref_times.size})")
+        return ref_times.item(physical.row)
 
     # ------------------------------------------------------------------
     # Command tracing (debugging aid, off by default)
@@ -662,38 +664,52 @@ class HBM2Stack:
     # ------------------------------------------------------------------
 
     def _to_physical(self, address: RowAddress) -> RowAddress:
-        return address.with_row(self.row_mapping.to_physical(address.row))
+        row = self.row_mapping.to_physical(address.row)
+        return address if row == address.row else address.with_row(row)
 
     def _bank(self, physical: RowAddress) -> BankState:
         return self._banks.setdefault(physical.bank_key, BankState())
+
+    def _materialized_banks(self, channel: int, pseudo_channel: int
+                            ) -> List[Tuple[int, Dict[int, _RowState]]]:
+        """``(bank, rows)`` of the pseudo channel's banks holding
+        materialized rows, in ascending bank order."""
+        return sorted((key[2], rows) for key, rows in self._rows.items()
+                      if rows and key[0] == channel
+                      and key[1] == pseudo_channel)
+
+    def _blank_row(self) -> _RowState:
+        """State of a row first touched without a write (all zeros)."""
+        return _RowState(
+            data=np.zeros(self.geometry.row_bytes, dtype=np.uint8),
+            restored_at=0.0, pattern="Rowstripe0")
 
     def _row_state(self, physical: RowAddress) -> _RowState:
         rows = self._rows.setdefault(physical.bank_key, {})
         state = rows.get(physical.row)
         if state is None:
-            state = _RowState(
-                data=np.zeros(self.geometry.row_bytes, dtype=np.uint8),
-                restored_at=0.0, pattern="Rowstripe0")
-            rows[physical.row] = state
+            state = rows[physical.row] = self._blank_row()
         return state
 
     def _disturb_neighbors(self, physical: RowAddress, count: int,
                            t_on: float) -> None:
-        radius = self.disturbance.blast_radius
+        model = self.disturbance
         temperature_factor = self.temperature_disturbance_factor()
+        rows = self._rows.setdefault(physical.bank_key, {})
         for row, distance in self.geometry.subarrays.neighbors(
-                physical.row, radius):
+                physical.row, model.blast_radius):
             units = count * temperature_factor \
-                * self.disturbance.units_per_activation(t_on, distance)
+                * model.units_per_activation(t_on, distance)
             if units <= 0:
                 continue
-            state = self._row_state(physical.with_row(row))
+            state = rows.get(row)
+            if state is None:
+                state = rows[row] = self._blank_row()
             state.acc_units += units
 
     def _last_restore(self, physical: RowAddress, state: _RowState) -> float:
-        pc_time = self._pc_ref_time[(physical.channel,
-                                     physical.pseudo_channel)]
-        return max(state.restored_at, pc_time.get(physical.row, 0.0))
+        return max(state.restored_at,
+                   self.last_rolling_refresh_ns(physical))
 
     def _pending_flip_bits(self, physical: RowAddress,
                            state: _RowState) -> np.ndarray:
@@ -710,8 +726,10 @@ class HBM2Stack:
                     thresholds <= state.acc_units))
         if self.retention is not None:
             elapsed = self.now_ns - self._last_restore(physical, state)
-            if elapsed > 0:
-                effective = elapsed * self.retention_acceleration()
+            # Every row's retention floor is at least RETENTION_FLOOR_NS,
+            # so a shorter effective time needs no per-row draw.
+            effective = elapsed * self.retention_acceleration()
+            if effective >= RETENTION_FLOOR_NS:
                 if state.retention_floor_ns is None:
                     state.retention_floor_ns = \
                         self.retention.row_retention_ns(physical)

@@ -44,6 +44,10 @@ DEFAULT_AMPLIFICATION_ANCHORS: Tuple[Tuple[float, float], ...] = (
 #: Relative disturbance received by victims at each physical distance.
 DEFAULT_DISTANCE_FACTORS: Dict[int, float] = {1: 1.0, 2: 0.015}
 
+#: Entries :meth:`DisturbanceModel.units_per_activation` memoizes before
+#: it starts over (jittered on-times make the key space unbounded).
+_UNITS_MEMO_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class DisturbanceModel:
@@ -52,6 +56,10 @@ class DisturbanceModel:
     anchors: Tuple[Tuple[float, float], ...] = DEFAULT_AMPLIFICATION_ANCHORS
     distance_factors: Dict[int, float] = field(
         default_factory=lambda: dict(DEFAULT_DISTANCE_FACTORS))
+    #: ``(t_on, distance)`` -> :meth:`units_per_activation`, shared by
+    #: every device built on this model (a pure function of the key).
+    _units: Dict[Tuple[float, int], float] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         times = [t for t, __ in self.anchors]
@@ -137,7 +145,15 @@ class DisturbanceModel:
         so a single activation at distance 1 delivers 0.5 units, scaled by
         the on-time amplification.
         """
-        return 0.5 * self.amplification(t_on) * self.distance_factor(distance)
+        key = (t_on, distance)
+        units = self._units.get(key)
+        if units is None:
+            if len(self._units) >= _UNITS_MEMO_SIZE:
+                self._units.clear()
+            units = 0.5 * self.amplification(t_on) \
+                * self.distance_factor(distance)
+            self._units[key] = units
+        return units
 
     def effective_hammers(self, hammer_count: float, t_on: float,
                           sides: int = 2, distance: int = 1) -> float:

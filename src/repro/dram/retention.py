@@ -32,6 +32,10 @@ _MS = 1.0e6
 #: Manufacturer-guaranteed retention: no failures within the refresh window.
 GUARANTEED_RETENTION_NS = 32.0 * _MS
 
+#: Floor of every row's weakest-cell retention time (33 ms): a row left
+#: unrefreshed for less than this cannot have lost data, whatever its draw.
+RETENTION_FLOOR_NS = GUARANTEED_RETENTION_NS * 1.03125
+
 
 @dataclass(frozen=True)
 class RetentionModel:
@@ -72,7 +76,7 @@ class RetentionModel:
             rng = self._rng(address)
             draw = self.median_ns * 10.0 ** rng.normal(0.0,
                                                        self.sigma_log10)
-            floor = max(draw, GUARANTEED_RETENTION_NS * 1.03125)
+            floor = max(draw, RETENTION_FLOOR_NS)
             self._floors[key] = floor
         return floor
 
@@ -85,7 +89,7 @@ class RetentionModel:
         """
         rng = self._rng(address)
         base = self.median_ns * 10.0 ** rng.normal(0.0, self.sigma_log10)
-        base = max(base, GUARANTEED_RETENTION_NS * 1.03125)
+        base = max(base, RETENTION_FLOOR_NS)
         spacings = rng.exponential(self.ladder_spacing,
                                    size=self.ladder_size - 1)
         times = base * 10.0 ** np.concatenate(([0.0], np.cumsum(spacings)))

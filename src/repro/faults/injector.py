@@ -31,7 +31,7 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -63,6 +63,10 @@ _GHOSTABLE = GHOSTABLE
 #: Command counters :meth:`FaultyStack.clean_ref_prefix` classifies at
 #: least at once (one vectorized pass serves many short catch-ups).
 _REF_LOOKAHEAD = 1024
+
+#: Width of the aligned counter blocks :meth:`FaultyStack._jitter_ns`
+#: classifies at once: block ``k`` holds counters ``k*W + 1 .. (k+1)*W``.
+_JITTER_LOOKAHEAD = 1024
 
 
 @dataclass(frozen=True)
@@ -102,6 +106,10 @@ class FaultyStack:
         #: :meth:`clean_ref_prefix`); lets a burst reuse the window its
         #: caller just classified instead of drawing it twice.
         self._clean_through = 0
+        #: Counters of the classified jitter block that draw a jitter
+        #: hit (see :meth:`_jitter_ns`); ``_jitter_block`` is its index.
+        self._jitter_block = -1
+        self._jitter_hits: FrozenSet[int] = frozenset()
         self._stuck_cache: Dict[Tuple[int, int, int, int],
                                 Optional[Tuple[np.ndarray, np.ndarray]]] = {}
 
@@ -157,11 +165,26 @@ class FaultyStack:
         return index, None
 
     def _jitter_ns(self, index: int, command: str) -> float:
-        """Deterministic ACT-interval jitter (0.0 when the fault misses)."""
+        """Deterministic ACT-interval jitter (0.0 when the fault misses).
+
+        Whether counter ``index`` jitters is a pure function of the
+        counter, so the plan's vectorized sampler classifies its whole
+        aligned block of :data:`_JITTER_LOOKAHEAD` counters once; only a
+        hit takes the scalar magnitude draw.
+        """
         plan = self.plan
         if not plan.act_jitter_rate or not plan.act_jitter_ns:
             return 0.0
-        if self._draw(_TAG_JITTER, index) >= plan.act_jitter_rate:
+        block = (index - 1) // _JITTER_LOOKAHEAD
+        if block != self._jitter_block:
+            first = block * _JITTER_LOOKAHEAD + 1
+            indices = np.arange(first, first + _JITTER_LOOKAHEAD,
+                                dtype=np.int64)
+            hits = plan._rate_mask(_TAG_JITTER, plan.act_jitter_rate,
+                                   indices)
+            self._jitter_block = block
+            self._jitter_hits = frozenset(indices[hits].tolist())
+        if index not in self._jitter_hits:
             return 0.0
         fraction = uniform_for(plan.seed, _TAG_JITTER, index, 1)
         jitter = plan.act_jitter_ns * fraction

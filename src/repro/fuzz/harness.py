@@ -51,7 +51,7 @@ def snapshot_state(device: HBM2Stack, result: ExecutionResult,
         "now": device.now_ns,
         "stats": vars(device.stats).copy(),
         "pointer": dict(device._ref_pointer),
-        "ref_times": {key: dict(times)
+        "ref_times": {key: times.tobytes()
                       for key, times in device._pc_ref_time.items()},
         "rows": {},
         "trr": [],

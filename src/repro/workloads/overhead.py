@@ -5,9 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from repro.chips.profiles import ChipProfile
 from repro.defenses.base import (DefendedDevice, MitigationController,
                                  catch_up_refreshes)
+from repro.dram.geometry import RowAddress
 from repro.dram.trr import TrrConfig
 from repro.workloads.traces import AccessTrace, benign_trace
 
@@ -62,14 +65,13 @@ def measure_benign_overhead(
                                          trace.pseudo_channel, next_ref_ns,
                                          t_refi)
     # Integrity spot check: benign rows must read back what was written.
-    import numpy as np
-
     corrupted = 0
     probe_rows = sorted({row for epoch in trace.epochs[:3]
                          for row, __ in epoch})[:16]
     image = np.full(chip.geometry.row_bytes, 0x3C, dtype=np.uint8)
     for row in probe_rows:
-        address = trace.addresses().__next__()[0].with_row(row)
+        address = RowAddress(trace.channel, trace.pseudo_channel,
+                             trace.bank, row)
         target.write_row(address, image)
         if not np.array_equal(target.read_row(address), image):
             corrupted += 1

@@ -8,12 +8,18 @@ counts below make a silent memo miss (or a key collision) fail.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.chips.profiles import CHIP_SPECS, ChipProfile
-from repro.defenses import (defended_session, pick_vulnerable_victim,
+from repro.defenses import (Para, defended_session, pick_vulnerable_victim,
                             rowpress_burst)
+from repro.dram.device import HBM2Stack
 from repro.dram.geometry import RowAddress
+from repro.dram.retention import (GUARANTEED_RETENTION_NS,
+                                  RETENTION_FLOOR_NS, RetentionModel)
+from repro.workloads.overhead import measure_benign_overhead
+from repro.workloads.traces import benign_trace
 
 ROW = RowAddress(1, 0, 3, 4321)
 
@@ -85,3 +91,49 @@ def test_ext_defenses_derives_each_key_once(monkeypatch):
     ext_defense_matrix.run(scale=0.01)
     assert keys
     assert len(keys) == len(set(keys)) == len(chip._populations)
+
+
+def counting_retention(monkeypatch):
+    """Log the address of every ``RetentionModel.row_retention_ns`` call."""
+    calls = []
+    derive = RetentionModel.row_retention_ns
+
+    def row_retention_ns(self, address):
+        calls.append(address)
+        return derive(self, address)
+
+    monkeypatch.setattr(RetentionModel, "row_retention_ns",
+                        row_retention_ns)
+    return calls
+
+
+def test_short_benign_replay_draws_no_retention_floor(monkeypatch):
+    calls = counting_retention(monkeypatch)
+    chip = ChipProfile(CHIP_SPECS[0])
+    report = measure_benign_overhead(chip, Para, "PARA",
+                                     benign_trace(total_activations=20_000))
+    assert 0 < report.elapsed_ns < GUARANTEED_RETENTION_NS
+    assert report.corrupted_rows == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("at_bound", [True, False])
+def test_row_at_the_retention_bound_still_fails(monkeypatch, at_bound):
+    """Every row's floor is RETENTION_FLOOR_NS at least, so commits below
+    it skip the per-row draw; at the bound the draw (and the flips) stay."""
+    # A median far below the floor pins this row's retention to it.
+    model = RetentionModel(median_ns=1.0e6)
+    assert model.row_retention_ns(ROW) == RETENTION_FLOOR_NS
+    calls = counting_retention(monkeypatch)
+    device = HBM2Stack(retention=model)
+    device.write_row(ROW, np.zeros(device.geometry.row_bytes,
+                                   dtype=np.uint8))
+    device.now_ns = RETENTION_FLOOR_NS if at_bound \
+        else float(np.nextafter(RETENTION_FLOOR_NS, 0.0))
+    flipped = np.unpackbits(device.inspect_row(ROW)).sum()
+    if at_bound:
+        assert calls == [ROW]
+        assert flipped == model.failure_count(ROW, RETENTION_FLOOR_NS) > 0
+    else:
+        assert calls == []
+        assert flipped == 0

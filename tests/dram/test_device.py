@@ -239,6 +239,22 @@ class TestRefresh:
             device.refresh(0, 0)
         assert not np.array_equal(device.read_row(VICTIM), image(0x55))
 
+    def test_last_rolling_refresh_time(self):
+        device = make_device()
+        device.wait(1000.0)
+        device.refresh(0, 0)
+        swept = device.timings.rows_refreshed_per_ref
+        assert device.last_rolling_refresh_ns(VICTIM.with_row(0)) == 1000.0
+        assert device.last_rolling_refresh_ns(
+            VICTIM.with_row(swept - 1)) == 1000.0
+        assert device.last_rolling_refresh_ns(VICTIM.with_row(swept)) == 0.0
+        rows = device.geometry.rows
+        for row in (-1, rows):
+            with pytest.raises(ValueError, match="out of range"):
+                device.last_rolling_refresh_ns(VICTIM.with_row(row))
+        with pytest.raises(ValueError, match="pseudo channel"):
+            device.last_rolling_refresh_ns(RowAddress(0, 9, 0, 0))
+
 
 class TestRetention:
     def test_retention_flips_appear_after_long_wait(self, chip0):

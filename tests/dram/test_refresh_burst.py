@@ -47,7 +47,9 @@ def assert_identical(burst, scalar):
     assert burst.now_ns == scalar.now_ns
     assert burst.stats == scalar.stats
     assert burst._ref_pointer == scalar._ref_pointer
-    assert burst._pc_ref_time == scalar._pc_ref_time
+    assert burst._pc_ref_time.keys() == scalar._pc_ref_time.keys()
+    for pc_key, times in scalar._pc_ref_time.items():
+        assert np.array_equal(burst._pc_ref_time[pc_key], times)
     for pc_key, engine in scalar._trr.items():
         twin = burst._trr[pc_key]
         assert twin.ref_count == engine.ref_count

@@ -1,10 +1,15 @@
 """Tests for the extension experiments (Section 8 implications)."""
 
 import hashlib
+import json
 
 import pytest
 
 from repro.experiments.registry import EXTENSIONS, run_experiment
+
+#: The CI chaos plan (device-level faults only).
+CHAOS_PLAN = {"seed": 7, "read_flip_rate": 0.001, "drop_rate": 0.0002,
+              "act_jitter_rate": 0.0005, "act_jitter_ns": 3.0}
 
 
 class TestRegistry:
@@ -68,3 +73,15 @@ class TestDefenseExtension:
         """Full report pin at scale 0.2 (scalar device hammer path)."""
         assert hashlib.sha256(result.text.encode()).hexdigest() == (
             "b14e4d9113b0804b727fea03d1409c5c72e0adfe0cb6ce49e28366481f433513")
+
+
+@pytest.mark.parametrize("batch", ["1", "0"])
+def test_defense_report_digest_under_chaos(monkeypatch, batch):
+    """Full report pin at scale 0.1 under the CI chaos plan: FaultyStack
+    jitter, dropped commands and RD flips on the scalar defended device,
+    REF catch-up batched (``1``) or per REF (``0``)."""
+    monkeypatch.setenv("HBMSIM_FAULTS", json.dumps(CHAOS_PLAN))
+    monkeypatch.setenv("HBMSIM_BATCH", batch)
+    result = run_experiment("ext-defenses", 0.1)
+    assert hashlib.sha256(result.text.encode()).hexdigest() == (
+        "9db4bc97bee682b6b2bed6d2a8783ee5cbcb14249ac7334474e168d94fa0068c")

@@ -12,10 +12,13 @@ from repro.defenses.base import DefendedDevice
 from repro.dram.cell_model import CellPopulation
 from repro.dram.device import HBM2Stack, UniformProfileProvider
 from repro.dram.geometry import RowAddress
+from repro.dram.seeding import uniform_for
 from repro.errors import (HbmSimError, PlatformFaultError,
                           PlatformHangError)
 from repro.faults import (FaultPlan, FaultyStack, clear_plan, install_plan,
                           wrap_device)
+from repro.faults.injector import _JITTER_LOOKAHEAD, FaultEvent
+from repro.faults.plan import TAG_JITTER
 
 ROW = RowAddress(0, 0, 0, 100)
 
@@ -259,3 +262,101 @@ class TestRefreshBurst:
         hung = _issue_refs(scalar, count, burst=False)
         assert _issue_refs(burst, count, burst=True) == hung
         assert _ref_snapshot(burst) == _ref_snapshot(scalar)
+
+
+class TestJitterLookahead:
+    """``_jitter_ns`` classifies whole counter blocks with the vectorized
+    sampler; every decision must equal the per-counter scalar draw."""
+
+    #: Dense jitter; seed 167 hits counters 2W and W+1 (W = block
+    #: width), so a block bound off by one either way misses a hit.
+    PLAN = FaultPlan(seed=167, act_jitter_rate=0.05, act_jitter_ns=3.0)
+
+    def test_seed_puts_hits_on_block_edges(self):
+        width = _JITTER_LOOKAHEAD
+        rate = self.PLAN.act_jitter_rate
+        assert self.PLAN.sampler_hits(2 * width, TAG_JITTER, rate)
+        assert self.PLAN.sampler_hits(width + 1, TAG_JITTER, rate)
+
+    @staticmethod
+    def _ops(width, blocks):
+        """ACT/HAMMER commands on every counter near a block edge,
+        REF bursts and counter jumps elsewhere, across ``blocks``."""
+        rng = np.random.default_rng(5)
+        counter = 0
+        ops = []
+        while counter <= blocks * width + 8:
+            to_edge = -counter % width
+            choice = int(rng.integers(8)) if to_edge > 48 else 0
+            if choice == 6:
+                step = int(rng.integers(4, 40))
+                ops.append(("burst", step))
+            elif choice == 7:
+                step = int(rng.integers(1, 40))
+                ops.append(("skip", step))
+            elif choice == 5:
+                step = 2  # ACT, then its PRE
+                ops.append(("act", step))
+            else:
+                step = 1
+                ops.append(("hammer", step))
+            counter += step
+        return ops
+
+    def _reference(self, ops):
+        """Scalar replay: per-counter draws on a plain device."""
+        plan = self.PLAN
+        device = make_device()
+        events = []
+        counter = 0
+
+        def jitter(command):
+            if not plan.sampler_hits(counter, TAG_JITTER,
+                                     plan.act_jitter_rate):
+                return 0.0
+            value = plan.act_jitter_ns * uniform_for(plan.seed, TAG_JITTER,
+                                                     counter, 1)
+            events.append(FaultEvent(counter, "jitter", command,
+                                     (int(round(value * 1000)),)))
+            return value
+
+        for kind, step in ops:
+            if kind == "hammer":
+                counter += 1
+                device.hammer(ROW, 2, device.timings.t_ras
+                              + jitter("HAMMER"))
+            elif kind == "act":
+                counter += 1
+                device.wait(jitter("ACT"))
+                device.activate(RowAddress(0, 0, 1, 200))
+                counter += 1
+                device.precharge(0, 0, 1)
+            elif kind == "burst":
+                counter += step
+                device.refresh_burst(0, 0, step)
+            else:
+                counter += step
+        return events, device.now_ns
+
+    def test_matches_per_counter_draws(self):
+        width = _JITTER_LOOKAHEAD
+        ops = self._ops(width, blocks=3)
+        stack = FaultyStack(make_device(), self.PLAN)
+        for kind, step in ops:
+            if kind == "hammer":
+                stack.hammer(ROW, 2)
+            elif kind == "act":
+                stack.activate(RowAddress(0, 0, 1, 200))
+                stack.precharge(0, 0, 1)
+            elif kind == "burst":
+                stack.refresh_burst(0, 0, step)
+            else:
+                stack.advance_counter(step)
+        assert stack._counter > 3 * width
+        events, now_ns = self._reference(ops)
+        expected = FaultyStack(make_device(), self.PLAN)
+        expected.events = events
+        assert {event.index for event in events} >= {width + 1, 2 * width}
+        assert stack.events == events
+        assert stack.schedule_digest() == expected.schedule_digest()
+        assert stack.now_ns == now_ns
