@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -37,7 +37,7 @@ from repro.core.metrics import BER_TEST_HAMMERS
 from repro.core.patterns import PATTERNS_BY_NAME
 from repro.dram.cell_model import (DEFAULT_MU_STRONG, DEFAULT_SIGMA_WEAK,
                                    CellPopulation, RowDisturbanceProfile,
-                                   solve_mu_weak)
+                                   disturbance_floors, solve_mu_weak)
 from repro.dram.disturbance import DEFAULT_DISTURBANCE, DisturbanceModel
 from repro.dram.geometry import DEFAULT_GEOMETRY, HBM2Geometry, RowAddress
 from repro.dram.retention import RetentionModel
@@ -47,6 +47,8 @@ from repro.dram.trr import TrrConfig
 
 #: ``(channel, pseudo channel, bank, physical row, pattern)``.
 _RowKey = Tuple[int, int, int, int, str]
+#: ``(channel, pseudo channel, bank, subarray, pattern)``.
+_SubarrayKey = Tuple[int, int, int, int, str]
 
 #: Pattern-level BER coupling factors (mean Checkered 0.76% vs mean
 #: Rowstripe 0.67% across rows; Obsv. 3).
@@ -159,8 +161,10 @@ CHIP_SPECS: Tuple[ChipSpec, ...] = (
 #: calibration cache key (:mod:`repro.chips.cache`): bump it whenever the
 #: math feeding ``base_f_weak`` changes (spatial factor tables, sigma
 #: couplings, the refinement loop, or the seeding scheme), so stale cached
-#: calibrations can never leak into a newer model.
-CALIBRATION_VERSION = 1
+#: calibrations can never leak into a newer model.  Version 2: the
+#: refinement batch evaluates ``mu_weak`` with ``math.log10`` like the
+#: scalar loop, which moves Chip 1's ``base_f_weak`` by 1 ulp.
+CALIBRATION_VERSION = 2
 
 
 @functools.lru_cache(maxsize=None)
@@ -210,12 +214,13 @@ class ChipProfile:
         self._die_ber = tuple(f / mean_die for f in spec.die_ber_factors)
         self._spatial_tables: Optional[SpatialTables] = None
         self._pattern_hc_tables: Dict[str, np.ndarray] = {}
-        #: Per-(channel, pc, bank, physical row, pattern) memos shared by
-        #: every device built from this chip: the row's cell population
-        #: and its disturbance floor.  Both are pure functions of the
-        #: key, so a hit is bit-identical to a fresh derivation.
+        #: Memos shared by every device built from this chip, pure
+        #: functions of their keys (a hit is bit-identical to a fresh
+        #: derivation): each materialized row's cell population, and the
+        #: disturbance floors of every row of a subarray, derived as one
+        #: block the first time any of its rows is asked for.
         self._populations: Dict[_RowKey, CellPopulation] = {}
-        self._floors: Dict[_RowKey, float] = {}
+        self._floor_tables: Dict[_SubarrayKey, List[float]] = {}
         from repro import perf
         from repro.chips import cache as calibration_cache
         with perf.timed_phase("calibrate"):
@@ -517,15 +522,32 @@ class ChipProfile:
                                      self.geometry.row_bits)
 
     def disturbance_floor(self, address: RowAddress, pattern: str) -> float:
-        """The row's weakest cell threshold under ``pattern``, memoized
-        (see :meth:`RowDisturbanceProfile.disturbance_floor`)."""
+        """The row's weakest cell threshold under ``pattern`` (see
+        :meth:`RowDisturbanceProfile.disturbance_floor`).
+
+        Floors are derived a subarray at a time: the scalar-faithful
+        population batch equals :meth:`cell_population` bit for bit, and
+        :func:`~repro.dram.cell_model.disturbance_floors` is the same
+        kernel the single-row profile calls, so every entry of the table
+        equals ``self.profile(address, pattern).disturbance_floor()``.
+        """
+        layout = self.geometry.subarrays
+        subarray = layout.subarray_of(address.row)
         key = (address.channel, address.pseudo_channel, address.bank,
-               address.row, pattern)
-        floor = self._floors.get(key)
-        if floor is None:
-            floor = self.profile(address, pattern).disturbance_floor()
-            self._floors[key] = floor
-        return floor
+               subarray, pattern)
+        floors = self._floor_tables.get(key)
+        if floors is None:
+            from repro.chips.vectorized import population_batch
+            batch = population_batch(
+                self, address.channel, address.pseudo_channel,
+                address.bank, np.asarray(layout.rows_of(subarray)),
+                pattern)
+            floors = disturbance_floors(
+                batch.mu_weak, batch.sigma_weak, batch.n_weak,
+                batch.mu_strong, batch.profile_seeds,
+                batch.sigma_strong).tolist()
+            self._floor_tables[key] = floors
+        return floors[address.row - layout.boundaries[subarray]]
 
     # ------------------------------------------------------------------
     # Device construction

@@ -75,6 +75,20 @@ def _pow(base, exponent, scalar_faithful: bool):
     return np.array(flat).reshape(values.shape)
 
 
+def _log10(values, scalar_faithful: bool):
+    """Elementwise log10, optionally bit-faithful to ``math.log10``.
+
+    numpy's array ``log10`` differs from the scalar path's
+    ``math.log10`` by 1 ulp on about 1% of ``mu_weak`` inputs, so the
+    scalar-faithful batch evaluates it per element (see :func:`_pow`).
+    """
+    if not scalar_faithful:
+        return np.log10(values)
+    values = np.asarray(values)
+    return np.array([math.log10(v) for v in values.ravel().tolist()]
+                    ).reshape(values.shape)
+
+
 class _FlatChains:
     """Seed chains folding the full coordinate arrays per component.
 
@@ -261,7 +275,8 @@ def _population_arrays(chip: ChipProfile, channels, pseudo_channels, banks,
                             scalar_faithful),
                      *_SIGMA_WEAK_CLAMP)
     sigma_weak = DEFAULT_SIGMA_WEAK * shrink
-    mu_weak = np.log10(hc_target) - sigma_weak * ndtri(u_min)
+    mu_weak = (_log10(hc_target, scalar_faithful)
+               - sigma_weak * ndtri(u_min))
 
     if defer_strong:
         # HC_first sweeps never evaluate the strong-population mixture;

@@ -183,9 +183,9 @@ def run_attack_epochs(session: BenderSession,
 
     expected = np.asarray(pattern.victim_row(geometry.row_bytes),
                           dtype=np.uint8)
-    profile = device.profile_provider.profile(
-        victim, classify_victim_pattern(expected))
-    min_threshold = profile.disturbance_floor()
+    pattern_name = classify_victim_pattern(expected)
+    min_threshold = device.profile_provider.disturbance_floor(
+        victim, pattern_name)
     thresholds: Optional[np.ndarray] = None
     floor = retention.row_retention_ns(victim) \
         if retention is not None else None
@@ -267,7 +267,8 @@ def run_attack_epochs(session: BenderSession,
         parts: List[np.ndarray] = []
         if acc > 0 and acc >= min_threshold:
             if thresholds is None:
-                thresholds = profile.materialize()
+                thresholds = device.profile_provider.profile(
+                    victim, pattern_name).materialize()
             parts.append(np.flatnonzero(thresholds <= acc))
         if retention is not None:
             elapsed = time - max(restored_at, ref_time)

@@ -228,9 +228,10 @@ class RowBatchProfile:
                     units += contribution
             self.init_units[index] = units
 
-            profile = provider.profile(victim, self.pattern_name)
-            self.min_thresholds[index] = profile.disturbance_floor()
-            self.thresholds[index] = profile.materialize()
+            self.min_thresholds[index] = provider.disturbance_floor(
+                victim, self.pattern_name)
+            self.thresholds[index] = provider.profile(
+                victim, self.pattern_name).materialize()
             if device.retention is not None:
                 self.retention_floors[index] = \
                     device.retention.row_retention_ns(victim)

@@ -32,6 +32,8 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from repro.dram.seeding import uniforms_from_seeds
+
 #: Default log10 spread of the weak population.  Together with the
 #: row-level sigma couplings in :mod:`repro.chips.profiles`, chosen so the
 #: 10th order statistic of the weak-cell thresholds sits ~1.6-1.8x above
@@ -82,6 +84,34 @@ def order_stats_from_draws(n: int, draws: np.ndarray) -> np.ndarray:
         current = current + (1.0 - current) * step
         order_stats[..., j] = current
     return order_stats
+
+
+def disturbance_floors(mu_weak: np.ndarray, sigma_weak: np.ndarray,
+                       n_weak: np.ndarray, mu_strong: np.ndarray,
+                       seeds: np.ndarray,
+                       sigma_strong: float = DEFAULT_SIGMA_STRONG
+                       ) -> np.ndarray:
+    """Per-row lower bound on every cell threshold (baseline units).
+
+    The floor is ``min(HC_first, strong floor)``: the weak population's
+    minimum from the first draw of each row's order-statistics stream
+    (``uniform_for(seed, 0x0D, 0)``, see
+    :meth:`RowDisturbanceProfile.order_stat_draws`), and the strong
+    population truncated at -3 sigma.  This is the one floor
+    implementation; :meth:`RowDisturbanceProfile.disturbance_floor` is
+    its one-element call, so a floor is bit-identical whether it was
+    derived alone or in a block.  Two steps run per element because the
+    single-row formula rounds them with C ``pow``, where numpy's array
+    power differs by 1 ulp on a few percent of inputs; the threshold
+    exponent was always an array power and stays one.
+    """
+    draws = uniforms_from_seeds(seeds, (0x0D, 0)).tolist()
+    first = np.array([1.0 - (1.0 - draw) ** (1.0 / n)
+                      for draw, n in zip(draws, np.asarray(n_weak).tolist())])
+    weak = np.maximum(1.0, 10.0 ** (mu_weak + sigma_weak * ndtri(first)))
+    strong = np.array([10.0 ** (mu - 3.0 * sigma_strong)
+                       for mu in np.asarray(mu_strong).tolist()])
+    return np.minimum(weak, strong)
 
 
 def sample_smallest_uniforms(n: int, k: int,
@@ -334,11 +364,15 @@ class RowDisturbanceProfile:
         weak cell bit-for-bit (shared order-statistics stream), and the
         strong population is truncated at -3 sigma, so the combined
         bound is exact: accumulated disturbance below it flips nothing.
+        One-element call of :func:`disturbance_floors`.
         """
         population = self.population
-        strong_floor = 10.0 ** (population.mu_strong
-                                - 3.0 * population.sigma_strong)
-        return min(self.hc_first(), strong_floor)
+        return float(disturbance_floors(
+            np.array([population.mu_weak]),
+            np.array([population.sigma_weak]),
+            [population.weak_cell_count(self.row_bits)],
+            [population.mu_strong], [self.seed],
+            population.sigma_strong)[0])
 
     def hc_nth(self, n: int, amplification: float = 1.0) -> np.ndarray:
         """Hammer counts at which the first ``n`` bitflips appear."""

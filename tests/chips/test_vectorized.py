@@ -64,27 +64,50 @@ class TestScalarVectorIdentity:
 
 class TestBatchBitIdentity:
     """population_batch must equal per-address cell_population *exactly*
-    (not approximately): the vectorized calibration relies on it."""
+    (not approximately): the vectorized calibration and the floor
+    tables rely on it."""
+
+    @staticmethod
+    def assert_fields_identical(chip, batch, addresses, pattern):
+        populations = [chip.cell_population(address, pattern)
+                       for address in addresses]
+        row_bits = chip.geometry.row_bits
+        fields = {
+            "f_weak": (batch.f_weak, [p.f_weak for p in populations]),
+            "mu_weak": (batch.mu_weak, [p.mu_weak for p in populations]),
+            "sigma_weak": (batch.sigma_weak,
+                           [p.sigma_weak for p in populations]),
+            "mu_strong": (batch.mu_strong,
+                          [p.mu_strong for p in populations]),
+            "flippable": (batch.flippable,
+                          [p.flippable_strong_fraction
+                           for p in populations]),
+            "n_weak": (batch.n_weak,
+                       [p.weak_cell_count(row_bits) for p in populations]),
+        }
+        for name, (vector, scalar) in fields.items():
+            mismatches = np.flatnonzero(vector != np.array(scalar))
+            assert mismatches.size == 0, (name, mismatches[:10])
 
     def test_parameters_bit_identical(self, chip0):
+        rows = np.arange(chip0.geometry.rows)
+        batch = population_batch(chip0, 3, 1, 7, rows, "Checkered0")
+        self.assert_fields_identical(
+            chip0, batch, [RowAddress(3, 1, 7, int(row)) for row in rows],
+            "Checkered0")
+
+    def test_parameters_bit_identical_across_banks(self, chip0):
         channels = np.array([0, 3, 7, 2, 5, 1])
         pcs = np.array([0, 1, 1, 0, 1, 0])
         banks = np.array([0, 5, 15, 9, 3, 12])
         rows = np.array([0, 831, 832, 8191, 12000, 16383])
         batch = population_batch(chip0, channels, pcs, banks, rows,
                                  "Checkered0")
-        for i in range(rows.size):
-            address = RowAddress(int(channels[i]), int(pcs[i]),
-                                 int(banks[i]), int(rows[i]))
-            population = chip0.cell_population(address, "Checkered0")
-            assert population.f_weak == batch.f_weak[i]
-            assert population.mu_weak == batch.mu_weak[i]
-            assert population.sigma_weak == batch.sigma_weak[i]
-            assert population.mu_strong == batch.mu_strong[i]
-            assert population.flippable_strong_fraction \
-                == batch.flippable[i]
-            assert population.weak_cell_count(
-                chip0.geometry.row_bits) == batch.n_weak[i]
+        self.assert_fields_identical(
+            chip0, batch,
+            [RowAddress(*map(int, coords))
+             for coords in zip(channels, pcs, banks, rows)],
+            "Checkered0")
 
     def test_ber_bit_identical(self, chip0):
         channels = np.array([1, 4, 6])
@@ -106,15 +129,15 @@ class TestBatchBitIdentity:
 
 class TestRefineEquivalence:
     """The vectorized calibration must land on the scalar loop's fixed
-    point bit-for-bit (ISSUE equivalence invariant)."""
+    point bit-for-bit."""
 
     def test_vectorized_refine_matches_scalar(self):
-        spec = CHIP_SPECS[2]
-        vectorized = ChipProfile(spec, use_cache=False)
-        scalar = ChipProfile(spec, use_cache=False)
-        scalar.base_f_weak = scalar._calibrate_f_weak()
-        scalar._refine_f_weak(vectorized=False)
-        assert vectorized.base_f_weak == scalar.base_f_weak
+        for spec in CHIP_SPECS:
+            vectorized = ChipProfile(spec, use_cache=False)
+            scalar = ChipProfile(spec, use_cache=False)
+            scalar.base_f_weak = scalar._calibrate_f_weak()
+            scalar._refine_f_weak(vectorized=False)
+            assert vectorized.base_f_weak == scalar.base_f_weak, spec.label
 
 
 class TestGridBehaviour:

@@ -48,20 +48,27 @@ def _commands():
     )
 
 
-def _instructions(depth=2):
+def _instructions(depth=2, max_trips=2500):
     base = _commands()
     if depth == 0:
         return base
     return st.one_of(
         base,
-        st.builds(Loop, st.integers(0, 2500),
-                  st.lists(_instructions(depth - 1), min_size=1,
-                           max_size=4)))
+        st.builds(Loop, st.integers(0, max_trips),
+                  st.lists(_instructions(depth - 1, max_trips),
+                           min_size=1, max_size=4)))
 
 
-def _programs():
-    return st.lists(_instructions(), min_size=0, max_size=8).map(
-        _to_program)
+def _programs(max_trips=2500):
+    return st.lists(_instructions(max_trips=max_trips), min_size=0,
+                    max_size=8).map(_to_program)
+
+
+#: Trip-count cap for tests that unroll a program.  At most 8 top-level
+#: instructions, 4-instruction bodies and two loop levels give
+#: 8 * 4 * 4 * FLAT_MAX_TRIPS**2 = 46208 commands.
+FLAT_MAX_TRIPS = 19
+FLAT_MAX_COMMANDS = 50_000
 
 
 def _to_program(instructions):
@@ -99,15 +106,18 @@ def test_extrapolated_command_count_matches_static(program):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_programs())
+@given(_programs(max_trips=FLAT_MAX_TRIPS))
 def test_flattened_stream_agrees_on_error_rules(program):
     """A fully flattened walk trips the same device-raising rules.
 
     Paths (and so dedup granularity, P004 segment boundaries) differ
     between the extrapolated and the flattened walk, but the *error*
     rules — the ones predicting a device ``TimingError`` — depend only
-    on row-buffer state, which extrapolation preserves exactly.
+    on row-buffer state, which extrapolation preserves exactly.  The
+    flattened walk costs one check per command, so its programs keep
+    small trip counts.
     """
+    assert program.static_command_count() <= FLAT_MAX_COMMANDS
     batch = verify_program(program)
     checker = TimingChecker(
         program.name,
