@@ -18,14 +18,15 @@ secrecy (the `test_ablation_defenses` benchmark quantifies it).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.dram.batch import batch_enabled
-from repro.dram.device import HBM2Stack
+from repro.dram.device import HammerPlan, HBM2Stack
 from repro.dram.commands import Command, CommandKind
 from repro.dram.geometry import RowAddress
 from repro.dram.row_mapping import IdentityMapping, RowMapping
+from repro.faults.injector import FaultyStack
 
 
 @dataclass
@@ -142,22 +143,19 @@ class DefendedDevice:
 
     def hammer(self, address: RowAddress, count: int,
                t_on: Optional[float] = None) -> None:
-        self._check_rollover()
-        delay = self.controller.throttle_ns(address, count, t_on,
-                                            self.device.now_ns)
-        if delay > 0:
-            self.device.wait(delay)
-            self.controller.stats.throttle_delay_ns += delay
+        self._admit(address, count, t_on)
         self.device.hammer(address, count, t_on)
         self._mitigate(address, count, t_on)
 
+    def apply_hammer(self, plan: HammerPlan) -> None:
+        """:meth:`hammer` of a plan resolved by the device's
+        :meth:`~repro.dram.device.HBM2Stack.hammer_plan`."""
+        self._admit(plan.address, plan.count, plan.t_on)
+        self.device.apply_hammer(plan)
+        self._mitigate(plan.address, plan.count, plan.t_on)
+
     def activate(self, address: RowAddress) -> None:
-        self._check_rollover()
-        delay = self.controller.throttle_ns(address, 1, None,
-                                            self.device.now_ns)
-        if delay > 0:
-            self.device.wait(delay)
-            self.controller.stats.throttle_delay_ns += delay
+        self._admit(address, 1, None)
         self.device.activate(address)
         self._mitigate(address, 1, None)
 
@@ -198,6 +196,17 @@ class DefendedDevice:
         self.device.wait(duration_ns)
 
     # -- internals ----------------------------------------------------------
+
+    def _admit(self, address: RowAddress, count: int,
+               t_on: Optional[float]) -> None:
+        """What precedes activations: the tREFW rollover check, then the
+        controller's throttle delay."""
+        self._check_rollover()
+        delay = self.controller.throttle_ns(address, count, t_on,
+                                            self.device.now_ns)
+        if delay > 0:
+            self.device.wait(delay)
+            self.controller.stats.throttle_delay_ns += delay
 
     def _mitigate(self, address: RowAddress, count: int,
                   t_on: Optional[float]) -> None:
@@ -262,4 +271,126 @@ def catch_up_refreshes(device, channel: int, pseudo_channel: int,
         device.refresh(channel, pseudo_channel)
         for __ in range(clean + 1):
             next_ref_ns += t_refi
+    return next_ref_ns
+
+
+#: One hammer of a stream step: ``(logical address, count, t_on)``.
+Hammer = Tuple[RowAddress, int, Optional[float]]
+
+
+@dataclass
+class StreamTally:
+    """Where :func:`replay_hammer_stream` sent its commands.
+
+    ``refs`` counts served REF deadlines.  The ``scalar_*`` fields count
+    the hammers and REFs that took the full scalar path through every
+    device layer: fault-hit commands, and whole streams on a device the
+    fast path does not model (``HBMSIM_BATCH=0``, a subclass, tracing).
+    """
+
+    hammers: int = 0
+    scalar_hammers: int = 0
+    refs: int = 0
+    scalar_refs: int = 0
+
+    def reset(self) -> None:
+        self.hammers = self.scalar_hammers = 0
+        self.refs = self.scalar_refs = 0
+
+
+#: Running totals over every :func:`replay_hammer_stream` call in this
+#: process; tests and probes reset and read it.
+STREAM_TALLY = StreamTally()
+
+
+def _step_plans(device: HBM2Stack, step: Sequence[Hammer]
+                ) -> Optional[Tuple[HammerPlan, ...]]:
+    """The step's hammer plans, or ``None`` when an entry must take the
+    scalar path: a zero count (which still draws faults and consults
+    the controller) or an address the scalar path rejects in order."""
+    try:
+        return tuple(device.hammer_plan(address, count, t_on)
+                     for address, count, t_on in step)
+    except ValueError:
+        return None
+
+
+def replay_hammer_stream(stack, steps: Iterable[Sequence[Hammer]],
+                         channel: int, pseudo_channel: int,
+                         next_ref_ns: float, t_refi: float) -> float:
+    """Issue hammer steps under a tREFI refresh schedule.
+
+    A step is a sequence of ``(address, count, t_on)`` hammers, issued
+    through ``stack.hammer``, followed by one
+    :func:`catch_up_refreshes`.  Returns the next REF deadline.  That
+    loop is the reference semantics; ``HBMSIM_BATCH=0``, a subclassed
+    layer or a traced device runs it as written.
+
+    The fast path is bit-identical to it.  It finds the
+    :class:`~repro.faults.injector.FaultyStack`, :class:`DefendedDevice`
+    and :class:`~repro.dram.device.HBM2Stack` layers once, and resolves
+    each distinct step object once with
+    :meth:`~repro.dram.device.HBM2Stack.hammer_plan` (an attack burst
+    passes one step object over and over).  Per hammer:
+
+    - a counter the fault layer reports clean
+      (:meth:`~repro.faults.injector.FaultyStack.clean_hammer`) advances
+      the counter and applies the plan below the fault layer; the
+      defended device's ``apply_hammer`` still makes every controller
+      call (rollover, throttle, observe) in scalar order;
+    - a fault-hit counter goes through ``FaultyStack.hammer``.
+
+    A short catch-up issues its REFs one at a time: the device's own
+    ``refresh`` (the rollover check plus ``HBM2Stack.refresh``) when the
+    REF counter is clean, ``FaultyStack.refresh`` when it is not.  A
+    catch-up three tREFI or more behind (a RowPress step, a throttle
+    delay) goes to :func:`catch_up_refreshes`, which bursts it.
+    """
+    tally = STREAM_TALLY
+    faulty = stack if type(stack) is FaultyStack else None
+    inner = stack.wrapped if faulty is not None else stack
+    device = inner.device if type(inner) is DefendedDevice else inner
+    fast = (batch_enabled() and type(device) is HBM2Stack
+            and device._trace is None)
+    resolved: object = None
+    plans: Optional[Tuple[HammerPlan, ...]] = None
+    for step in steps:
+        if fast and step is not resolved:
+            resolved, plans = step, _step_plans(device, step)
+        tally.hammers += len(step)
+        if plans is None:
+            tally.scalar_hammers += len(step)
+            for address, count, t_on in step:
+                stack.hammer(address, count, t_on)
+        else:
+            for plan in plans:
+                if faulty is not None:
+                    if not faulty.clean_hammer():
+                        tally.scalar_hammers += 1
+                        faulty.hammer(plan.address, plan.count, plan.t_on)
+                        continue
+                    faulty.advance_counter(1)
+                inner.apply_hammer(plan)
+        if device.now_ns < next_ref_ns:
+            continue
+        before = next_ref_ns
+        if not fast or device.now_ns - next_ref_ns >= 3 * t_refi:
+            # The reference loop, or a long catch-up (a RowPress step, a
+            # throttle delay) as bursts.
+            next_ref_ns = catch_up_refreshes(
+                stack, channel, pseudo_channel, next_ref_ns, t_refi)
+        while device.now_ns >= next_ref_ns:
+            if faulty is not None:
+                if not faulty.clean_ref_prefix(1):
+                    tally.scalar_refs += 1
+                    faulty.refresh(channel, pseudo_channel)
+                    next_ref_ns += t_refi
+                    continue
+                faulty.advance_counter(1)
+            inner.refresh(channel, pseudo_channel)
+            next_ref_ns += t_refi
+        served = round((next_ref_ns - before) / t_refi)
+        tally.refs += served
+        if not fast:
+            tally.scalar_refs += served
     return next_ref_ns

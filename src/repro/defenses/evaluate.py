@@ -9,6 +9,7 @@ Metrics per (attack, defense) cell:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
@@ -20,7 +21,7 @@ from repro.chips.profiles import ChipProfile
 from repro.core import metrics
 from repro.core.patterns import CHECKERED0, DataPattern
 from repro.defenses.base import (DefendedDevice, MitigationController,
-                                 catch_up_refreshes)
+                                 replay_hammer_stream)
 from repro.dram.geometry import RowAddress
 
 
@@ -70,25 +71,32 @@ def defended_session(chip: ChipProfile,
 # Attack scenarios (each returns victim bitflips)
 # ----------------------------------------------------------------------
 
-class _RefPacer:
-    """Issues the periodic REFs a real memory controller cannot skip.
+def _paced_burst(session: BenderSession, victim: RowAddress,
+                 hammer_count: int, t_on: Optional[float],
+                 pattern: DataPattern, chunk: int) -> int:
+    """Hammer both aggressors ``chunk`` times each per step, catching up
+    the periodic REFs a real memory controller cannot skip after every
+    step; return the victim's bitflips.
 
     Attacks on live systems race the refresh schedule; modelling it is
     what lets throttling defenses (BlockHammer) win — pacing an attack
     across windows is pointless when every window also restores the
     victim's charge.
     """
-
-    def __init__(self, session: BenderSession, victim: RowAddress) -> None:
-        self.session = session
-        self.victim = victim
-        self.t_refi = session.device.timings.t_refi
-        self.next_ref_ns = session.device.now_ns + self.t_refi
-
-    def tick(self) -> None:
-        self.next_ref_ns = catch_up_refreshes(
-            self.session.device, self.victim.channel,
-            self.victim.pseudo_channel, self.next_ref_ns, self.t_refi)
+    initialize_window(session, victim, pattern)
+    aggressors = session.aggressors_of(victim)
+    full, tail = divmod(max(hammer_count, 0), chunk)
+    step = tuple((aggressor, chunk, t_on) for aggressor in aggressors)
+    last = tuple((aggressor, tail, t_on) for aggressor in aggressors)
+    steps = itertools.chain(itertools.repeat(step, full),
+                            [last] if tail else [])
+    device = session.device
+    t_refi = device.timings.t_refi
+    replay_hammer_stream(device, steps, victim.channel,
+                         victim.pseudo_channel, device.now_ns + t_refi,
+                         t_refi)
+    observed = session.read_physical_row(victim)
+    return metrics.count_bitflips(pattern.victim_row(), observed)
 
 
 def burst_double_sided(session: BenderSession, victim: RowAddress,
@@ -96,18 +104,8 @@ def burst_double_sided(session: BenderSession, victim: RowAddress,
                        pattern: DataPattern = CHECKERED0,
                        chunk: int = 64) -> int:
     """Maximum-rate double-sided hammering under live refresh."""
-    initialize_window(session, victim, pattern)
-    pacer = _RefPacer(session, victim)
-    aggressors = session.aggressors_of(victim)
-    remaining = hammer_count
-    while remaining > 0:
-        step = min(chunk, remaining)
-        for aggressor in aggressors:
-            session.device.hammer(aggressor, step)
-        remaining -= step
-        pacer.tick()
-    observed = session.read_physical_row(victim)
-    return metrics.count_bitflips(pattern.victim_row(), observed)
+    return _paced_burst(session, victim, hammer_count, None, pattern,
+                        chunk)
 
 
 def rowpress_burst(session: BenderSession, victim: RowAddress,
@@ -115,18 +113,8 @@ def rowpress_burst(session: BenderSession, victim: RowAddress,
                    pattern: DataPattern = CHECKERED0,
                    chunk: int = 8) -> int:
     """RowPress attack: few activations, long on-time (Takeaway 7)."""
-    initialize_window(session, victim, pattern)
-    pacer = _RefPacer(session, victim)
-    aggressors = session.aggressors_of(victim)
-    remaining = hammer_count
-    while remaining > 0:
-        step = min(chunk, remaining)
-        for aggressor in aggressors:
-            session.device.hammer(aggressor, step, t_on)
-        remaining -= step
-        pacer.tick()
-    observed = session.read_physical_row(victim)
-    return metrics.count_bitflips(pattern.victim_row(), observed)
+    return _paced_burst(session, victim, hammer_count, t_on, pattern,
+                        chunk)
 
 
 def pick_vulnerable_victim(chip: ChipProfile, channel: int = 0,

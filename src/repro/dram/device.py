@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -159,6 +159,26 @@ class TraceEntry:
         suffix = f" x{self.count}" if self.count > 1 else ""
         return f"[{self.time_ns / 1.0e3:12.3f} us] {self.kind}" \
                f"{location}{suffix}"
+
+
+class HammerPlan(NamedTuple):
+    """One HAMMER resolved against a device (:meth:`HBM2Stack.hammer_plan`).
+
+    Everything :meth:`HBM2Stack.apply_hammer` needs that does not depend
+    on device state, so a stream issuing the same hammer many times
+    resolves it once.
+    """
+
+    #: The logical address, count and on-time as issued (controllers
+    #: observe these).
+    address: RowAddress
+    count: int
+    t_on: Optional[float]
+    physical: RowAddress
+    #: ``(physical row, units)`` for each disturbed neighbor, ascending.
+    neighbors: Tuple[Tuple[int, float], ...]
+    #: Device time the ``count`` ACT/PRE cycles take.
+    duration: float
 
 
 @dataclass
@@ -391,18 +411,40 @@ class HBM2Stack:
             raise ValueError("count must be non-negative")
         if count == 0:
             return
+        self.apply_hammer(self.hammer_plan(address, count, t_on))
+
+    def hammer_plan(self, address: RowAddress, count: int,
+                    t_on: Optional[float] = None) -> HammerPlan:
+        """Resolve a HAMMER of ``count >= 1`` without executing it.
+
+        Validates and maps the address and computes what every execution
+        of the hammer applies: its neighbors' disturbance units and its
+        duration.  The plan stays valid until the device's temperature
+        changes.
+        """
+        if count < 1:
+            raise ValueError("count must be positive")
         address.validate(self.geometry)
         physical = self._to_physical(address)
-        bank = self._bank(physical)
-        if bank.open_row is not None:
+        timings = self.timings
+        effective_t_on = timings.t_ras if t_on is None else max(
+            t_on, timings.t_ras)
+        return HammerPlan(
+            address, count, t_on, physical,
+            self._neighbor_units(physical.row, count, effective_t_on),
+            count * timings.act_to_act(effective_t_on))
+
+    def apply_hammer(self, plan: HammerPlan) -> None:
+        """Execute a resolved HAMMER (see :meth:`hammer`)."""
+        physical = plan.physical
+        if self._bank(physical).open_row is not None:
             raise TimingError("HAMMER requires a closed bank")
-        effective_t_on = self.timings.t_ras if t_on is None else max(
-            t_on, self.timings.t_ras)
+        count = plan.count
         self._commit(physical)
         self._trr[(physical.channel, physical.pseudo_channel)].on_activate(
             physical.bank, physical.row, count=count)
-        self._disturb_neighbors(physical, count=count, t_on=effective_t_on)
-        self.now_ns += count * self.timings.act_to_act(effective_t_on)
+        self._add_units(physical.bank_key, plan.neighbors)
+        self.now_ns += plan.duration
         self.stats.acts += count
         self.stats.pres += count
         self._record("HAMMER", physical.channel,
@@ -668,7 +710,11 @@ class HBM2Stack:
         return address if row == address.row else address.with_row(row)
 
     def _bank(self, physical: RowAddress) -> BankState:
-        return self._banks.setdefault(physical.bank_key, BankState())
+        key = physical.bank_key
+        bank = self._banks.get(key)
+        if bank is None:
+            bank = self._banks[key] = BankState()
+        return bank
 
     def _materialized_banks(self, channel: int, pseudo_channel: int
                             ) -> List[Tuple[int, Dict[int, _RowState]]]:
@@ -693,23 +739,41 @@ class HBM2Stack:
 
     def _disturb_neighbors(self, physical: RowAddress, count: int,
                            t_on: float) -> None:
+        self._add_units(physical.bank_key,
+                        self._neighbor_units(physical.row, count, t_on))
+
+    def _neighbor_units(self, row: int, count: int, t_on: float
+                        ) -> Tuple[Tuple[int, float], ...]:
+        """``(row, units)`` that ``count`` activations of a physical row
+        with on-time ``t_on`` deliver to each neighbor (zeros omitted)."""
         model = self.disturbance
-        temperature_factor = self.temperature_disturbance_factor()
-        rows = self._rows.setdefault(physical.bank_key, {})
-        for row, distance in self.geometry.subarrays.neighbors(
-                physical.row, model.blast_radius):
-            units = count * temperature_factor \
-                * model.units_per_activation(t_on, distance)
-            if units <= 0:
-                continue
+        scale = count * self.temperature_disturbance_factor()
+        neighbors = []
+        for other, distance in self.geometry.subarrays.neighbors(
+                row, model.blast_radius):
+            units = scale * model.units_per_activation(t_on, distance)
+            if units > 0:
+                neighbors.append((other, units))
+        return tuple(neighbors)
+
+    def _add_units(self, bank_key: Tuple[int, int, int],
+                   neighbors: Tuple[Tuple[int, float], ...]) -> None:
+        rows = self._rows.setdefault(bank_key, {})
+        for row, units in neighbors:
             state = rows.get(row)
             if state is None:
                 state = rows[row] = self._blank_row()
             state.acc_units += units
 
-    def _last_restore(self, physical: RowAddress, state: _RowState) -> float:
-        return max(state.restored_at,
-                   self.last_rolling_refresh_ns(physical))
+    def _unrefreshed_ns(self, physical: RowAddress,
+                        state: _RowState) -> float:
+        """Time since the row's charge was last restored (by a commit or
+        the rolling refresh), retention-accelerated."""
+        ref_times = self._pc_ref_time[(physical.channel,
+                                       physical.pseudo_channel)]
+        elapsed = self.now_ns - max(state.restored_at,
+                                    ref_times.item(physical.row))
+        return elapsed * self.retention_acceleration()
 
     def _pending_flip_bits(self, physical: RowAddress,
                            state: _RowState) -> np.ndarray:
@@ -725,10 +789,9 @@ class HBM2Stack:
                 flips.append(np.flatnonzero(
                     thresholds <= state.acc_units))
         if self.retention is not None:
-            elapsed = self.now_ns - self._last_restore(physical, state)
             # Every row's retention floor is at least RETENTION_FLOOR_NS,
             # so a shorter effective time needs no per-row draw.
-            effective = elapsed * self.retention_acceleration()
+            effective = self._unrefreshed_ns(physical, state)
             if effective >= RETENTION_FLOOR_NS:
                 if state.retention_floor_ns is None:
                     state.retention_floor_ns = \
@@ -782,6 +845,17 @@ class HBM2Stack:
         """Restore a row's charge, latching any pending bitflips."""
         state = self._rows.get(physical.bank_key, {}).get(physical.row)
         if state is None:
+            return
+        acc_units = state.acc_units
+        floor = state.min_threshold
+        if (acc_units <= 0 or (floor is not None and acc_units < floor)) \
+                and (self.retention is None
+                     or self._unrefreshed_ns(physical, state)
+                     < RETENTION_FLOOR_NS):
+            # Below the row's weakest cell and younger than any cell's
+            # retention time: nothing can flip, so skip the flip search.
+            state.acc_units = 0.0
+            state.restored_at = self.now_ns
             return
         flips = self._pending_flip_bits(physical, state)
         if flips.size:

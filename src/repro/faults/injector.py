@@ -64,8 +64,9 @@ _GHOSTABLE = GHOSTABLE
 #: least at once (one vectorized pass serves many short catch-ups).
 _REF_LOOKAHEAD = 1024
 
-#: Width of the aligned counter blocks :meth:`FaultyStack._jitter_ns`
-#: classifies at once: block ``k`` holds counters ``k*W + 1 .. (k+1)*W``.
+#: Width of the aligned counter blocks :meth:`FaultyStack._jitter_ns` and
+#: :meth:`FaultyStack.clean_hammer` classify at once: block ``k`` holds
+#: counters ``k*W + 1 .. (k+1)*W``.
 _JITTER_LOOKAHEAD = 1024
 
 
@@ -106,10 +107,12 @@ class FaultyStack:
         #: :meth:`clean_ref_prefix`); lets a burst reuse the window its
         #: caller just classified instead of drawing it twice.
         self._clean_through = 0
-        #: Counters of the classified jitter block that draw a jitter
-        #: hit (see :meth:`_jitter_ns`); ``_jitter_block`` is its index.
-        self._jitter_block = -1
+        #: Counters of the classified block that draw a jitter hit (see
+        #: :meth:`_jitter_ns`) and that would fault a HAMMER (see
+        #: :meth:`clean_hammer`); ``_block`` is the block's index.
+        self._block = -1
         self._jitter_hits: FrozenSet[int] = frozenset()
+        self._hammer_faults: FrozenSet[int] = frozenset()
         self._stuck_cache: Dict[Tuple[int, int, int, int],
                                 Optional[Tuple[np.ndarray, np.ndarray]]] = {}
 
@@ -164,32 +167,58 @@ class FaultyStack:
             return index, "ghost"
         return index, None
 
+    def _classify_block(self, index: int) -> None:
+        """Classify the aligned block of :data:`_JITTER_LOOKAHEAD`
+        counters holding ``index`` (a no-op if it already is).
+
+        Fault draws are a pure function of the counter, so the plan's
+        vectorized samplers settle a whole block in one pass.
+        """
+        block = (index - 1) // _JITTER_LOOKAHEAD
+        if block == self._block:
+            return
+        plan = self.plan
+        first = block * _JITTER_LOOKAHEAD + 1
+        indices = np.arange(first, first + _JITTER_LOOKAHEAD,
+                            dtype=np.int64)
+        jitter = plan._rate_mask(
+            _TAG_JITTER, plan.act_jitter_rate if plan.act_jitter_ns else 0.0,
+            indices)
+        platform = plan.stall_mask(indices) | plan.hang_mask(indices)
+        self._block = block
+        self._jitter_hits = frozenset(indices[jitter].tolist())
+        self._hammer_faults = frozenset(indices[jitter | platform].tolist())
+
     def _jitter_ns(self, index: int, command: str) -> float:
         """Deterministic ACT-interval jitter (0.0 when the fault misses).
 
-        Whether counter ``index`` jitters is a pure function of the
-        counter, so the plan's vectorized sampler classifies its whole
-        aligned block of :data:`_JITTER_LOOKAHEAD` counters once; only a
-        hit takes the scalar magnitude draw.
+        Only a counter its classified block marks as a hit takes the
+        scalar magnitude draw.
         """
         plan = self.plan
         if not plan.act_jitter_rate or not plan.act_jitter_ns:
             return 0.0
-        block = (index - 1) // _JITTER_LOOKAHEAD
-        if block != self._jitter_block:
-            first = block * _JITTER_LOOKAHEAD + 1
-            indices = np.arange(first, first + _JITTER_LOOKAHEAD,
-                                dtype=np.int64)
-            hits = plan._rate_mask(_TAG_JITTER, plan.act_jitter_rate,
-                                   indices)
-            self._jitter_block = block
-            self._jitter_hits = frozenset(indices[hits].tolist())
+        self._classify_block(index)
         if index not in self._jitter_hits:
             return 0.0
         fraction = uniform_for(plan.seed, _TAG_JITTER, index, 1)
         jitter = plan.act_jitter_ns * fraction
         self._log(index, "jitter", command, (int(round(jitter * 1000)),))
         return jitter
+
+    def clean_hammer(self) -> bool:
+        """Whether a HAMMER at the next counter draws no fault.
+
+        A HAMMER can take a stall, a hang or a jitter (it is neither
+        droppable nor ghostable).  A clean one is exactly the wrapped
+        device's ``hammer`` plus one counter step, which lets a stream
+        replay skip this layer (see
+        :func:`repro.defenses.base.replay_hammer_stream`).  Issues
+        nothing.
+        """
+        index = self._counter + 1
+        self._classify_block(index)
+        return index not in self._hammer_faults
 
     # -- intercepted command interface ------------------------------------
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.chips.profiles import ChipProfile
 from repro.defenses.base import (DefendedDevice, MitigationController,
-                                 catch_up_refreshes)
+                                 replay_hammer_stream)
 from repro.dram.geometry import RowAddress
 from repro.dram.trr import TrrConfig
 from repro.workloads.traces import AccessTrace, benign_trace
@@ -58,12 +58,10 @@ def measure_benign_overhead(
         if controller is not None else device
     start_ns = device.now_ns
     t_refi = device.timings.t_refi
-    next_ref_ns = start_ns + t_refi
-    for address, count in trace.addresses():
-        target.hammer(address, count)
-        next_ref_ns = catch_up_refreshes(target, trace.channel,
-                                         trace.pseudo_channel, next_ref_ns,
-                                         t_refi)
+    replay_hammer_stream(
+        target, (((address, count, None),)
+                 for address, count in trace.addresses()),
+        trace.channel, trace.pseudo_channel, start_ns + t_refi, t_refi)
     # Integrity spot check: benign rows must read back what was written.
     corrupted = 0
     probe_rows = sorted({row for epoch in trace.epochs[:3]

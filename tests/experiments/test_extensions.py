@@ -78,8 +78,9 @@ class TestDefenseExtension:
 @pytest.mark.parametrize("batch", ["1", "0"])
 def test_defense_report_digest_under_chaos(monkeypatch, batch):
     """Full report pin at scale 0.1 under the CI chaos plan: FaultyStack
-    jitter, dropped commands and RD flips on the scalar defended device,
-    REF catch-up batched (``1``) or per REF (``0``)."""
+    jitter, dropped commands and RD flips on the defended device, hammer
+    streams on the resolve-once engine (``1``) or the per-command loop
+    with per-REF catch-up (``0``)."""
     monkeypatch.setenv("HBMSIM_FAULTS", json.dumps(CHAOS_PLAN))
     monkeypatch.setenv("HBMSIM_BATCH", batch)
     result = run_experiment("ext-defenses", 0.1)
