@@ -51,7 +51,7 @@ from repro.bender.interpreter import ExecutionResult, pre_execution_gate
 from repro.bender.program import (Instruction, Loop, ReadRequest,
                                   TestProgram, _flatten)
 from repro.dram.commands import Command, CommandKind
-from repro.dram.device import HBM2Stack, _RowState, _xor_bits
+from repro.dram.device import HBM2Stack, _RowState, _latch_bits
 from repro.dram.geometry import RowAddress
 from repro.dram.retention import RETENTION_FLOOR_NS
 from repro.faults import FaultPlan, active_plan, wrap_device
@@ -480,7 +480,6 @@ class PlanExecutor:
         accel = context.accel
         stats = device.stats
         row_bits = geometry.row_bits
-        row_bytes = geometry.row_bytes
         rows_total = geometry.rows
 
         mirrors: Dict[Tuple[int, int], _RowMirror] = {}
@@ -596,16 +595,14 @@ class PlanExecutor:
                     if state.already_flipped is None:
                         state.already_flipped = np.zeros(row_bits,
                                                          dtype=bool)
-                    _xor_bits(state.data, candidates)
+                    _latch_bits(state, candidates)
                     state.already_flipped[candidates] = True
                     stats.committed_bitflips += int(candidates.size)
             m.acc = 0.0
             m.restored_at = time
 
         def materialize(m: _RowMirror) -> None:
-            state = _RowState(
-                data=np.zeros(row_bytes, dtype=np.uint8),
-                restored_at=0.0, pattern="Rowstripe0")
+            state = device._blank_row()
             device._rows.setdefault(m.bank_key, {})[m.row] = state
             m.state = state
             m.acc = 0.0

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.dram.batch import batch_enabled
 from repro.dram.device import HammerPlan, HBM2Stack
@@ -239,50 +241,87 @@ def catch_up_refreshes(device, channel: int, pseudo_channel: int,
     ``device.now_ns >= next_ref_ns``, one REF and ``next_ref_ns +=
     t_refi``.  ``HBMSIM_BATCH=0`` runs exactly that loop.  The batched
     path pre-simulates it (a clean REF advances the clock by exactly
-    tRFC), bursts the leading run of owed REFs the device reports clean
+    tRFC, see :func:`_owed_refs`), bursts the leading run of owed REFs
+    the device reports clean
     (:meth:`~repro.dram.device.HBM2Stack.clean_ref_prefix`), steps the
     first faulted REF through the scalar ``refresh`` and re-checks: a
     dropped REF advances the clock by 0 and a ghost REF by 2 tRFC, so
     the REF count follows the fault schedule, bit-identically to the
     loop.
     """
-    if device.now_ns < next_ref_ns:
+    clock = _layers(device)[2]  # reads the clock past the wrappers
+    if clock.now_ns < next_ref_ns:
         return next_ref_ns
     if not batch_enabled():
-        while device.now_ns >= next_ref_ns:
+        while clock.now_ns >= next_ref_ns:
             device.refresh(channel, pseudo_channel)
             next_ref_ns += t_refi
         return next_ref_ns
-    t_rfc = device.timings.t_rfc
-    while device.now_ns >= next_ref_ns:
-        owed = 0
-        now_sim = device.now_ns
-        deadline = next_ref_ns
-        while now_sim >= deadline:
-            owed += 1
-            now_sim += t_rfc
-            deadline += t_refi
+    t_rfc = clock.timings.t_rfc
+    while clock.now_ns >= next_ref_ns:
+        owed, deadlines = _owed_refs(clock.now_ns, next_ref_ns, t_rfc,
+                                     t_refi)
         clean = device.clean_ref_prefix(owed)
         if clean:
+            STREAM_TALLY.ref_bursts += 1
             device.refresh_burst(channel, pseudo_channel, clean)
-        if clean == owed:
-            next_ref_ns = deadline
-            continue
-        device.refresh(channel, pseudo_channel)
-        for __ in range(clean + 1):
-            next_ref_ns += t_refi
+        if clean < owed:
+            device.refresh(channel, pseudo_channel)
+            clean += 1
+        next_ref_ns = deadlines.item(clean)
     return next_ref_ns
+
+
+def _layers(stack):
+    """``(fault layer or None, the layer below it, the HBM2Stack)`` of
+    a stack built as FaultyStack -> DefendedDevice -> HBM2Stack, any
+    layer optional.  A subclassed layer is not looked through."""
+    faulty = stack if type(stack) is FaultyStack else None
+    inner = stack.wrapped if faulty is not None else stack
+    device = inner.device if type(inner) is DefendedDevice else inner
+    return faulty, inner, device
+
+
+def _owed_refs(now_ns: float, next_ref_ns: float, t_rfc: float,
+               t_refi: float) -> Tuple[int, np.ndarray]:
+    """How many REFs a clean catch-up issues, and the deadlines it
+    passes: ``deadlines[k]`` is ``next_ref_ns`` after ``k`` REFs.
+
+    The per-REF loop advances a simulated clock by ``t_rfc`` and the
+    deadline by ``t_refi`` until the clock is short of the deadline.
+    ``np.add.accumulate`` adds strictly in sequence, so both running
+    sums here are the loop's floats bit for bit, and the first step the
+    clock falls short is the loop's REF count.  The window is sized
+    from the gap the loop closes each step, with slack, and doubles if
+    rounding ever leaves it short.
+    """
+    span = int((now_ns - next_ref_ns) / (t_refi - t_rfc)) + 3
+    while True:
+        steps = np.empty((2, span + 1))
+        steps[:, 1:] = ((t_rfc,), (t_refi,))
+        steps[:, 0] = now_ns, next_ref_ns
+        clock, deadlines = np.add.accumulate(steps, axis=1)
+        behind = clock >= deadlines
+        if not behind.item(span):
+            return int(behind.argmin()), deadlines
+        span *= 2
 
 
 #: One hammer of a stream step: ``(logical address, count, t_on)``.
 Hammer = Tuple[RowAddress, int, Optional[float]]
+#: A stream step resolved for the fast path: ``(None, plans)``, or
+#: ``(step, None)`` where the step must take the scalar path.
+Resolved = Tuple[Optional[Sequence[Hammer]],
+                 Optional[Tuple[HammerPlan, ...]]]
 
 
 @dataclass
 class StreamTally:
     """Where :func:`replay_hammer_stream` sent its commands.
 
-    ``refs`` counts served REF deadlines.  The ``scalar_*`` fields count
+    ``plans`` counts hammers resolved (a plan serves every repeat of its
+    hammer).  ``refs`` counts served REF deadlines and ``ref_bursts``
+    the REF bursts that served catch-ups.  The ``scalar_*`` fields count
     the hammers and REFs that took the full scalar path through every
     device layer: fault-hit commands, and whole streams on a device the
     fast path does not model (``HBMSIM_BATCH=0``, a subclass, tracing).
@@ -290,17 +329,75 @@ class StreamTally:
 
     hammers: int = 0
     scalar_hammers: int = 0
+    plans: int = 0
     refs: int = 0
     scalar_refs: int = 0
+    ref_bursts: int = 0
 
     def reset(self) -> None:
-        self.hammers = self.scalar_hammers = 0
-        self.refs = self.scalar_refs = 0
+        self.hammers = self.scalar_hammers = self.plans = 0
+        self.refs = self.scalar_refs = self.ref_bursts = 0
 
 
 #: Running totals over every :func:`replay_hammer_stream` call in this
 #: process; tests and probes reset and read it.
 STREAM_TALLY = StreamTally()
+
+
+class HammerTable:
+    """A stream of one-hammer steps on one bank, as rows and counts
+    (each hammer with the default on-time, tRAS).
+
+    Iterating yields the steps, ``((address, count, None),)`` in order:
+    the reference loop's input.  On its fast path
+    :func:`replay_hammer_stream` calls :meth:`resolve` instead, which
+    resolves the stream's distinct ``(row, count)`` pairs in one
+    :meth:`~repro.dram.device.HBM2Stack.hammer_plans` pass and replays
+    entries from that table; no per-entry address or plan is built.
+    """
+
+    def __init__(self, channel: int, pseudo_channel: int, bank: int,
+                 rows: Sequence[int], counts: Sequence[int]) -> None:
+        self.channel = channel
+        self.pseudo_channel = pseudo_channel
+        self.bank = bank
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.counts = np.asarray(counts, dtype=np.int64)
+        if self.rows.shape != self.counts.shape or self.rows.ndim != 1:
+            raise ValueError("rows and counts must be equal-length 1-D")
+
+    def __iter__(self) -> Iterator[Tuple[Hammer]]:
+        for row, count in zip(self.rows.tolist(), self.counts.tolist()):
+            yield ((self._address(row), count, None),)
+
+    def _address(self, row: int) -> RowAddress:
+        return RowAddress(self.channel, self.pseudo_channel, self.bank,
+                          row)
+
+    def resolve(self, device: HBM2Stack) -> Iterator[Resolved]:
+        """Each entry resolved for :func:`replay_hammer_stream`."""
+        if not self.rows.size:
+            return iter(())
+        # (row, count) -> one int64 key, bijectively.
+        low = int(self.counts.min())
+        keys = self.rows * (int(self.counts.max()) - low + 1) \
+            + (self.counts - low)
+        __, first, inverse = np.unique(keys, return_index=True,
+                                       return_inverse=True)
+        # One address per distinct row, shared by its pairs.
+        rows, row_index = np.unique(self.rows[first], return_inverse=True)
+        addresses = [self._address(row) for row in rows.tolist()]
+        hammers = [addresses[index] for index in row_index.tolist()]
+        counts = self.counts[first].tolist()
+        plans = device.hammer_plans(hammers, counts)
+        STREAM_TALLY.plans += len(plans)
+        # Only an entry the scalar path must take needs its step.
+        steps = [None if plan is not None
+                 else ((address, count, None),)
+                 for address, count, plan in zip(hammers, counts, plans)]
+        inverse = inverse.tolist()
+        return zip(map(steps.__getitem__, inverse),
+                   zip(map(plans.__getitem__, inverse)))
 
 
 def _step_plans(device: HBM2Stack, step: Sequence[Hammer]
@@ -313,6 +410,20 @@ def _step_plans(device: HBM2Stack, step: Sequence[Hammer]
                      for address, count, t_on in step)
     except ValueError:
         return None
+
+
+def _resolve_steps(device: HBM2Stack, steps: Iterable[Sequence[Hammer]]
+                   ) -> Iterator[Resolved]:
+    """Each step with its plans, resolved once per distinct step object
+    (an attack burst passes one step object over and over)."""
+    resolved: object = None
+    plans: Optional[Tuple[HammerPlan, ...]] = None
+    for step in steps:
+        if step is not resolved:
+            resolved, plans = step, _step_plans(device, step)
+            if plans is not None:
+                STREAM_TALLY.plans += len(plans)
+        yield (None, plans) if plans is not None else (step, None)
 
 
 def replay_hammer_stream(stack, steps: Iterable[Sequence[Hammer]],
@@ -328,10 +439,10 @@ def replay_hammer_stream(stack, steps: Iterable[Sequence[Hammer]],
 
     The fast path is bit-identical to it.  It finds the
     :class:`~repro.faults.injector.FaultyStack`, :class:`DefendedDevice`
-    and :class:`~repro.dram.device.HBM2Stack` layers once, and resolves
-    each distinct step object once with
-    :meth:`~repro.dram.device.HBM2Stack.hammer_plan` (an attack burst
-    passes one step object over and over).  Per hammer:
+    and :class:`~repro.dram.device.HBM2Stack` layers once and resolves
+    hammers into :class:`~repro.dram.device.HammerPlan` s once: a
+    :class:`HammerTable` all at once, any other stream once per distinct
+    step object.  Per hammer:
 
     - a counter the fault layer reports clean
       (:meth:`~repro.faults.injector.FaultyStack.clean_hammer`) advances
@@ -347,22 +458,32 @@ def replay_hammer_stream(stack, steps: Iterable[Sequence[Hammer]],
     delay) goes to :func:`catch_up_refreshes`, which bursts it.
     """
     tally = STREAM_TALLY
-    faulty = stack if type(stack) is FaultyStack else None
-    inner = stack.wrapped if faulty is not None else stack
-    device = inner.device if type(inner) is DefendedDevice else inner
-    fast = (batch_enabled() and type(device) is HBM2Stack
-            and device._trace is None)
-    resolved: object = None
-    plans: Optional[Tuple[HammerPlan, ...]] = None
-    for step in steps:
-        if fast and step is not resolved:
-            resolved, plans = step, _step_plans(device, step)
-        tally.hammers += len(step)
-        if plans is None:
+    faulty, inner, device = _layers(stack)
+    if not (batch_enabled() and type(device) is HBM2Stack
+            and device._trace is None):
+        for step in steps:
+            tally.hammers += len(step)
+            tally.scalar_hammers += len(step)
+            for address, count, t_on in step:
+                stack.hammer(address, count, t_on)
+            if device.now_ns >= next_ref_ns:
+                before = next_ref_ns
+                next_ref_ns = catch_up_refreshes(
+                    stack, channel, pseudo_channel, next_ref_ns, t_refi)
+                served = round((next_ref_ns - before) / t_refi)
+                tally.refs += served
+                tally.scalar_refs += served
+        return next_ref_ns
+    resolved = (steps.resolve(device) if isinstance(steps, HammerTable)
+                else _resolve_steps(device, steps))
+    for step, plans in resolved:
+        if step is not None:
+            tally.hammers += len(step)
             tally.scalar_hammers += len(step)
             for address, count, t_on in step:
                 stack.hammer(address, count, t_on)
         else:
+            tally.hammers += len(plans)
             for plan in plans:
                 if faulty is not None:
                     if not faulty.clean_hammer():
@@ -374,9 +495,9 @@ def replay_hammer_stream(stack, steps: Iterable[Sequence[Hammer]],
         if device.now_ns < next_ref_ns:
             continue
         before = next_ref_ns
-        if not fast or device.now_ns - next_ref_ns >= 3 * t_refi:
-            # The reference loop, or a long catch-up (a RowPress step, a
-            # throttle delay) as bursts.
+        if device.now_ns - next_ref_ns >= 3 * t_refi:
+            # A long catch-up (a RowPress step, a throttle delay) as
+            # bursts.
             next_ref_ns = catch_up_refreshes(
                 stack, channel, pseudo_channel, next_ref_ns, t_refi)
         while device.now_ns >= next_ref_ns:
@@ -389,8 +510,5 @@ def replay_hammer_stream(stack, steps: Iterable[Sequence[Hammer]],
                 faulty.advance_counter(1)
             inner.refresh(channel, pseudo_channel)
             next_ref_ns += t_refi
-        served = round((next_ref_ns - before) / t_refi)
-        tally.refs += served
-        if not fast:
-            tally.scalar_refs += served
+        tally.refs += round((next_ref_ns - before) / t_refi)
     return next_ref_ns

@@ -21,9 +21,11 @@ again until rewritten.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import (Deque, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -162,7 +164,7 @@ class TraceEntry:
 
 
 class HammerPlan(NamedTuple):
-    """One HAMMER resolved against a device (:meth:`HBM2Stack.hammer_plan`).
+    """One HAMMER resolved against a device (:meth:`HBM2Stack.hammer_plans`).
 
     Everything :meth:`HBM2Stack.apply_hammer` needs that does not depend
     on device state, so a stream issuing the same hammer many times
@@ -175,8 +177,12 @@ class HammerPlan(NamedTuple):
     count: int
     t_on: Optional[float]
     physical: RowAddress
-    #: ``(physical row, units)`` for each disturbed neighbor, ascending.
-    neighbors: Tuple[Tuple[int, float], ...]
+    #: The disturbed neighbors, as offsets from the physical row
+    #: (ascending), and the units each receives (zeros omitted).  Plans
+    #: of one count resolved in one call whose row the blast radius
+    #: reaches in full share both tuples.
+    offsets: Tuple[int, ...]
+    units: Tuple[float, ...]
     #: Device time the ``count`` ACT/PRE cycles take.
     duration: float
 
@@ -237,6 +243,8 @@ class HBM2Stack:
         self.now_ns = 0.0
         self.stats = DeviceStats()
         self._trace: Optional[Deque[TraceEntry]] = None
+        self._zero_row = np.zeros(geometry.row_bytes, dtype=np.uint8)
+        self._zero_row.flags.writeable = False
         self._banks: Dict[Tuple[int, int, int], BankState] = {}
         self._rows: Dict[Tuple[int, int, int], Dict[int, _RowState]] = {}
         self._trr: Dict[Tuple[int, int], TrrEngine] = {}
@@ -419,37 +427,112 @@ class HBM2Stack:
 
         Validates and maps the address and computes what every execution
         of the hammer applies: its neighbors' disturbance units and its
-        duration.  The plan stays valid until the device's temperature
-        changes.
+        duration, with the helpers :meth:`hammer_plans` uses.  The plan
+        stays valid until the device's temperature changes.
         """
         if count < 1:
             raise ValueError("count must be positive")
         address.validate(self.geometry)
         physical = self._to_physical(address)
-        timings = self.timings
-        effective_t_on = timings.t_ras if t_on is None else max(
-            t_on, timings.t_ras)
-        return HammerPlan(
-            address, count, t_on, physical,
-            self._neighbor_units(physical.row, count, effective_t_on),
-            count * timings.act_to_act(effective_t_on))
+        by_distance, offsets, units, duration = self._reach(
+            count, self._effective_t_on(t_on))
+        if physical.row in self.geometry.subarrays.clipped_rows(
+                self.disturbance.blast_radius):
+            offsets, units = self._subarray_reach(physical.row, by_distance)
+        return HammerPlan(address, count, t_on, physical, offsets, units,
+                          duration)
+
+    def hammer_plans(self, addresses: Sequence[RowAddress],
+                     counts: Sequence[int],
+                     t_on: Optional[float] = None
+                     ) -> List[Optional[HammerPlan]]:
+        """:meth:`hammer_plan` of many HAMMERs with one on-time, in one
+        pass.
+
+        Element ``i`` is the plan of ``counts[i]`` activations of
+        ``addresses[i]``, or ``None`` where :meth:`hammer_plan` would
+        raise (a count below 1 or an address outside the geometry), so a
+        caller can leave that entry to the scalar path and its error.
+
+        - The logical-to-physical mapping is one array operation.
+        - :meth:`_reach` runs once per distinct count.
+        - A row the blast radius reaches in full takes its count's
+          shared offsets and units; only rows a subarray boundary clips
+          ask :meth:`_subarray_reach`.
+
+        Every float is the expression the scalar ACT path evaluates, so
+        a plan is exact.
+        """
+        geometry = self.geometry
+        rows = [address.row for address in addresses]
+        if not rows:
+            return []
+        invalid: List[int] = []
+        # Every coordinate's range is an interval, so checking each bank
+        # at the lowest and the highest row checks every entry.
+        low, high = min(rows), max(rows)
+        if min(counts) < 1 or not all(
+                geometry.contains(*key, row)
+                for key in {address.bank_key for address in addresses}
+                for row in (low, high)):
+            invalid = [
+                index for index, (address, count) in enumerate(zip(
+                    addresses, counts))
+                if count < 1 or not geometry.contains(*address.bank_key,
+                                                      address.row)]
+            # Their plans are dropped; map an in-range row instead.
+            for index in invalid:
+                rows[index] = 0
+        physical_rows = self.row_mapping.to_physical_array(rows).tolist()
+        effective_t_on = self._effective_t_on(t_on)
+        reach = {count: self._reach(count, effective_t_on)
+                 for count in set(counts)}
+        offsets = [reach[count][1] for count in counts]
+        units = [reach[count][2] for count in counts]
+        clipped = geometry.subarrays.clipped_rows(
+            self.disturbance.blast_radius).intersection(physical_rows)
+        for index, row in enumerate(physical_rows if clipped else ()):
+            if row in clipped and index not in invalid:
+                offsets[index], units[index] = self._subarray_reach(
+                    row, reach[counts[index]][0])
+        physicals = [address if row == address.row
+                     else address.with_row(row)
+                     for address, row in zip(addresses, physical_rows)]
+        plans: List[Optional[HammerPlan]] = list(map(
+            HammerPlan._make, zip(
+                addresses, counts, itertools.repeat(t_on), physicals,
+                offsets, units, (reach[count][3] for count in counts))))
+        for index in invalid:
+            plans[index] = None
+        return plans
 
     def apply_hammer(self, plan: HammerPlan) -> None:
         """Execute a resolved HAMMER (see :meth:`hammer`)."""
         physical = plan.physical
-        if self._bank(physical).open_row is not None:
+        key = physical.bank_key
+        bank = self._banks.get(key)
+        if bank is None:
+            self._banks[key] = BankState()
+        elif bank.open_row is not None:
             raise TimingError("HAMMER requires a closed bank")
+        rows = self._rows.get(key)
+        if rows is None:
+            rows = self._rows[key] = {}
+        row = physical.row
+        state = rows.get(row)
+        if state is not None:
+            self._restore(physical, state)
         count = plan.count
-        self._commit(physical)
         self._trr[(physical.channel, physical.pseudo_channel)].on_activate(
-            physical.bank, physical.row, count=count)
-        self._add_units(physical.bank_key, plan.neighbors)
+            physical.bank, row, count=count)
+        self._add_units(rows, row, plan.offsets, plan.units)
         self.now_ns += plan.duration
         self.stats.acts += count
         self.stats.pres += count
-        self._record("HAMMER", physical.channel,
-                     physical.pseudo_channel, physical.bank,
-                     physical.row, count)
+        if self._trace is not None:
+            self._record("HAMMER", physical.channel,
+                         physical.pseudo_channel, physical.bank, row,
+                         count)
 
     def refresh(self, channel: int, pseudo_channel: int) -> None:
         """One REF command: rolling refresh plus TRR victim refreshes."""
@@ -510,44 +593,44 @@ class HBM2Stack:
                 self.refresh(channel, pseudo_channel)
             return
         timings = self.timings
-        t_rfc = timings.t_rfc
         per_ref = timings.rows_refreshed_per_ref
         rows = self.geometry.rows
         pointer = self._ref_pointer[pc_key]
         ref_times = self._pc_ref_time[pc_key]
+        slots = count * per_ref
         # Per-REF timestamps with the scalar clock's exact accumulation
-        # order (np.add.accumulate is strictly sequential, so ref_t[i]
+        # order (np.add.accumulate adds strictly in sequence, so ref_t[i]
         # reproduces `now += t_rfc` i times bit-for-bit).
-        steps = np.full(count + 1, t_rfc)
-        steps[0] = self.now_ns
-        ref_t = np.cumsum(steps)
+        ref_t = np.full(count + 1, timings.t_rfc)
+        ref_t[0] = self.now_ns
+        np.add.accumulate(ref_t, out=ref_t)
 
         victim_schedule = self._trr[pc_key].run_epochs({}, count)
 
         # Rows whose rolling-refresh touches must replay as individual
         # commits: everything materialized now, plus whatever a TRR
         # victim refresh may materialize mid-burst (its blast radius).
-        candidates = set()
         materialized = self._materialized_banks(channel, pseudo_channel)
+        candidates = set()
         for __bank, bank_rows in materialized:
             candidates.update(bank_rows)
-        radius = self.disturbance.blast_radius
-        for __, victims in victim_schedule:
-            for __bank, victim_row in victims:
-                candidates.update(range(max(0, victim_row - radius),
-                                        min(rows, victim_row + radius + 1)))
+        if victim_schedule:
+            radius = self.disturbance.blast_radius
+            for __, victims in victim_schedule:
+                for __bank, victim_row in victims:
+                    candidates.update(range(
+                        max(0, victim_row - radius),
+                        min(rows, victim_row + radius + 1)))
 
         # Event list: (ref_index, phase, slot, payload) replayed in the
         # scalar order — victims first (phase 0), then rolling touches
         # in slot order within each REF.
-        slots = count * per_ref
         events: list = [(offset - 1, 0, 0, victims)
                         for offset, victims in victim_schedule]
         if candidates:
             if len(candidates) * (1 + slots // rows) < slots:
                 for row in candidates:
-                    first_slot = (row - pointer) % rows
-                    for slot in range(first_slot, slots, rows):
+                    for slot in range((row - pointer) % rows, slots, rows):
                         events.append((slot // per_ref, 1,
                                        slot % per_ref, row))
             else:
@@ -557,11 +640,13 @@ class HBM2Stack:
                     swept, np.fromiter(candidates, dtype=np.int64))]
                 for slot in hits.tolist():
                     events.append((slot // per_ref, 1, slot % per_ref,
-                                   int((pointer + slot) % rows)))
-        events.sort(key=lambda event: event[:3])
+                                   (pointer + slot) % rows))
+            # (ref_index, phase, slot) is unique, so payloads are never
+            # compared.
+            events.sort()
 
         for ref_index, phase, __slot, payload in events:
-            self.now_ns = float(ref_t[ref_index])
+            self.now_ns = ref_t.item(ref_index)
             if phase == 0:
                 for bank_index, victim_row in payload:
                     physical = RowAddress(channel, pseudo_channel,
@@ -582,11 +667,17 @@ class HBM2Stack:
                                                 bank_index, row))
 
         # Bulk ref-time update: only each row's *last* touch survives,
-        # and the final min(slots, rows) slots sweep distinct rows.
-        tail = np.arange(max(0, slots - rows), slots, dtype=np.int64)
-        ref_times[(pointer + tail) % rows] = ref_t[tail // per_ref]
+        # and the final min(slots, rows) slots sweep distinct rows, as
+        # one run from `start` that wraps once at the bank's end.
+        first = max(0, slots - rows)
+        stamps = np.repeat(ref_t[first // per_ref:count],
+                           per_ref)[first % per_ref:]
+        start = (pointer + first) % rows
+        head = min(stamps.size, rows - start)
+        ref_times[start:start + head] = stamps[:head]
+        ref_times[:stamps.size - head] = stamps[head:]
         self._ref_pointer[pc_key] = (pointer + slots) % rows
-        self.now_ns = float(ref_t[count])
+        self.now_ns = ref_t.item(count)
         self.stats.refs += count
 
     def clean_ref_prefix(self, limit: int) -> int:
@@ -725,10 +816,13 @@ class HBM2Stack:
                       and key[1] == pseudo_channel)
 
     def _blank_row(self) -> _RowState:
-        """State of a row first touched without a write (all zeros)."""
-        return _RowState(
-            data=np.zeros(self.geometry.row_bytes, dtype=np.uint8),
-            restored_at=0.0, pattern="Rowstripe0")
+        """State of a row first touched without a write (all zeros).
+
+        Blank rows share one read-only zero image; the first latched
+        flip copies it (:func:`_latch_bits`).
+        """
+        return _RowState(data=self._zero_row, restored_at=0.0,
+                         pattern="Rowstripe0")
 
     def _row_state(self, physical: RowAddress) -> _RowState:
         rows = self._rows.setdefault(physical.bank_key, {})
@@ -739,31 +833,65 @@ class HBM2Stack:
 
     def _disturb_neighbors(self, physical: RowAddress, count: int,
                            t_on: float) -> None:
-        self._add_units(physical.bank_key,
-                        self._neighbor_units(physical.row, count, t_on))
+        """Add ``count`` activations' disturbance (on-time ``t_on``) to
+        the neighbors of a physical row."""
+        offsets, units = self._subarray_reach(
+            physical.row, self._units_by_distance(count, t_on))
+        self._add_units(self._rows.setdefault(physical.bank_key, {}),
+                        physical.row, offsets, units)
 
-    def _neighbor_units(self, row: int, count: int, t_on: float
-                        ) -> Tuple[Tuple[int, float], ...]:
-        """``(row, units)`` that ``count`` activations of a physical row
-        with on-time ``t_on`` deliver to each neighbor (zeros omitted)."""
+    def _effective_t_on(self, t_on: Optional[float]) -> float:
+        """The on-time an ACT applies: ``t_on``, at least tRAS."""
+        t_ras = self.timings.t_ras
+        return t_ras if t_on is None else max(t_on, t_ras)
+
+    def _units_by_distance(self, count: int, t_on: float
+                           ) -> Tuple[float, ...]:
+        """Units ``count`` activations with on-time ``t_on`` deliver at
+        each distance up to the blast radius (index 0 unused), each
+        ``(count * temp) * upa(t_on, distance)``."""
         model = self.disturbance
         scale = count * self.temperature_disturbance_factor()
-        neighbors = []
-        for other, distance in self.geometry.subarrays.neighbors(
-                row, model.blast_radius):
-            units = scale * model.units_per_activation(t_on, distance)
-            if units > 0:
-                neighbors.append((other, units))
-        return tuple(neighbors)
+        return (0.0,) + tuple(
+            scale * model.units_per_activation(t_on, distance)
+            for distance in range(1, model.blast_radius + 1))
 
-    def _add_units(self, bank_key: Tuple[int, int, int],
-                   neighbors: Tuple[Tuple[int, float], ...]) -> None:
-        rows = self._rows.setdefault(bank_key, {})
-        for row, units in neighbors:
-            state = rows.get(row)
+    def _reach(self, count: int, t_on: float
+               ) -> Tuple[Tuple[float, ...], Tuple[int, ...],
+                          Tuple[float, ...], float]:
+        """What ``count`` activations with on-time ``t_on`` apply to a
+        row the blast radius reaches in full: the units by distance
+        (:meth:`_units_by_distance`), the offsets ``-radius .. radius``
+        and the units each receives (zeros omitted), and the duration
+        ``count * act_to_act(t_on)``."""
+        by_distance = self._units_by_distance(count, t_on)
+        radius = len(by_distance) - 1
+        offsets = tuple(offset for offset in range(-radius, radius + 1)
+                        if offset and by_distance[abs(offset)] > 0)
+        return (by_distance, offsets,
+                tuple(by_distance[abs(offset)] for offset in offsets),
+                count * self.timings.act_to_act(t_on))
+
+    def _subarray_reach(self, row: int, by_distance: Tuple[float, ...]
+                       ) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
+        """The offsets and units of a physical row's neighbors inside
+        its subarray (zeros omitted), from :meth:`_units_by_distance`."""
+        kept = tuple((other - row, by_distance[distance])
+                     for other, distance in self.geometry.subarrays.neighbors(
+                         row, len(by_distance) - 1)
+                     if by_distance[distance] > 0)
+        return (tuple(offset for offset, __ in kept),
+                tuple(unit for __, unit in kept))
+
+    def _add_units(self, rows: Dict[int, _RowState], row: int,
+                   offsets: Sequence[int], units: Sequence[float]) -> None:
+        """Add ``units[i]`` to the row at ``row + offsets[i]`` of a
+        bank's materialized ``rows``."""
+        for offset, unit in zip(offsets, units):
+            state = rows.get(row + offset)
             if state is None:
-                state = rows[row] = self._blank_row()
-            state.acc_units += units
+                state = rows[row + offset] = self._blank_row()
+            state.acc_units += unit
 
     def _unrefreshed_ns(self, physical: RowAddress,
                         state: _RowState) -> float:
@@ -843,9 +971,13 @@ class HBM2Stack:
 
     def _commit(self, physical: RowAddress) -> None:
         """Restore a row's charge, latching any pending bitflips."""
-        state = self._rows.get(physical.bank_key, {}).get(physical.row)
-        if state is None:
-            return
+        rows = self._rows.get(physical.bank_key)
+        state = None if rows is None else rows.get(physical.row)
+        if state is not None:
+            self._restore(physical, state)
+
+    def _restore(self, physical: RowAddress, state: _RowState) -> None:
+        """:meth:`_commit` of a materialized row."""
         acc_units = state.acc_units
         floor = state.min_threshold
         if (acc_units <= 0 or (floor is not None and acc_units < floor)) \
@@ -862,11 +994,18 @@ class HBM2Stack:
             if state.already_flipped is None:
                 state.already_flipped = np.zeros(
                     self.geometry.row_bits, dtype=bool)
-            _xor_bits(state.data, flips)
+            _latch_bits(state, flips)
             state.already_flipped[flips] = True
             self.stats.committed_bitflips += int(flips.size)
         state.acc_units = 0.0
         state.restored_at = self.now_ns
+
+
+def _latch_bits(state: _RowState, bit_positions: np.ndarray) -> None:
+    """Flip bits of a row's image, copying a shared blank image first."""
+    if not state.data.flags.writeable:
+        state.data = state.data.copy()
+    _xor_bits(state.data, bit_positions)
 
 
 def _xor_bits(data: np.ndarray, bit_positions: np.ndarray) -> None:

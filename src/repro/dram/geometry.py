@@ -22,7 +22,7 @@ import bisect
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Tuple
+from typing import Dict, FrozenSet, Iterator, Tuple
 
 #: Canonical subarray sizes for one bank: sixteen 832-row and four 768-row
 #: subarrays (16 * 832 + 4 * 768 == 16384).  Row 8192 starts subarray 10
@@ -45,6 +45,9 @@ class SubarrayLayout:
     """
 
     sizes: Tuple[int, ...] = DEFAULT_SUBARRAY_SIZES
+    #: radius -> :meth:`clipped_rows` (a pure function of the sizes).
+    _clipped: Dict[int, FrozenSet[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if any(size <= 0 for size in self.sizes):
@@ -95,6 +98,21 @@ class SubarrayLayout:
         high = min(self.boundaries[index + 1], row + radius + 1)
         return tuple((other, abs(other - row))
                      for other in range(low, high) if other != row)
+
+    def clipped_rows(self, radius: int) -> FrozenSet[int]:
+        """Rows whose :meth:`neighbors` within ``radius`` a subarray
+        boundary clips: those fewer than ``radius`` rows from either end
+        of their subarray.  Every other row disturbs the full range
+        ``row - radius .. row + radius``."""
+        clipped = self._clipped.get(radius)
+        if clipped is None:
+            bounds = self.boundaries
+            clipped = self._clipped[radius] = frozenset(
+                row for start, end in zip(bounds, bounds[1:])
+                for row in itertools.chain(
+                    range(start, min(end, start + radius)),
+                    range(max(start, end - radius), end)))
+        return clipped
 
     def rows_of(self, subarray: int) -> range:
         """Return the row range of subarray ``subarray``."""
@@ -176,9 +194,19 @@ class HBM2Geometry:
         self._check(channel, self.channels, "channel")
         return min(channel, self.channels - 1 - channel)
 
+    def contains(self, channel: int, pseudo_channel: int, bank: int,
+                 row: int) -> bool:
+        """Whether a full row address lies inside the stack."""
+        return (0 <= channel < self.channels
+                and 0 <= pseudo_channel < self.pseudo_channels
+                and 0 <= bank < self.banks and 0 <= row < self.rows)
+
     def check_address(self, channel: int, pseudo_channel: int, bank: int,
                       row: int) -> None:
         """Validate a full row address; raise :class:`ValueError` if bad."""
+        if self.contains(channel, pseudo_channel, bank, row):
+            return
+        # Name the first coordinate out of range.
         self._check(channel, self.channels, "channel")
         self._check(pseudo_channel, self.pseudo_channels, "pseudo channel")
         self._check(bank, self.banks, "bank")

@@ -13,11 +13,18 @@ hammer experiments alone.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+
+import numpy as np
 
 
 class RowMapping(abc.ABC):
-    """Bijective logical <-> physical row mapping within a bank."""
+    """Bijective logical <-> physical row mapping within a bank.
+
+    Each family writes its permutation once, as bit arithmetic that
+    reads the same on a Python int and on an int64 array:
+    :meth:`to_physical` checks one row and applies it;
+    :meth:`to_physical_array` applies it to a whole array of rows.
+    """
 
     def __init__(self, rows: int) -> None:
         if rows <= 0:
@@ -25,12 +32,27 @@ class RowMapping(abc.ABC):
         self.rows = rows
 
     @abc.abstractmethod
-    def to_physical(self, logical: int) -> int:
-        """Map a logical row to its physical row."""
+    def _forward(self, logical):
+        """Logical -> physical, on an int or an int64 array."""
 
     @abc.abstractmethod
+    def _inverse(self, physical):
+        """Physical -> logical, on an int or an int64 array."""
+
+    def to_physical(self, logical: int) -> int:
+        """Map a logical row to its physical row."""
+        self._check(logical)
+        return self._forward(logical)
+
     def to_logical(self, physical: int) -> int:
         """Map a physical row back to the logical address."""
+        self._check(physical)
+        return self._inverse(physical)
+
+    def to_physical_array(self, logical: np.ndarray) -> np.ndarray:
+        """:meth:`to_physical` of every row of an in-range int64 array
+        (the caller checks the range)."""
+        return self._forward(np.asarray(logical, dtype=np.int64))
 
     def _check(self, row: int) -> None:
         if not 0 <= row < self.rows:
@@ -63,21 +85,10 @@ class RowMapping(abc.ABC):
 class IdentityMapping(RowMapping):
     """Logical addresses equal physical addresses."""
 
-    def to_physical(self, logical: int) -> int:
-        self._check(logical)
+    def _forward(self, logical):
         return logical
 
-    def to_logical(self, physical: int) -> int:
-        self._check(physical)
-        return physical
-
-
-@dataclass(frozen=True)
-class _XorSpec:
-    """Parameters of an XOR scramble: target bit receives XOR of source."""
-
-    target_bit: int
-    source_bit: int
+    _inverse = _forward
 
 
 class XorScrambleMapping(RowMapping):
@@ -95,63 +106,52 @@ class XorScrambleMapping(RowMapping):
             raise ValueError("target and source bits must differ")
         if rows <= max(1 << target_bit, 1 << source_bit):
             raise ValueError("scrambled bits exceed the row address width")
-        self._spec = _XorSpec(target_bit, source_bit)
+        self.target_bit = target_bit
+        self.source_bit = source_bit
 
-    def to_physical(self, logical: int) -> int:
-        self._check(logical)
-        if logical & (1 << self._spec.source_bit):
-            return logical ^ (1 << self._spec.target_bit)
-        return logical
+    def _forward(self, logical):
+        return logical ^ (((logical >> self.source_bit) & 1)
+                          << self.target_bit)
 
-    def to_logical(self, physical: int) -> int:
-        self._check(physical)
-        return self.to_physical(physical)  # involution
+    _inverse = _forward  # involution
 
 
 class MirrorOddMapping(RowMapping):
     """Low-bit swap inside 4-row groups (the "mirrored" vendor layout).
 
     Odd/even pairs inside each 4-row group are reordered as
-    ``0, 1, 2, 3 -> 0, 2, 1, 3`` physically, a pattern observed on several
-    DDR4 vendors and adopted here as a third distinct family.
+    ``0, 1, 2, 3 -> 0, 2, 1, 3`` physically (address bits 0 and 1
+    swap), a pattern observed on several DDR4 vendors and adopted here
+    as a third distinct family.
     """
 
-    _PERMUTATION = (0, 2, 1, 3)
+    def _forward(self, logical):
+        return (logical & ~0x3) | ((logical & 0x1) << 1) \
+            | ((logical >> 1) & 0x1)
 
-    def to_physical(self, logical: int) -> int:
-        self._check(logical)
-        group = logical & ~0x3
-        return group | self._PERMUTATION[logical & 0x3]
-
-    def to_logical(self, physical: int) -> int:
-        self._check(physical)
-        return self.to_physical(physical)  # the permutation is an involution
+    _inverse = _forward  # the bit swap is an involution
 
 
 class BlockInterleaveMapping(RowMapping):
     """Even/odd interleave inside 8-row groups.
 
     Physically, logical rows ``0..7`` of each group land at
-    ``0, 2, 4, 6, 1, 3, 5, 7`` — the layout some vendors use to pair
-    true- and anti-cell rows.  Unlike the XOR/mirror involutions, the
-    displacement between logically and physically adjacent rows can
-    exceed 2, so a memory controller that assumes an identity mapping
-    refreshes rows that are *never* the real victims (the
-    hiding-internal-topology cost quantified in the defense ablation).
+    ``0, 2, 4, 6, 1, 3, 5, 7`` (the low three address bits rotate left
+    by one) — the layout some vendors use to pair true- and anti-cell
+    rows.  Unlike the XOR/mirror involutions, the displacement between
+    logically and physically adjacent rows can exceed 2, so a memory
+    controller that assumes an identity mapping refreshes rows that are
+    *never* the real victims (the hiding-internal-topology cost
+    quantified in the defense ablation).
     """
 
-    _TO_PHYSICAL = (0, 2, 4, 6, 1, 3, 5, 7)
-    _TO_LOGICAL = (0, 4, 1, 5, 2, 6, 3, 7)
+    def _forward(self, logical):
+        return (logical & ~0x7) | ((logical & 0x3) << 1) \
+            | ((logical >> 2) & 0x1)
 
-    def to_physical(self, logical: int) -> int:
-        self._check(logical)
-        group = logical & ~0x7
-        return group | self._TO_PHYSICAL[logical & 0x7]
-
-    def to_logical(self, physical: int) -> int:
-        self._check(physical)
-        group = physical & ~0x7
-        return group | self._TO_LOGICAL[physical & 0x7]
+    def _inverse(self, physical):
+        return (physical & ~0x7) | ((physical & 0x1) << 2) \
+            | ((physical >> 1) & 0x3)
 
 
 MAPPING_FAMILIES = {

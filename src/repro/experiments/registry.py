@@ -58,6 +58,13 @@ SHARDABLE = {
 }
 
 
+#: Unshardable experiments the pool runner submits before the other
+#: unshardable ones: fig15, the critical path of a ``-j 2`` paper sweep.
+#: A long id that waits behind short ones delays the end of the whole
+#: run.
+LONG_RUNNING = frozenset({"fig15"})
+
+
 def shard_units(experiment_id: str) -> Optional[int]:
     """Sweep-unit count of a shardable experiment (None otherwise)."""
     module = SHARDABLE.get(experiment_id)

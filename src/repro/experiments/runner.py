@@ -984,11 +984,14 @@ def _run_pool(tasks: Deque[_Task], records: List[RunRecord], jobs: int,
     completions: "queue_module.Queue[PoolJob]" = queue_module.Queue()
     #: shard-job invocation id -> (group, shard index).
     groups: Dict[int, Tuple[_ShardGroup, int]] = {}
-    # Indivisible invocations (fan-out 1) are submitted first, in request
-    # order: they cannot be split, so they start at once while the shard
-    # jobs — divisible work — backfill whichever slot frees up.  Records,
-    # merges and report order stay in request order (by record index).
-    ordered = sorted(tasks, key=lambda task: fanouts[task.index] > 1)
+    # Indivisible invocations (fan-out 1) are submitted first, longest
+    # first (``registry.LONG_RUNNING``, then request order): they cannot
+    # be split, so they start at once while the shard jobs — divisible
+    # work — backfill whichever slot frees up.  Records, merges and
+    # report order stay in request order (by record index).
+    ordered = sorted(tasks, key=lambda task: (
+        fanouts[task.index] > 1,
+        task.experiment_id not in registry.LONG_RUNNING))
     try:
         submitted = 0
         for task in ordered:

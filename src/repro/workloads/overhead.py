@@ -8,7 +8,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.chips.profiles import ChipProfile
-from repro.defenses.base import (DefendedDevice, MitigationController,
+from repro.defenses.base import (DefendedDevice, HammerTable,
+                                 MitigationController,
                                  replay_hammer_stream)
 from repro.dram.geometry import RowAddress
 from repro.dram.trr import TrrConfig
@@ -59,8 +60,8 @@ def measure_benign_overhead(
     start_ns = device.now_ns
     t_refi = device.timings.t_refi
     replay_hammer_stream(
-        target, (((address, count, None),)
-                 for address, count in trace.addresses()),
+        target, HammerTable(trace.channel, trace.pseudo_channel,
+                            trace.bank, *trace.columns()),
         trace.channel, trace.pseudo_channel, start_ns + t_refi, t_refi)
     # Integrity spot check: benign rows must read back what was written.
     corrupted = 0

@@ -9,12 +9,12 @@ counts per scheduling epoch.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.dram.geometry import RowAddress
 
 
 @dataclass
@@ -47,12 +47,13 @@ class AccessTrace:
             return 0.0
         return max(totals.values()) / self.total_activations
 
-    def addresses(self) -> Iterator[Tuple[RowAddress, int]]:
-        """Iterate (address, count) in trace order."""
-        for epoch in self.epochs:
-            for row, count in epoch:
-                yield (RowAddress(self.channel, self.pseudo_channel,
-                                  self.bank, row), count)
+    def columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, counts)`` of every entry in trace order, as int64
+        arrays."""
+        flat = np.fromiter(itertools.chain.from_iterable(
+            itertools.chain.from_iterable(self.epochs)), dtype=np.int64)
+        rows, counts = flat.reshape(-1, 2).T
+        return rows, counts
 
 
 def benign_trace(total_activations: int = 100_000,

@@ -15,6 +15,7 @@ fault-hit command or a traced device takes the scalar path.
 
 import dataclasses
 import hashlib
+import importlib
 import json
 
 import numpy as np
@@ -24,7 +25,8 @@ from repro.defenses import (BlockHammer, DefendedDevice, Graphene, Para,
                             RowPressAwarePara, burst_double_sided,
                             defended_session, para_probability_for,
                             pick_vulnerable_victim, rowpress_burst)
-from repro.defenses.base import STREAM_TALLY, replay_hammer_stream
+from repro.defenses.base import (STREAM_TALLY, HammerTable,
+                                 replay_hammer_stream)
 from repro.dram.geometry import RowAddress
 from repro.errors import PlatformHangError
 from repro.faults import FaultPlan, FaultyStack, clear_plan, install_plan
@@ -47,12 +49,13 @@ DEFENSES = ("none", "PARA", "RowPress-PARA", "Graphene", "BlockHammer")
 
 
 def _benign(session, victim):
+    """The benign replay as ``measure_benign_overhead`` issues it."""
     trace = benign_trace(total_activations=2_000)
     device = session.device
     t_refi = device.timings.t_refi
     return replay_hammer_stream(
-        device, (((address, count, None),)
-                 for address, count in trace.addresses()),
+        device, HammerTable(trace.channel, trace.pseudo_channel,
+                            trace.bank, *trace.columns()),
         trace.channel, trace.pseudo_channel, device.now_ns + t_refi,
         t_refi)
 
@@ -225,9 +228,41 @@ def test_traced_device_takes_the_scalar_path(chip0, victim, monkeypatch):
 
 def test_ext_defenses_takes_the_fast_path(monkeypatch):
     """ext-defenses at 0.1 under the CI chaos plan: at most 0.1% of the
-    stream's hammers fall back to the scalar path."""
+    stream's hammers fall back to the scalar path, a benign replay
+    resolves at most its distinct (row, count) pairs, and each RowPress
+    step's catch-up is one REF burst (plus one more per faulted REF)."""
+    from repro.experiments import ext_defense_matrix
     from repro.experiments.registry import run_experiment
+    from repro.workloads import measure_benign_overhead
 
+    evaluate_module = importlib.import_module("repro.defenses.evaluate")
+    benign = []
+    rowpress = []
+
+    def spy_benign(chip, factory, name, trace):
+        before = dataclasses.replace(STREAM_TALLY)
+        report = measure_benign_overhead(chip, factory, name, trace)
+        entries = [entry for epoch in trace.epochs for entry in epoch]
+        benign.append((STREAM_TALLY.plans - before.plans,
+                       len(set(entries)),
+                       STREAM_TALLY.hammers - before.hammers,
+                       len(entries)))
+        return report
+
+    def spy_rowpress(session, victim):
+        before = dataclasses.replace(STREAM_TALLY)
+        seen = len(session.device.events)
+        flips = rowpress_burst(session, victim)
+        ref_faults = sum(event.command == "REF"
+                         for event in session.device.events[seen:])
+        rowpress.append((STREAM_TALLY.ref_bursts - before.ref_bursts,
+                         ref_faults))
+        return flips
+
+    monkeypatch.setattr(ext_defense_matrix, "measure_benign_overhead",
+                        spy_benign)
+    monkeypatch.setitem(evaluate_module.ATTACKS, "rowpress_burst",
+                        spy_rowpress)
     monkeypatch.setenv("HBMSIM_FAULTS", json.dumps(CI_PLAN))
     monkeypatch.setenv("HBMSIM_BATCH", "1")
     STREAM_TALLY.reset()
@@ -235,6 +270,56 @@ def test_ext_defenses_takes_the_fast_path(monkeypatch):
     assert STREAM_TALLY.hammers > 100_000
     assert STREAM_TALLY.scalar_hammers <= STREAM_TALLY.hammers // 1000
     assert STREAM_TALLY.scalar_refs <= STREAM_TALLY.refs // 1000
+    assert len(benign) == len(rowpress) == len(DEFENSES)
+    for plans, pairs, hammers, entries in benign:
+        assert 0 < plans <= pairs < entries == hammers
+    steps = 4096 // 8  # rowpress_burst's defaults: one step per chunk
+    for bursts, ref_faults in rowpress:
+        assert steps <= bursts <= steps + ref_faults
+
+
+def test_table_resolves_each_distinct_pair_once(chip0):
+    trace = benign_trace(total_activations=3_000)
+    entries = [entry for epoch in trace.epochs for entry in epoch]
+    rows, counts = trace.columns()
+    assert list(zip(rows.tolist(), counts.tolist())) == entries
+    table = HammerTable(0, 1, 2, rows, counts)
+    assert [step for step in table] == [
+        ((RowAddress(0, 1, 2, row), count, None),)
+        for row, count in entries]
+    device = chip0.make_device()
+    STREAM_TALLY.reset()
+    resolved = list(table.resolve(device))
+    assert STREAM_TALLY.plans == len(set(entries))
+    for (step, plans), (row, count) in zip(resolved, entries):
+        assert step is None
+        assert plans == (device.hammer_plan(RowAddress(0, 1, 2, row),
+                                            count),)
+
+
+@pytest.mark.parametrize("defense", ["none", "Graphene"])
+def test_out_of_range_entry_fails_in_order(chip0, victim, defense,
+                                           monkeypatch):
+    """A table entry the device rejects raises at its turn, after every
+    earlier entry took effect, exactly as the reference loop does."""
+    rows = [100, 101, 2_000, 16_384, 300]
+    counts = [3, 1, 2, 1, 1]
+
+    def run(batch):
+        monkeypatch.setenv("HBMSIM_BATCH", batch)
+        install_plan(FaultPlan(**CI_PLAN))
+        controller = _controller(chip0, defense)
+        session = defended_session(chip0, controller)
+        table = HammerTable(0, 0, 0, rows, counts)
+        with pytest.raises(ValueError, match="row 16384 out of range"):
+            replay_hammer_stream(session.device, table, 0, 0, 1.0e9,
+                                 3900.0)
+        clear_plan()
+        return _state(session.device, controller, None)
+
+    batched = run("1")
+    assert batched == run("0")
+    assert batched["stats"]["acts"] == sum(counts[:3])
 
 
 def test_zero_count_hammer_takes_the_scalar_path(chip0, victim,

@@ -13,6 +13,8 @@ a heavy plan faults enough catch-ups to tell the two apart.)
 """
 
 import dataclasses
+import math
+import random
 
 import pytest
 
@@ -99,3 +101,65 @@ def test_batched_catch_up_matches_scalar(chip0, victim, plan, defense,
         # not exercise the stepped path.
         assert {event.fault for event in scalar["events"]
                 if event.command == "REF"} == {"drop", "ghost"}
+
+
+def _owed_by_loop(now_ns, next_ref_ns, t_rfc, t_refi):
+    """The per-REF loop's count and the deadlines it passes."""
+    deadlines = [next_ref_ns]
+    while now_ns >= next_ref_ns:
+        now_ns += t_rfc
+        next_ref_ns += t_refi
+        deadlines.append(next_ref_ns)
+    return len(deadlines) - 1, deadlines
+
+
+def _tie(next_ref_ns, owed, t_rfc, t_refi):
+    """A clock whose loop lands exactly on a deadline after ``owed``
+    REFs (``clock == deadline`` still owes one more), or None."""
+    deadline = next_ref_ns
+    for __ in range(owed):
+        deadline += t_refi
+    guess = deadline - owed * t_rfc
+    for __ in range(64):
+        clock = guess
+        for __ in range(owed):
+            clock += t_rfc
+        if clock == deadline:
+            return guess
+        guess = math.nextafter(guess, math.inf if clock < deadline
+                               else -math.inf)
+    return None
+
+
+def test_owed_refs_matches_the_per_ref_loop():
+    """The accumulated count is the loop's, deadline for deadline,
+    including a clock exactly on a deadline (``>=`` owes that REF)."""
+    from repro.defenses.base import _owed_refs
+
+    rng = random.Random(11)
+    cases = []
+    for t_rfc, t_refi in ((350.0, 3900.0), (350.0, 3900.1),
+                          (295.3, 1953.125)):
+        for owed in (1, 2, 3, 4, 7, 144, 1000):
+            for next_ref_ns in (t_refi, 1.0e6 + 0.1, 12345678.9):
+                tie = _tie(next_ref_ns, owed, t_rfc, t_refi)
+                if tie is not None:
+                    cases.append((tie, next_ref_ns, t_rfc, t_refi))
+        for __ in range(300):
+            next_ref_ns = rng.uniform(0.0, 6.4e7)
+            gap = rng.choice((rng.uniform(0.0, 3 * t_refi),
+                              rng.uniform(0.0, 1.0e6),
+                              rng.uniform(0.0, 6.4e7)))
+            cases.append((next_ref_ns + gap, next_ref_ns, t_rfc, t_refi))
+    ties = 0
+    for now_ns, next_ref_ns, t_rfc, t_refi in cases:
+        owed, deadlines = _owed_refs(now_ns, next_ref_ns, t_rfc, t_refi)
+        expected, passed = _owed_by_loop(now_ns, next_ref_ns, t_rfc,
+                                         t_refi)
+        assert owed == expected
+        assert deadlines[:owed + 1].tolist() == passed
+        clock = now_ns
+        for __ in range(owed - 1):
+            clock += t_rfc
+        ties += clock == passed[owed - 1]
+    assert ties >= 40  # the exact-tie cases really hit a deadline

@@ -116,8 +116,27 @@ class TestHBM2Geometry:
         {"channel": 0, "pseudo_channel": 0, "bank": 0, "row": 16384},
     ])
     def test_check_address_rejects_invalid(self, kwargs):
+        assert not DEFAULT_GEOMETRY.contains(**kwargs)
         with pytest.raises(ValueError):
             DEFAULT_GEOMETRY.check_address(**kwargs)
+
+    @pytest.mark.parametrize("coordinate", ["channel", "pseudo_channel",
+                                            "bank", "row"])
+    def test_contains_is_each_coordinate_in_range(self, coordinate):
+        """``contains`` and ``check_address`` apply one rule: every
+        coordinate at -1, 0, limit - 1 and limit, the others valid."""
+        limit = {"channel": 8, "pseudo_channel": 2, "bank": 16,
+                 "row": 16384}[coordinate]
+        for value in (-1, 0, limit - 1, limit):
+            address = {"channel": 0, "pseudo_channel": 0, "bank": 0,
+                       "row": 0, coordinate: value}
+            inside = 0 <= value < limit
+            assert DEFAULT_GEOMETRY.contains(**address) is inside
+            if inside:
+                DEFAULT_GEOMETRY.check_address(**address)
+            else:
+                with pytest.raises(ValueError, match="out of range"):
+                    DEFAULT_GEOMETRY.check_address(**address)
 
     def test_iter_banks_counts(self):
         assert len(list(DEFAULT_GEOMETRY.iter_banks())) == 256
@@ -187,3 +206,18 @@ class TestNeighbors:
                 reference_neighbors(layout, victim, radius), victim
         if expected is not None:
             assert layout.neighbors(row, radius) == expected
+
+    @pytest.mark.parametrize("layout", [SubarrayLayout(), ODD_LAYOUT],
+                             ids=["default", "odd"])
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_clipped_rows_are_the_short_neighborhoods(self, layout,
+                                                      radius):
+        """``clipped_rows`` names exactly the rows whose neighborhood
+        is not the full ``row - radius .. row + radius`` range."""
+        clipped = layout.clipped_rows(radius)
+        for row in range(layout.rows):
+            full = tuple((row + offset, abs(offset))
+                         for offset in range(-radius, radius + 1)
+                         if offset)
+            assert (layout.neighbors(row, radius) != full) == \
+                (row in clipped), row

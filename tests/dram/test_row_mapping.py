@@ -1,5 +1,6 @@
 """Tests for logical-to-physical row mappings."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,37 @@ class TestBijectivity:
         for mapping in all_mappings():
             image = {mapping.to_physical(r) for r in range(2048)}
             assert image == set(range(2048))
+
+
+class TestArrayForm:
+    @pytest.mark.parametrize("family", sorted(MAPPING_FAMILIES))
+    def test_array_matches_scalar_on_every_row(self, family):
+        """The array form is the scalar mapping, row for row."""
+        mapping = make_mapping(family, _ROWS)
+        rows = np.arange(_ROWS, dtype=np.int64)
+        physical = mapping.to_physical_array(rows)
+        assert physical.dtype == np.int64
+        assert physical.tolist() == [mapping.to_physical(row)
+                                     for row in range(_ROWS)]
+        assert mapping.to_physical_array([5]).tolist() == \
+            [mapping.to_physical(5)]
+
+    @pytest.mark.parametrize("family", sorted(MAPPING_FAMILIES))
+    def test_families_keep_their_permutations(self, family):
+        """The bit arithmetic spells each family's documented 8-row
+        pattern (repeated every 8 rows)."""
+        pattern = {
+            "IdentityMapping": (0, 1, 2, 3, 4, 5, 6, 7),
+            "XorScrambleMapping": (0, 1, 2, 3, 6, 7, 4, 5),
+            "MirrorOddMapping": (0, 2, 1, 3, 4, 6, 5, 7),
+            "BlockInterleaveMapping": (0, 2, 4, 6, 1, 3, 5, 7),
+        }[family]
+        mapping = make_mapping(family, _ROWS)
+        for base in (0, 8, _ROWS - 8):
+            assert [mapping.to_physical(base + low) for low in range(8)] \
+                == [base + value for value in pattern]
+            assert [mapping.to_logical(base + value) for value in pattern] \
+                == [base + low for low in range(8)]
 
 
 class TestIdentity:

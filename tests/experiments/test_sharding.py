@@ -174,6 +174,25 @@ class TestPoolFanout:
         assert all(r.status == "ok" for r in records)
         assert [r.text for r in pooled] == [r.text for r in serial]
 
+    def test_long_indivisible_invocations_submitted_first(self):
+        """fig15 is the sweep's critical path: it goes ahead of the short
+        indivisible ids it follows in the request; records and reports
+        keep request order."""
+        ids = ["table1", "fig03", "fig15", "fig05"]
+        assert set(ids) & registry.LONG_RUNNING == {"fig15"}
+        serial, __ = run_timed(ids, SCALE, jobs=1)
+        pooled, records, calls = self._pooled_submits(ids)
+        assert calls == [("fig15", None), ("table1", None),
+                         ("fig03", None), ("fig05", "0/2"),
+                         ("fig05", "1/2")]
+        assert [r.experiment_id for r in records] == ids
+        assert all(r.status == "ok" for r in records)
+        assert [r.text for r in pooled] == [r.text for r in serial]
+
+    def test_long_running_ids_are_unshardable_registry_ids(self):
+        assert registry.LONG_RUNNING <= set(registry.known_ids())
+        assert not registry.LONG_RUNNING & set(registry.SHARDABLE)
+
     def test_all_shardable_request_keeps_submit_order(self):
         __, __, calls = self._pooled_submits(["fig07", "fig05"])
         assert calls == [("fig07", "0/2"), ("fig07", "1/2"),
