@@ -12,12 +12,16 @@ whole REF-to-REF windows:
   channel) becomes an :class:`EpochSegment`; everything else stays in
   :class:`ScalarSegment` s and runs through per-command dispatch exactly
   as the interpreter would,
-- an :class:`EpochSegment` replays the device physics (commit points,
-  neighbor disturbance, TRR victim refreshes, rolling-refresh sweeps,
-  retention clocks, the float-accumulation order of the device clock)
-  against small per-row mirrors, driving
+- an :class:`EpochSegment` replays the device's commit points, TRR
+  victim refreshes, rolling-refresh sweeps and the float-accumulation
+  order of the device clock, driving
   :meth:`~repro.dram.trr.TrrEngine.run_epochs` for the sampler — no
-  per-command Python dispatch on the steady state, bit-identical results,
+  per-command Python dispatch on the steady state, bit-identical
+  results.  Row physics is never re-implemented here: hammers resolve
+  through :meth:`~repro.dram.device.HBM2Stack.hammer_plan`, victim
+  refreshes through the device's ``_units_by_distance`` and
+  ``_subarray_reach``, and the device's own row states are restored by
+  its ``_restore``,
 - fault plans batch too: fault draws are pure functions of ``(seed, tag,
   command counter)`` and the counter layout of a compiled segment is
   static, so the plan's vectorized samplers classify every future window
@@ -51,19 +55,19 @@ from repro.bender.interpreter import ExecutionResult, pre_execution_gate
 from repro.bender.program import (Instruction, Loop, ReadRequest,
                                   TestProgram, _flatten)
 from repro.dram.commands import Command, CommandKind
-from repro.dram.device import HBM2Stack, _RowState, _latch_bits
+from repro.dram.device import HBM2Stack, HammerPlan
 from repro.dram.geometry import RowAddress
-from repro.dram.retention import RETENTION_FLOOR_NS
 from repro.faults import FaultPlan, active_plan, wrap_device
 from repro.faults.injector import FaultyStack
 
-#: Loops shorter than this stay scalar (mirror/schedule setup would cost
+#: Loops shorter than this stay scalar (plan/schedule setup would cost
 #: more than it saves; same threshold spirit as ``refresh_burst``).
 MIN_EPOCH_REPEATS = 4
 
 #: When more than this fraction of a segment's windows carry a fault
 #: hit, the whole segment executes per-command: fragmented spans would
-#: pay the mirror setup repeatedly for little batched work.
+#: pay the span setup (TRR schedule, sweep table) repeatedly for little
+#: batched work.
 MAX_DIRTY_FRACTION = 0.25
 
 
@@ -211,76 +215,17 @@ def dirty_window_mask(plan: FaultPlan, base_counter: int,
 # ----------------------------------------------------------------------
 
 
-class _RowMirror:
-    """Local physics state of one tracked (bank, row) during a span."""
-
-    __slots__ = ("address", "bank_key", "row", "state", "acc",
-                 "restored_at", "pattern", "min_threshold", "thresholds",
-                 "retention_floor")
-
-    def __init__(self, address: RowAddress) -> None:
-        self.address = address
-        self.bank_key = address.bank_key
-        self.row = address.row
-        self.state: Optional[_RowState] = None
-        self.acc = 0.0
-        self.restored_at = 0.0
-        self.pattern = "Rowstripe0"
-        self.min_threshold: Optional[float] = None
-        self.thresholds: Optional[np.ndarray] = None
-        self.retention_floor: Optional[float] = None
-
-    def sync(self, device: HBM2Stack) -> None:
-        state = device._rows.get(self.bank_key, {}).get(self.row)
-        self.state = state
-        if state is None:
-            self.acc = 0.0
-            self.restored_at = 0.0
-            self.pattern = "Rowstripe0"
-            self.min_threshold = None
-            self.thresholds = None
-            self.retention_floor = None
-        else:
-            self.acc = state.acc_units
-            self.restored_at = state.restored_at
-            self.pattern = state.pattern
-            self.min_threshold = state.min_threshold
-            self.thresholds = state.thresholds
-            self.retention_floor = state.retention_floor_ns
-
-    def writeback(self) -> None:
-        state = self.state
-        if state is None:
-            return
-        state.acc_units = self.acc
-        state.restored_at = self.restored_at
-        state.min_threshold = self.min_threshold
-        state.thresholds = self.thresholds
-        state.retention_floor_ns = self.retention_floor
-
-
 class _EpochContext:
     """Device-resolved static data of one epoch segment."""
 
     def __init__(self, device: HBM2Stack, segment: EpochSegment) -> None:
         self.device = device
         self.segment = segment
-        geometry = device.geometry
-        timings = device.timings
-        model = device.disturbance
-        self.layout = geometry.subarrays
-        self.temp = device.temperature_disturbance_factor()
-        self.accel = device.retention_acceleration()
-        self.blast = model.blast_radius
-        self.t_ras = timings.t_ras
-        self.t_rfc = timings.t_rfc
         self.pc_key = (segment.channel, segment.pseudo_channel)
         self.supported = True
-        # Static op template: ("H", entry) / ("R", None) / ("W", pad).
+        # Static op template: ("H", plan) / ("R", None) / ("W", pad).
         self.ops: List[Tuple[str, Any]] = []
-        #: (physical RowAddress, count, duration, [(bank, row, units)]).
-        self.entries: List[Tuple[RowAddress, int, float,
-                                 List[Tuple[int, int, float]]]] = []
+        self.plans: List[HammerPlan] = []
         self.epoch: Dict[int, List[Tuple[int, int]]] = {}
         self.acts_per_window = 0
         for command in segment.body:
@@ -295,68 +240,49 @@ class _EpochContext:
                 # A zero-count hammer is a device no-op; it only
                 # occupies a fault-counter slot (handled statically).
                 continue
-            logical = RowAddress(command.channel, command.pseudo_channel,
-                                 command.bank, command.row)
             try:
-                logical.validate(geometry)
+                plan = device.hammer_plan(
+                    RowAddress(command.channel, command.pseudo_channel,
+                               command.bank, command.row),
+                    command.count, command.t_on)
             except ValueError:
                 self.supported = False
                 return
-            physical = logical.with_row(
-                device.row_mapping.to_physical(logical.row))
-            effective_t_on = timings.t_ras if command.t_on is None \
-                else max(command.t_on, timings.t_ras)
-            duration = command.count * timings.act_to_act(effective_t_on)
-            neighbors: List[Tuple[int, int, float]] = []
-            for row, distance in self.layout.neighbors(physical.row,
-                                                       self.blast):
-                units = command.count * self.temp \
-                    * model.units_per_activation(effective_t_on, distance)
-                if units <= 0:
-                    continue
-                neighbors.append((physical.bank, row, units))
-            self.ops.append(("H", len(self.entries)))
-            self.entries.append((physical, command.count, duration,
-                                 neighbors))
-            self.epoch.setdefault(physical.bank, []).append(
-                (physical.row, command.count))
+            self.ops.append(("H", plan))
+            self.plans.append(plan)
+            self.epoch.setdefault(plan.physical.bank, []).append(
+                (plan.physical.row, command.count))
             self.acts_per_window += command.count
         # Both hammers (``on_activate``) and REFs (``refresh``) need the
         # pseudo channel's TRR engine; a missing one raises scalar-side,
         # which the per-command fallback reproduces.
-        if (segment.has_ref or self.entries) \
+        if (segment.has_ref or self.plans) \
                 and self.pc_key not in device._trr:
             self.supported = False
             return
         # Every hammered bank must be closed: the device would raise on
         # the first hammer, which the scalar fallback reproduces.
-        for physical, __, __dur, __n in self.entries:
-            bank = device._banks.get(physical.bank_key)
+        for plan in self.plans:
+            bank = device._banks.get(plan.physical.bank_key)
             if bank is not None and bank.open_row is not None:
                 self.supported = False
                 return
-        #: TRR victim-refresh disturbance per distance (count=1 @ tRAS).
-        self.trr_units = {
-            distance: (1 * self.temp)
-            * model.units_per_activation(self.t_ras, distance)
-            for distance in range(1, self.blast + 1)}
-        self._victim_neighbors: Dict[Tuple[int, int],
-                                     List[Tuple[int, int, float]]] = {}
+        #: Units one TRR victim refresh (one activation at tRAS) delivers
+        #: by distance, as ``HBM2Stack.refresh`` disturbs.
+        self._victim_units = device._units_by_distance(
+            1, device.timings.t_ras)
+        self._victim_reach: Dict[int, Tuple[Tuple[int, ...],
+                                            Tuple[float, ...]]] = {}
 
-    def victim_neighbors(self, bank: int,
-                         row: int) -> List[Tuple[int, int, float]]:
-        """Neighbor disturbance of one TRR victim refresh (cached)."""
-        key = (bank, row)
-        cached = self._victim_neighbors.get(key)
-        if cached is not None:
-            return cached
-        neighbors: List[Tuple[int, int, float]] = []
-        for other, distance in self.layout.neighbors(row, self.blast):
-            units = self.trr_units[distance]
-            if units > 0:
-                neighbors.append((bank, other, units))
-        self._victim_neighbors[key] = neighbors
-        return neighbors
+    def victim_reach(self, row: int
+                     ) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
+        """Neighbor offsets and units of one TRR victim refresh of a
+        physical row (cached)."""
+        reach = self._victim_reach.get(row)
+        if reach is None:
+            reach = self._victim_reach[row] = self.device._subarray_reach(
+                row, self._victim_units)
+        return reach
 
 
 class PlanExecutor:
@@ -464,34 +390,24 @@ class PlanExecutor:
     def _replay_span(self, context: _EpochContext, span: int) -> None:
         """Replay ``span`` identical clean windows against the device.
 
-        Mirrors the device's physics exactly — the commit points of
-        ``hammer`` (before disturbance), TRR victim refreshes then
-        rolling sweeps within each REF, the same float expressions in
-        the same order for the clock and the disturbance accumulators —
-        against per-row mirrors, then writes the survivors back.
+        Works on the device's own row states at the scalar path's
+        commit points: an activation (a hammer or a TRR victim refresh)
+        restores its row with :meth:`~repro.dram.device.HBM2Stack._restore`
+        and then adds its plan's units to the neighbors, and a REF runs
+        its victim refreshes before its rolling sweeps.  The clock takes
+        the same float adds in the same order.  What is batched is the
+        schedule: the TRR sampler consumes whole epochs, and the rolling
+        sweeps visit only rows that can be materialized during the span.
         """
         device = context.device
         segment = context.segment
-        geometry = device.geometry
-        timings = device.timings
         channel, pc = context.pc_key
-        retention = device.retention
-        provider = device.profile_provider
-        accel = context.accel
-        stats = device.stats
-        row_bits = geometry.row_bits
-        rows_total = geometry.rows
-
-        mirrors: Dict[Tuple[int, int], _RowMirror] = {}
-
-        def mirror(bank: int, row: int) -> _RowMirror:
-            key = (bank, row)
-            existing = mirrors.get(key)
-            if existing is None:
-                existing = _RowMirror(RowAddress(channel, pc, bank, row))
-                existing.sync(device)
-                mirrors[key] = existing
-            return existing
+        rows_total = device.geometry.rows
+        t_rfc = device.timings.t_rfc
+        restore = device._restore
+        blank_row = device._blank_row
+        ref_times = device._pc_ref_time[context.pc_key]
+        last_swept = ref_times.item
 
         # TRR: fold the span's activation stream into the sampler.  With
         # a REF per window the engine consumes whole epochs (mutating
@@ -508,147 +424,115 @@ class PlanExecutor:
                 engine.note_window(
                     bank, [(row, count * span) for row, count in pairs])
 
-        # Resolve ops against span-local mirrors.
-        ops: List[Tuple[str, Any, Any]] = []
+        # Each row the span can touch is held once, as [state, bank rows,
+        # row, address]: its _RowState, or None until a disturbance
+        # materializes it with a blank row, as `_add_units` would.
+        # Creating the bank dicts up front matches the scalar path at
+        # the span's end, where the first activation has created them.
+        held: Dict[Tuple[int, int], List[Any]] = {}
+
+        def hold(bank: int, row: int) -> List[Any]:
+            holder = held.get((bank, row))
+            if holder is None:
+                rows = device._rows.setdefault((channel, pc, bank), {})
+                holder = held[(bank, row)] = [
+                    rows.get(row), rows, row,
+                    RowAddress(channel, pc, bank, row)]
+            return holder
+
+        def resolve(bank: int, row: int, offsets: Tuple[int, ...],
+                    units: Tuple[float, ...]) -> Tuple[Any, Any]:
+            """An activation's row and its neighbors' (holder, units)."""
+            return hold(bank, row), [
+                (hold(bank, row + offset), unit)
+                for offset, unit in zip(offsets, units)]
+
+        def activate(holder: List[Any], targets: List[Any],
+                     now: float) -> int:
+            """Restore a held row at ``now``, then disturb its
+            neighbors; returns the bits latched."""
+            state = holder[0]
+            flips = 0 if state is None else restore(
+                holder[3], state, now, last_swept(holder[2]))
+            for target, unit in targets:
+                state = target[0]
+                if state is None:
+                    state = target[0] = target[1][target[2]] = blank_row()
+                state.acc_units += unit
+            return flips
+
+        ops: List[Tuple[str, Any, float]] = []
         for kind, payload in context.ops:
             if kind == "H":
-                physical, __count, duration, neighbors = \
-                    context.entries[payload]
-                entry_mirror = mirror(physical.bank, physical.row)
-                resolved = [(mirror(bank, row), units)
-                            for bank, row, units in neighbors]
-                ops.append(("H", (entry_mirror, resolved), duration))
+                physical = payload.physical
+                ops.append(("H", resolve(
+                    physical.bank, physical.row, payload.offsets,
+                    payload.units), payload.duration))
             elif kind == "R":
                 ops.append(("R", None, 0.0))
             else:
                 ops.append(("W", None, payload))
-        victim_info: Dict[Tuple[int, int],
-                          Tuple[_RowMirror,
-                                List[Tuple[_RowMirror, float]]]] = {}
+        victims: Dict[Tuple[int, int], Tuple[Any, Any]] = {}
         for window_victims in schedule.values():
             for bank, row in window_victims:
-                if (bank, row) in victim_info:
-                    continue
-                resolved = [(mirror(nb, nr), units) for nb, nr, units
-                            in context.victim_neighbors(bank, row)]
-                victim_info[(bank, row)] = (mirror(bank, row), resolved)
+                if (bank, row) not in victims:
+                    victims[(bank, row)] = resolve(
+                        bank, row, *context.victim_reach(row))
 
-        ref_times = device._pc_ref_time[context.pc_key]
         pointer = device._ref_pointer[context.pc_key]
-        per_ref = timings.rows_refreshed_per_ref
-        sweeps: Dict[int, List[Tuple[int, _RowMirror]]] = {}
-        ref_starts: List[float] = []
+        per_ref = device.rows_refreshed_per_ref
+        #: REF index -> (slot in the REF, the swept row's holders).
+        sweeps: Dict[int, List[Tuple[int, List[List[Any]]]]] = {}
         if segment.has_ref:
-            # Rolling sweeps must commit every materialized row in the
-            # pseudo channel, so they all need mirrors.
-            for bank in range(geometry.banks):
-                bank_rows = device._rows.get((channel, pc, bank))
-                if bank_rows:
-                    for row in list(bank_rows):
-                        mirror(bank, row)
-            by_row: Dict[int, List[_RowMirror]] = {}
-            for (bank, row), m in sorted(mirrors.items()):
-                by_row.setdefault(row, []).append(m)
+            # A rolling sweep restores every materialized row it reaches:
+            # those materialized now and those the span may materialize.
+            for key, rows in list(device._rows.items()):
+                if key[:2] == context.pc_key:
+                    for row in rows:
+                        hold(key[2], row)
+            by_row: Dict[int, List[List[Any]]] = {}
+            for (__bank, row), holder in sorted(held.items()):
+                by_row.setdefault(row, []).append(holder)
             slots = span * per_ref
-            for row, row_mirrors in by_row.items():
+            for row, holders in by_row.items():
                 slot = (row - pointer) % rows_total
                 while slot < slots:
                     sweeps.setdefault(slot // per_ref, []).append(
-                        (slot % per_ref, row_mirrors))  # type: ignore[arg-type]
+                        (slot % per_ref, holders))
                     slot += rows_total
             for events in sweeps.values():
                 events.sort(key=lambda event: event[0])
 
-        def commit(m: _RowMirror, time: float) -> None:
-            """Mirror ``_commit`` / ``_pending_flip_bits`` exactly."""
-            state = m.state
-            parts: Optional[List[np.ndarray]] = None
-            if m.acc > 0:
-                if m.min_threshold is None:
-                    m.min_threshold = provider.disturbance_floor(
-                        m.address, m.pattern)
-                if m.acc >= m.min_threshold:
-                    if m.thresholds is None:
-                        m.thresholds = provider.profile(
-                            m.address, m.pattern).materialize()
-                    parts = [np.flatnonzero(m.thresholds <= m.acc)]
-            if retention is not None:
-                reference = device.last_rolling_refresh_ns(m.address)
-                if m.restored_at > reference:
-                    reference = m.restored_at
-                effective = (time - reference) * accel
-                if effective >= RETENTION_FLOOR_NS:
-                    if m.retention_floor is None:
-                        m.retention_floor = retention.row_retention_ns(
-                            m.address)
-                    if effective >= m.retention_floor:
-                        bits = retention.failing_bits(m.address, effective)
-                        parts = [bits] if parts is None else parts + [bits]
-            if parts:
-                candidates = np.unique(
-                    np.concatenate(parts)).astype(np.int64)
-                assert state is not None
-                if state.already_flipped is not None:
-                    candidates = candidates[
-                        ~state.already_flipped[candidates]]
-                if candidates.size:
-                    if state.already_flipped is None:
-                        state.already_flipped = np.zeros(row_bits,
-                                                         dtype=bool)
-                    _latch_bits(state, candidates)
-                    state.already_flipped[candidates] = True
-                    stats.committed_bitflips += int(candidates.size)
-            m.acc = 0.0
-            m.restored_at = time
-
-        def materialize(m: _RowMirror) -> None:
-            state = device._blank_row()
-            device._rows.setdefault(m.bank_key, {})[m.row] = state
-            m.state = state
-            m.acc = 0.0
-            m.restored_at = 0.0
-            m.pattern = "Rowstripe0"
-
         now = device.now_ns
+        flips = 0
         trr_refreshes = 0
+        ref_starts: List[float] = []
         for w in range(span):
             for kind, payload, duration in ops:
                 if kind == "H":
-                    entry_mirror, neighbors = payload
-                    if entry_mirror.state is not None:
-                        commit(entry_mirror, now)
-                    for nm, units in neighbors:
-                        if nm.state is None:
-                            materialize(nm)
-                        nm.acc += units
+                    flips += activate(*payload, now)
                     now += duration
                 elif kind == "R":
                     window_victims = schedule.get(w + 1)
                     if window_victims:
-                        for bank, row in window_victims:
-                            vm, vneighbors = victim_info[(bank, row)]
-                            if vm.state is not None:
-                                commit(vm, now)
-                            for nm, units in vneighbors:
-                                if nm.state is None:
-                                    materialize(nm)
-                                nm.acc += units
-                            trr_refreshes += 1
+                        for key in window_victims:
+                            flips += activate(*victims[key], now)
+                        trr_refreshes += len(window_victims)
                     ref_starts.append(now)
-                    swept = sweeps.get(w)
-                    if swept:
-                        for __offset, row_mirrors in swept:
-                            ref_times[row_mirrors[0].row] = now
-                            for bm in row_mirrors:
-                                if bm.state is not None:
-                                    commit(bm, now)
-                    now += context.t_rfc
+                    for __slot, holders in sweeps.get(w, ()):
+                        ref_times[holders[0][2]] = now
+                        for holder in holders:
+                            state = holder[0]
+                            if state is not None:
+                                flips += restore(holder[3], state, now,
+                                                 last_swept(holder[2]))
+                    now += t_rfc
                 else:
                     now += duration
 
-        for m in mirrors.values():
-            m.writeback()
+        stats = device.stats
         device.now_ns = now
+        stats.committed_bitflips += flips
         if context.acts_per_window:
             stats.acts += context.acts_per_window * span
             stats.pres += context.acts_per_window * span

@@ -29,7 +29,8 @@ from repro.chips.profiles import ChipProfile
 from repro.core import analytic, metrics
 from repro.core.patterns import CHECKERED0, DataPattern
 from repro.dram.batch import EpochPlan
-from repro.dram.device import ROW_IO_NS, classify_victim_pattern
+from repro.dram.device import (ROW_IO_NS, _RowState,
+                               classify_victim_pattern)
 from repro.dram.geometry import RowAddress
 from repro.dram.timing import DEFAULT_TIMINGS, TimingParameters
 
@@ -153,9 +154,12 @@ def run_attack_epochs(session: BenderSession,
     step (:meth:`~repro.dram.trr.TrrEngine.run_epochs` on a sampler
     clone), and replays only the events that touch the victim row:
     per-window aggressor disturbance, TRR victim refreshes within blast
-    radius, rolling-refresh sweeps, and the final read's commit — with
-    the exact float-accumulation order of the command engine, so the
-    returned bitflip count is bit-identical to the scalar path.
+    radius, rolling-refresh sweeps, and the final read's commit.  The
+    victim is a detached row state restored by the device's own
+    :meth:`~repro.dram.device.HBM2Stack._restore`, its disturbance
+    comes from the device's ``_units_by_distance``, and the clock takes
+    the command engine's float adds in order, so the returned bitflip
+    count is bit-identical to the scalar path.
 
     Like the batch engine, this is a *measurement surface*: it reads the
     device's clock, rolling-refresh pointer and TRR sampler but mutates
@@ -166,34 +170,24 @@ def run_attack_epochs(session: BenderSession,
     device = session.device
     geometry = device.geometry
     timings = config.timings
-    model = device.disturbance
     victim = victim_physical.validate(geometry)
     if len(session.aggressors_of(victim)) != 2:
         raise ValueError("victim must have two in-bank neighbors")
     dummies = dummy_rows_for(victim, config, geometry.rows)
 
-    temp = device.temperature_disturbance_factor()
-    blast = model.blast_radius
     # Rows whose activation disturbs the victim -> distance (disturbance
     # reach is symmetric, so these are the victim's own neighbors).
-    reach = dict(geometry.subarrays.neighbors(victim.row, blast))
+    reach = dict(geometry.subarrays.neighbors(
+        victim.row, device.disturbance.blast_radius))
     t_ras = timings.t_ras
-    retention = device.retention
-    accel = device.retention_acceleration()
 
     expected = np.asarray(pattern.victim_row(geometry.row_bytes),
                           dtype=np.uint8)
-    pattern_name = classify_victim_pattern(expected)
-    min_threshold = device.profile_provider.disturbance_floor(
-        victim, pattern_name)
-    thresholds: Optional[np.ndarray] = None
-    floor = retention.row_retention_ns(victim) \
-        if retention is not None else None
+    state = _RowState(data=expected.copy(),
+                      pattern=classify_victim_pattern(expected))
 
     # -- window init: replay the command clock and the victim's state --
     now = device.now_ns
-    acc = 0.0
-    restored_at = now
     ref_time = device.last_rolling_refresh_ns(victim)
     t_rcd_io = timings.t_rcd + ROW_IO_NS
     low_row = max(0, victim.row - PATTERN_RADIUS)
@@ -204,8 +198,7 @@ def run_attack_epochs(session: BenderSession,
         open_since = now
         if row == victim.row:
             # The victim's own write replaces its state mid-window.
-            restored_at = now
-            acc = 0.0
+            state.restored_at = now
             past_victim = True
         now += t_rcd_io
         t_on = now - open_since
@@ -214,9 +207,9 @@ def run_attack_epochs(session: BenderSession,
             t_on = t_ras
         distance = reach.get(row)
         if past_victim and distance is not None:
-            units = (1 * temp) * model.units_per_activation(t_on, distance)
+            units = device._units_by_distance(1, t_on)[distance]
             if units > 0:
-                acc += units
+                state.acc_units += units
         now += timings.t_rp
 
     # -- TRR victim-refresh schedule from the array-form sampler step --
@@ -231,19 +224,16 @@ def run_attack_epochs(session: BenderSession,
     total_windows = config.total_windows
     schedule = dict(engine.run_epochs(plan.as_trr_epoch(), total_windows))
 
-    # -- per-window increments (same float expressions as the device) --
+    # -- per-window increments (the device's own unit formulas) --
     entry_durations = plan.entry_durations(timings)
     entry_units = []
     for row, count in zip(plan.rows.tolist(), plan.counts.tolist()):
         distance = reach.get(row)
         units = 0.0
         if distance is not None:
-            units = (count * temp) \
-                * model.units_per_activation(t_ras, distance)
+            units = device._units_by_distance(count, t_ras)[distance]
         entry_units.append(units if units > 0 else 0.0)
-    trr_disturb = {
-        distance: (1 * temp) * model.units_per_activation(t_ras, distance)
-        for distance in range(1, blast + 1)}
+    trr_disturb = device._units_by_distance(1, t_ras)
     window_time = (config.dummy_rows * config.dummy_acts_each
                    + 2 * config.aggressor_acts) * timings.t_rc \
         + timings.t_rfc
@@ -252,46 +242,17 @@ def run_attack_epochs(session: BenderSession,
     # -- rolling-refresh sweeps of the victim within the run --
     pointer = device.rolling_refresh_pointer(victim.channel,
                                              victim.pseudo_channel)
-    per_ref = timings.rows_refreshed_per_ref
+    per_ref = device.rows_refreshed_per_ref
     sweeps = set()
     slot = (victim.row - pointer) % geometry.rows
     while slot < total_windows * per_ref:
         sweeps.add(slot // per_ref + 1)
         slot += geometry.rows
 
-    already: Optional[np.ndarray] = None
-
-    def commit(time: float) -> None:
-        """Mirror ``_commit`` / ``_pending_flip_bits`` for the victim."""
-        nonlocal acc, restored_at, already, thresholds
-        parts: List[np.ndarray] = []
-        if acc > 0 and acc >= min_threshold:
-            if thresholds is None:
-                thresholds = device.profile_provider.profile(
-                    victim, pattern_name).materialize()
-            parts.append(np.flatnonzero(thresholds <= acc))
-        if retention is not None:
-            elapsed = time - max(restored_at, ref_time)
-            if elapsed > 0:
-                effective = elapsed * accel
-                if floor is not None and effective >= floor:
-                    parts.append(retention.failing_bits(victim, effective))
-        if parts:
-            candidates = np.unique(
-                np.concatenate(parts)).astype(np.int64)
-            if already is not None:
-                candidates = candidates[~already[candidates]]
-            if candidates.size:
-                if already is None:
-                    already = np.zeros(geometry.row_bits, dtype=bool)
-                already[candidates] = True
-        acc = 0.0
-        restored_at = time
-
     for window in range(1, total_windows + 1):
         for units, duration in zip(entry_units, entry_durations):
             if units > 0:
-                acc += units
+                state.acc_units += units
             now += duration
         victims = schedule.get(window)
         if victims:
@@ -299,26 +260,25 @@ def run_attack_epochs(session: BenderSession,
                 if bank != victim.bank:
                     continue
                 if row == victim.row:
-                    commit(now)
+                    device._restore(victim, state, now, ref_time)
                     continue
                 distance = reach.get(row)
                 if distance is not None:
                     units = trr_disturb[distance]
                     if units > 0:
-                        acc += units
+                        state.acc_units += units
         if window in sweeps:
             ref_time = now
-            commit(now)
+            device._restore(victim, state, now, ref_time)
         now += timings.t_rfc
         if pad:
             now += pad
 
-    commit(now)  # the final read's activation
-    if already is None:
-        return 0
-    flips = int(already.sum())
+    device._restore(victim, state, now, ref_time)  # the final read's ACT
+    flipped = np.unpackbits(state.data ^ expected)
+    flips = int(flipped.sum())
     if device.mode_registers.ecc_enabled and flips:
-        per_word = already.reshape(-1, 64).sum(axis=1)
+        per_word = flipped.reshape(-1, 64).sum(axis=1)
         flips -= int(np.count_nonzero(per_word == 1))
     return flips
 

@@ -22,6 +22,7 @@ again until rewritten.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (Deque, Dict, Iterable, List, NamedTuple, Optional,
@@ -240,6 +241,10 @@ class HBM2Stack:
         if row_mapping is None:
             row_mapping = IdentityMapping(geometry.rows)
         self.row_mapping = row_mapping
+        #: Rows one REF sweeps per bank: the fewest with which one
+        #: tREFW's REFs reach every row of the bank.
+        self.rows_refreshed_per_ref = math.ceil(
+            geometry.rows / timings.refs_per_window)
         self.now_ns = 0.0
         self.stats = DeviceStats()
         self._trace: Optional[Deque[TraceEntry]] = None
@@ -519,12 +524,14 @@ class HBM2Stack:
         if rows is None:
             rows = self._rows[key] = {}
         row = physical.row
+        pc_key = key[:2]
         state = rows.get(row)
         if state is not None:
-            self._restore(physical, state)
+            self.stats.committed_bitflips += self._restore(
+                physical, state, self.now_ns,
+                self._pc_ref_time[pc_key].item(row))
         count = plan.count
-        self._trr[(physical.channel, physical.pseudo_channel)].on_activate(
-            physical.bank, row, count=count)
+        self._trr[pc_key].on_activate(physical.bank, row, count=count)
         self._add_units(rows, row, plan.offsets, plan.units)
         self.now_ns += plan.duration
         self.stats.acts += count
@@ -552,7 +559,7 @@ class HBM2Stack:
                                     t_on=self.timings.t_ras)
             self.stats.trr_victim_refreshes += 1
         pointer = self._ref_pointer[pc_key]
-        per_ref = self.timings.rows_refreshed_per_ref
+        per_ref = self.rows_refreshed_per_ref
         ref_times = self._pc_ref_time[pc_key]
         materialized = self._materialized_banks(channel, pseudo_channel)
         for offset in range(per_ref):
@@ -593,7 +600,7 @@ class HBM2Stack:
                 self.refresh(channel, pseudo_channel)
             return
         timings = self.timings
-        per_ref = timings.rows_refreshed_per_ref
+        per_ref = self.rows_refreshed_per_ref
         rows = self.geometry.rows
         pointer = self._ref_pointer[pc_key]
         ref_times = self._pc_ref_time[pc_key]
@@ -696,7 +703,9 @@ class HBM2Stack:
         state = self._rows.get(physical.bank_key, {}).get(physical.row)
         if state is None:
             return np.zeros(self.geometry.row_bytes, dtype=np.uint8)
-        flips = self._pending_flip_bits(physical, state)
+        flips = self._pending_flip_bits(
+            physical, state, self.now_ns,
+            self.last_rolling_refresh_ns(physical))
         data = state.data.copy()
         _xor_bits(data, flips)
         return data
@@ -893,19 +902,17 @@ class HBM2Stack:
                 state = rows[row + offset] = self._blank_row()
             state.acc_units += unit
 
-    def _unrefreshed_ns(self, physical: RowAddress,
-                        state: _RowState) -> float:
-        """Time since the row's charge was last restored (by a commit or
-        the rolling refresh), retention-accelerated."""
-        ref_times = self._pc_ref_time[(physical.channel,
-                                       physical.pseudo_channel)]
-        elapsed = self.now_ns - max(state.restored_at,
-                                    ref_times.item(physical.row))
-        return elapsed * self.retention_acceleration()
+    def _unrefreshed_ns(self, state: _RowState, now: float,
+                        ref_time: float) -> float:
+        """Time from the row's last charge restore (by a commit or the
+        rolling refresh at ``ref_time``) to ``now``, retention-accelerated."""
+        return (now - max(state.restored_at, ref_time)) \
+            * self.retention_acceleration()
 
-    def _pending_flip_bits(self, physical: RowAddress,
-                           state: _RowState) -> np.ndarray:
-        """Bit positions flipping at the next restore (not yet committed)."""
+    def _pending_flip_bits(self, physical: RowAddress, state: _RowState,
+                           now: float, ref_time: float) -> np.ndarray:
+        """Bit positions a restore at ``now`` would latch (not yet
+        committed); ``ref_time`` is the row's last rolling refresh."""
         flips: List[np.ndarray] = []
         if state.acc_units > 0:
             if state.min_threshold is None:
@@ -919,7 +926,7 @@ class HBM2Stack:
         if self.retention is not None:
             # Every row's retention floor is at least RETENTION_FLOOR_NS,
             # so a shorter effective time needs no per-row draw.
-            effective = self._unrefreshed_ns(physical, state)
+            effective = self._unrefreshed_ns(state, now, ref_time)
             if effective >= RETENTION_FLOOR_NS:
                 if state.retention_floor_ns is None:
                     state.retention_floor_ns = \
@@ -970,35 +977,48 @@ class HBM2Stack:
         return corrected
 
     def _commit(self, physical: RowAddress) -> None:
-        """Restore a row's charge, latching any pending bitflips."""
+        """Restore a row's charge now, latching any pending bitflips."""
         rows = self._rows.get(physical.bank_key)
         state = None if rows is None else rows.get(physical.row)
         if state is not None:
-            self._restore(physical, state)
+            ref_times = self._pc_ref_time[(physical.channel,
+                                           physical.pseudo_channel)]
+            self.stats.committed_bitflips += self._restore(
+                physical, state, self.now_ns, ref_times.item(physical.row))
 
-    def _restore(self, physical: RowAddress, state: _RowState) -> None:
-        """:meth:`_commit` of a materialized row."""
+    def _restore(self, physical: RowAddress, state: _RowState, now: float,
+                 ref_time: float) -> int:
+        """Restore a materialized row's charge at device time ``now``.
+
+        The one implementation of the restore rule: latch the flips
+        :meth:`_pending_flip_bits` finds (``ref_time`` is the row's last
+        rolling refresh), re-arm the disturbance accumulator and restart
+        the retention clock.  Mutates ``state`` only and returns the
+        number of bits latched, so a replay that must not touch the
+        device (``repro.core.trr_bypass.run_attack_epochs``) can restore
+        a detached row; callers on the device count the flips.
+        """
         acc_units = state.acc_units
         floor = state.min_threshold
         if (acc_units <= 0 or (floor is not None and acc_units < floor)) \
                 and (self.retention is None
-                     or self._unrefreshed_ns(physical, state)
+                     or self._unrefreshed_ns(state, now, ref_time)
                      < RETENTION_FLOOR_NS):
             # Below the row's weakest cell and younger than any cell's
             # retention time: nothing can flip, so skip the flip search.
             state.acc_units = 0.0
-            state.restored_at = self.now_ns
-            return
-        flips = self._pending_flip_bits(physical, state)
+            state.restored_at = now
+            return 0
+        flips = self._pending_flip_bits(physical, state, now, ref_time)
         if flips.size:
             if state.already_flipped is None:
                 state.already_flipped = np.zeros(
                     self.geometry.row_bits, dtype=bool)
             _latch_bits(state, flips)
             state.already_flipped[flips] = True
-            self.stats.committed_bitflips += int(flips.size)
         state.acc_units = 0.0
-        state.restored_at = self.now_ns
+        state.restored_at = now
+        return int(flips.size)
 
 
 def _latch_bits(state: _RowState, bit_positions: np.ndarray) -> None:

@@ -57,20 +57,15 @@ class TimingParameters:
         if self.t_refi <= self.t_rfc:
             raise ValueError("t_refi must exceed t_rfc")
 
-    # Cached: the refresh path reads these once per REF command, and a
-    # defense evaluation issues millions of REFs.  The dataclass is
-    # frozen, so caching on first read is safe (cached_property writes
-    # to __dict__ directly, bypassing the frozen __setattr__).
+    # Cached: the dataclass is frozen, so caching on first read is safe
+    # (cached_property writes to __dict__ directly, bypassing the frozen
+    # __setattr__).  How many rows each REF sweeps depends on the bank's
+    # row count, so the device derives it
+    # (``HBM2Stack.rows_refreshed_per_ref``).
     @cached_property
     def refs_per_window(self) -> int:
         """Number of REF commands issued per refresh window."""
         return int(self.t_refw // self.t_refi)
-
-    @cached_property
-    def rows_refreshed_per_ref(self) -> int:
-        """Rows refreshed per bank by one REF (rolling refresh pointer)."""
-        rows = 16384
-        return max(1, math.ceil(rows / self.refs_per_window))
 
     @property
     def activation_budget(self) -> int:

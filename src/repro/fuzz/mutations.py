@@ -15,7 +15,12 @@ Mutations:
 - ``lint-blind`` — the streaming checker stops reporting P001, so the
   online findings no longer predict the device's ``TimingError``,
 - ``lost-faults`` — the compiled executor classifies every epoch
-  window as clean, silently skipping injected read-path faults.
+  window as clean, silently skipping injected read-path faults,
+- ``stale-restore`` — while the compiled executor replays an epoch
+  span, every row restore stamps the row's retention clock 1 ns late.
+  Both engines restore rows through the device's one kernel, so the
+  differential can only see *when* the replay calls it; this checks
+  that it does.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Any, Callable, Dict, Iterator
 
 import numpy as np
 
-MUTATIONS = ("clock-skew", "lint-blind", "lost-faults")
+MUTATIONS = ("clock-skew", "lint-blind", "lost-faults", "stale-restore")
 
 
 @contextlib.contextmanager
@@ -78,11 +83,32 @@ def _lost_faults() -> "contextlib.AbstractContextManager[None]":
     return _patched(compile_module, "dirty_window_mask", clean_mask)
 
 
+def _stale_restore() -> "contextlib.AbstractContextManager[None]":
+    from repro.bender.compile import PlanExecutor
+    from repro.dram.device import HBM2Stack
+
+    restore = HBM2Stack._restore
+    replay = PlanExecutor._replay_span
+
+    def late_restore(self: Any, physical: Any, state: Any, now: float,
+                     ref_time: float) -> int:
+        flips = restore(self, physical, state, now, ref_time)
+        state.restored_at += 1.0
+        return flips
+
+    def buggy_replay(self: Any, context: Any, span: int) -> None:
+        with _patched(HBM2Stack, "_restore", late_restore):
+            replay(self, context, span)
+
+    return _patched(PlanExecutor, "_replay_span", buggy_replay)
+
+
 _FACTORIES: Dict[str, Callable[
     [], "contextlib.AbstractContextManager[None]"]] = {
     "clock-skew": _clock_skew,
     "lint-blind": _lint_blind,
     "lost-faults": _lost_faults,
+    "stale-restore": _stale_restore,
 }
 
 

@@ -293,13 +293,13 @@ class TestPlanExecutorDifferential:
         edge reach the compiled engine's neighbor lookup and stay
         bit-identical to the interpreter."""
         seen = set()
-        lookup = _EpochContext.victim_neighbors
+        lookup = _EpochContext.victim_reach
 
-        def spy(context, bank, row):
+        def spy(context, row):
             seen.add(row)
-            return lookup(context, bank, row)
+            return lookup(context, row)
 
-        monkeypatch.setattr(_EpochContext, "victim_neighbors", spy)
+        monkeypatch.setattr(_EpochContext, "victim_reach", spy)
         program = TestProgram(name="trr-edges")
         victim_address = RowAddress(0, 0, 0, victim)
         program.write_row(victim_address,

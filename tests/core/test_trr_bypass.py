@@ -105,12 +105,31 @@ class TestExactAttack:
         assert flips[4] > 0
 
 
-def fresh_session(chip, trr_config=None):
+def fresh_session(chip, trr_config=None, temperature_c=None):
     from repro.bender.host import BenderSession
 
     kwargs = {} if trr_config is None else {"trr_config": trr_config}
-    return BenderSession(chip.make_device(**kwargs),
-                         mapping=chip.row_mapping())
+    device = chip.make_device(**kwargs)
+    if temperature_c is not None:
+        device.set_temperature(temperature_c)
+    return BenderSession(device, mapping=chip.row_mapping())
+
+
+def warm(session, victim):
+    """Start from materialized rows, nonzero stats and a moved
+    rolling-refresh pointer."""
+    session.device.hammer(victim.with_row(victim.row + 40), 10)
+    session.device.refresh(victim.channel, victim.pseudo_channel)
+    return session
+
+
+def measurement_surface(device):
+    """Everything the epoch replay must leave as it found it."""
+    return (device.now_ns, vars(device.stats).copy(),
+            {key: sorted(rows) for key, rows in device._rows.items()},
+            {key: times.tobytes()
+             for key, times in device._pc_ref_time.items()},
+            dict(device._ref_pointer))
 
 
 class TestEpochAttackEquivalence:
@@ -131,17 +150,17 @@ class TestEpochAttackEquivalence:
         return RowAddress(0, 0, 0, int(rows[best])), int(budget[best])
 
     def both_paths(self, chip, victim, config, pattern=CHECKERED0,
-                   trr_config=None):
-        exact = run_attack_exact(fresh_session(chip, trr_config), victim,
-                                 config, pattern)
-        session = fresh_session(chip, trr_config)
-        device = session.device
-        before = (device.now_ns, device.stats.acts, device.stats.refs)
+                   trr_config=None, temperature_c=None):
+        exact = run_attack_exact(
+            warm(fresh_session(chip, trr_config, temperature_c), victim),
+            victim, config, pattern)
+        session = warm(fresh_session(chip, trr_config, temperature_c),
+                       victim)
+        before = measurement_surface(session.device)
         assert session.batching_active()
         epochs = run_attack_epochs(session, victim, config, pattern)
         # The epoch replay is a measurement surface: no device mutation.
-        assert (device.now_ns, device.stats.acts,
-                device.stats.refs) == before
+        assert measurement_surface(session.device) == before
         return exact, epochs
 
     def test_bypass_flips_match_exact(self, chip0, weak_victim):
@@ -189,6 +208,26 @@ class TestEpochAttackEquivalence:
         config = AttackConfig(dummy_rows=4, aggressor_acts=34, windows=120)
         exact, epochs = self.both_paths(chip0, victim, config)
         assert exact == epochs
+
+    def test_retention_at_raised_temperature_matches_exact(self, chip0):
+        """At 50 C above calibration retention runs 32x faster, so the
+        victim (its weakest cell holds the 33 ms floor) loses charge
+        within 400 unswept windows; both paths must agree on it."""
+        victim = RowAddress(0, 0, 0, 1050)
+        config = AttackConfig(dummy_rows=4, aggressor_acts=34, windows=400)
+        hot = chip0.spec.nominal_temperature_c + 50.0
+        exact, epochs = self.both_paths(chip0, victim, config,
+                                        temperature_c=hot)
+        assert exact == epochs
+        # Non-vacuous: the replay's unrefreshed time, accelerated, passes
+        # the victim's retention floor, and retention adds flips.
+        session = warm(fresh_session(chip0, temperature_c=hot), victim)
+        device = session.device
+        assert config.total_windows * device.timings.t_refi \
+            * device.retention_acceleration() \
+            >= device.retention.row_retention_ns(victim)
+        device.retention = None
+        assert epochs > run_attack_epochs(session, victim, config)
 
     def test_dispatcher_uses_epoch_path(self, chip0, monkeypatch):
         victim = RowAddress(0, 0, 0, 5000)

@@ -7,7 +7,8 @@ from repro.dram.cell_model import CellPopulation
 from repro.dram.commands import CommandKind, act, hammer, pre, rd, ref, wait, wr
 from repro.dram.device import (HBM2Stack, UniformProfileProvider,
                                classify_victim_pattern)
-from repro.dram.geometry import RowAddress
+from repro.dram.geometry import (DEFAULT_SUBARRAY_SIZES, HBM2Geometry,
+                                 RowAddress, SubarrayLayout)
 from repro.dram.timing import TimingError
 from repro.dram.trr import TrrConfig
 
@@ -243,7 +244,7 @@ class TestRefresh:
         device = make_device()
         device.wait(1000.0)
         device.refresh(0, 0)
-        swept = device.timings.rows_refreshed_per_ref
+        swept = device.rows_refreshed_per_ref
         assert device.last_rolling_refresh_ns(VICTIM.with_row(0)) == 1000.0
         assert device.last_rolling_refresh_ns(
             VICTIM.with_row(swept - 1)) == 1000.0
@@ -254,6 +255,38 @@ class TestRefresh:
                 device.last_rolling_refresh_ns(VICTIM.with_row(row))
         with pytest.raises(ValueError, match="pseudo channel"):
             device.last_rolling_refresh_ns(RowAddress(0, 9, 0, 0))
+
+
+class TestRollingRefreshGeometry:
+    """One tREFW's REFs sweep every row of the bank, each REF taking the
+    fewest rows that achieve it."""
+
+    def test_rows_refreshed_per_ref(self):
+        assert HBM2Stack().rows_refreshed_per_ref == 2
+
+    @pytest.mark.parametrize("rows, sizes", [
+        pytest.param(1024, (512, 512), id="1024-rows"),
+        pytest.param(32768, DEFAULT_SUBARRAY_SIZES * 2, id="32768-rows"),
+    ])
+    @pytest.mark.parametrize("burst", [False, True],
+                             ids=["refresh", "refresh_burst"])
+    def test_one_window_sweeps_every_row(self, rows, sizes, burst):
+        geometry = HBM2Geometry(channels=1, pseudo_channels=1, banks=1,
+                                dies=1, rows=rows,
+                                subarrays=SubarrayLayout(sizes))
+        device = make_device(geometry=geometry)
+        refs = device.timings.refs_per_window
+        per_ref = device.rows_refreshed_per_ref
+        assert refs * (per_ref - 1) < rows <= refs * per_ref
+        device.wait(1.0)
+        if burst:
+            device.refresh_burst(0, 0, refs)
+        else:
+            for __ in range(refs):
+                device.refresh(0, 0)
+        swept = [device.last_rolling_refresh_ns(RowAddress(0, 0, 0, row))
+                 for row in range(rows)]
+        assert min(swept) >= 1.0
 
 
 class TestRetention:

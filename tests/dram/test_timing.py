@@ -35,9 +35,6 @@ class TestPaperDerivedValues:
         """Section 7: the bypass pattern repeats 8205 times per tREFW."""
         assert DEFAULT_TIMINGS.refs_per_window == 8205
 
-    def test_rows_refreshed_per_ref(self):
-        assert DEFAULT_TIMINGS.rows_refreshed_per_ref == 2
-
 
 class TestDurations:
     def test_act_to_act_at_baseline(self):
