@@ -24,9 +24,9 @@ whole REF-to-REF windows:
   its ``_restore``,
 - fault plans batch too: fault draws are pure functions of ``(seed, tag,
   command counter)`` and the counter layout of a compiled segment is
-  static, so the plan's vectorized samplers classify every future window
-  up front.  Windows with no fault hit replay on the fast path and
-  consume their counters wholesale
+  static, so the plan's fault rule classifies every future window up
+  front (:func:`dirty_window_mask`).  Windows with no fault hit replay on
+  the fast path and consume their counters wholesale
   (:meth:`~repro.faults.injector.FaultyStack.advance_counter`); windows
   where any draw hits ("dirty") execute per-command through the
   :class:`~repro.faults.injector.FaultyStack`, firing the exact events,
@@ -175,39 +175,14 @@ def dirty_window_mask(plan: FaultPlan, base_counter: int,
 
     The command counter layout of a compiled segment is static: window
     ``w`` (0-based), body position ``p`` maps to counter ``base_counter
-    + w * len(body) + p + 1``.  Every scalar draw the injector would
-    make for those counters is evaluated vectorized: stall/hang on any
-    command, jitter on hammers, drop on REF/WAIT, ghost on REF.  A
-    window with any hit must replay per-command; the rest are exact
+    + w * len(body) + p + 1``.  :meth:`FaultPlan.classify_probe_windows`
+    evaluates every draw the injector would make for those counters; a
+    window with any hit must replay per-command, the rest are exact
     no-fault windows (the draws provably miss).
     """
-    body_len = len(body)
-    total = repeats * body_len
-    indices = np.arange(base_counter + 1, base_counter + total + 1,
-                        dtype=np.int64)
-    hits = plan.stall_mask(indices)
-    hits |= plan.hang_mask(indices)
-    kinds = [command.kind for command in body]
-    position = np.arange(total, dtype=np.int64) % body_len
-    hammer_positions = np.asarray(
-        [kind is CommandKind.HAMMER for kind in kinds], dtype=bool)
-    if hammer_positions.any() and plan.act_jitter_rate \
-            and plan.act_jitter_ns:
-        mask = hammer_positions[position]
-        jitter_hits, __ = plan.draw_jitter_array(indices[mask])
-        hits[mask] |= jitter_hits
-    droppable = np.asarray(
-        [kind in (CommandKind.REF, CommandKind.WAIT) for kind in kinds],
-        dtype=bool)
-    if droppable.any() and plan.drop_rate:
-        mask = droppable[position]
-        hits[mask] |= plan.drop_mask(indices[mask])
-    ghostable = np.asarray(
-        [kind is CommandKind.REF for kind in kinds], dtype=bool)
-    if ghostable.any() and plan.ghost_rate:
-        mask = ghostable[position]
-        hits[mask] |= plan.ghost_mask(indices[mask])
-    return hits.reshape(repeats, body_len).any(axis=1)
+    kinds = np.tile([command.kind.value for command in body], repeats)
+    return plan.classify_probe_windows(
+        base_counter, kinds, np.full(repeats, len(body))).any()
 
 
 # ----------------------------------------------------------------------

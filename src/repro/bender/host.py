@@ -137,7 +137,7 @@ class BenderSession:
         device is a subclass the closed-form engine cannot model.  Fault
         plans batch too: a ``FaultyStack``-wrapped plain stack is
         supported — the session classifies each victim's command window
-        with the plan's vectorized samplers, measures fault-free windows
+        with the plan's fault rule, measures fault-free windows
         on the engine, and replays only fault-hit windows per-command
         (see :meth:`hammer_rows`).  TRR-enabled devices batch fine: the
         engine mirrors the activation stream into the TRR sampler.
@@ -199,8 +199,8 @@ class BenderSession:
         Per victim the scalar sequence issues a *statically known*
         command window — the window-init WRs, the aggressor HAMMERs,
         one RD — so its counter range is known before executing
-        anything.  The plan's vectorized samplers classify each window
-        up front:
+        anything.  :meth:`~repro.faults.plan.FaultPlan.
+        classify_probe_windows` classifies each window up front:
 
         - **clean** (no draw hits): measured through the batch engine;
           the counters are consumed wholesale and only the read's
@@ -225,45 +225,26 @@ class BenderSession:
         radius = 8
         n = len(victims)
         # Static command layout per victim: W writes, H hammers, one RD.
-        writes = np.empty(n, dtype=np.int64)
-        hammers = np.empty(n, dtype=np.int64)
+        kinds: List[str] = []
+        per_victim = np.empty(n, dtype=np.int64)
         for i, victim in enumerate(victims):
-            writes[i] = len(window_rows(self, victim, radius))
+            writes = len(window_rows(self, victim, radius))
             neighbors = len(self.aggressors_of(victim))
             if neighbors == 2:
-                hammers[i] = 2 if count > 0 else 0
+                hammers = 2 if count > 0 else 0
             elif neighbors == 1:
-                hammers[i] = 1
+                hammers = 1
             else:
                 raise ValueError("victim has no neighbors in the bank")
-        per_victim = writes + hammers + 1
-        starts = np.concatenate(
-            ([0], np.cumsum(per_victim)[:-1])) + stack._counter
-        read_indices = starts + per_victim
-
-        # Vectorized dirty classification over every future counter.
-        total = int(per_victim.sum())
-        indices = np.arange(stack._counter + 1,
-                            stack._counter + total + 1, dtype=np.int64)
-        hits = plan.stall_mask(indices) | plan.hang_mask(indices)
-        victim_of = np.repeat(np.arange(n), per_victim)
-        offset = indices - 1 - np.repeat(starts, per_victim)
-        is_write = offset < np.repeat(writes, per_victim)
-        is_hammer = ~is_write & (offset < np.repeat(writes + hammers,
-                                                    per_victim))
-        drop_hit = np.zeros(total, dtype=bool)
-        if plan.drop_rate:
-            drop_hit[is_write] = plan.drop_mask(indices[is_write])
-            hits |= drop_hit
-        if plan.act_jitter_rate and plan.act_jitter_ns:
-            jitter_hits, __ = plan.draw_jitter_array(indices[is_hammer])
-            hits[is_hammer] |= jitter_hits
-        dirty = np.zeros(n, dtype=bool)
-        np.logical_or.at(dirty, victim_of, hits)
+            kinds += ["WR"] * writes + ["HAMMER"] * hammers + ["RD"]
+            per_victim[i] = writes + hammers + 1
+        read_indices = np.cumsum(per_victim) + stack._counter
+        faults = plan.classify_probe_windows(stack._counter, kinds,
+                                             per_victim)
+        dirty = faults.any()
         # Demote earlier overlapping victims of drop-hit windows: their
         # writes are the stale content the dirty replay will read.
-        for j in np.flatnonzero(np.bincount(
-                victim_of, weights=drop_hit, minlength=n) > 0):
+        for j in np.flatnonzero(faults.drop):
             for i in range(int(j)):
                 if dirty[i]:
                     continue

@@ -34,9 +34,9 @@ same sampler state as after the scalar command sequence.
 **Fault plans batch too**: fault draws are pure functions of ``(seed,
 tag, command counter)`` and the measurement window's command layout is
 static, so a ``FaultyStack``-wrapped plain stack is supported — the
-session layer classifies each victim's window with the plan's
-vectorized samplers (:meth:`repro.faults.plan.FaultPlan.drop_mask` and
-friends), measures the untouched windows through this engine, and
+session layer classifies each victim's window with the plan's fault
+rule (:meth:`repro.faults.plan.FaultPlan.classify_probe_windows`),
+measures the untouched windows through this engine, and
 replays only the fault-hit windows per-command.  ``HBMSIM_BATCH=0``
 (the escape hatch) selects only the command-level oracles: the scalar
 interpreter, per-REF catch-up and per-row profiling; the closed-form
@@ -113,8 +113,9 @@ def engine_supported(device: object) -> bool:
     layer replays around the engine; the physics underneath are exactly
     the plain stack's.  TRR-enabled stacks are supported: the profile
     mirrors each measurement's activation stream into the TRR sampler
-    (see :meth:`RowBatchProfile._mirror_trr`), so later REF commands
-    select the same victims as after the scalar command sequence.
+    (see :meth:`RowBatchProfile._mirror_activations`), so later REF
+    commands select the same victims as after the scalar command
+    sequence.
     """
     from repro.faults.injector import FaultyStack
 
@@ -257,17 +258,14 @@ class RowBatchProfile:
 
     def hammer(self, counts: Union[int, np.ndarray],
                t_on: Optional[float] = None,
-               subset: Optional[np.ndarray] = None,
-               mirror_trr: bool = True) -> BatchHammerResult:
+               subset: Optional[np.ndarray] = None) -> BatchHammerResult:
         """Evaluate a double-sided hammer of ``counts`` per aggressor.
 
         ``counts`` broadcasts over the batch (per-victim counts are what
         the vectorized HC_first bisection feeds).  ``subset`` restricts
         evaluation to the given victim indices (results align with the
-        subset order).  ``mirror_trr=False`` skips the TRR sampler
-        mirroring — a speculative executor evaluates probes it may later
-        discard and must not leak their activations into the sampler;
-        it replays accepted windows itself via :meth:`mirror_window`.
+        subset order).  The measurement's activations are mirrored into
+        the TRR sampler (:meth:`_mirror_activations`).
         """
         device = self.device
         timings = device.timings
@@ -334,8 +332,7 @@ class RowBatchProfile:
                 images ^= np.packbits(corrections, axis=1)
                 observed = committed & ~corrections
 
-        if mirror_trr:
-            self._mirror_trr(indices, counts)
+        self._mirror_activations(indices, counts)
 
         return BatchHammerResult(
             victims=[self.victims[int(i)] for i in indices],
@@ -345,8 +342,8 @@ class RowBatchProfile:
             bitflips=observed.sum(axis=1),
         )
 
-    def _mirror_trr(self, indices: np.ndarray,
-                    counts: np.ndarray) -> None:
+    def _mirror_activations(self, indices: np.ndarray,
+                            counts: np.ndarray) -> None:
         """Replay the measurement's activation stream into the sampler.
 
         The scalar sequence per victim is: the window-init writes
@@ -359,32 +356,25 @@ class RowBatchProfile:
         measurement itself, so this is the only device state the batch
         evaluation has to keep in sync.)
         """
-        for position, index in enumerate(indices):
-            self.mirror_window(int(index), int(counts[position]))
-
-    def mirror_window(self, index: int, count: int) -> None:
-        """Mirror one victim's measurement window into the TRR sampler.
-
-        Public so a speculative executor can replay accepted windows in
-        scalar visit order after evaluating them with
-        ``hammer(..., mirror_trr=False)``.
-        """
         device = self.device
         if not device.trr_config.enabled:
             return
-        geometry = device.geometry
-        victim = self.victims[index]
-        engine = device.trr_engine(victim.channel, victim.pseudo_channel)
-        low = max(0, victim.row - self.radius)
-        high = min(geometry.rows - 1, victim.row + self.radius)
-        stream = [(row, 1) for row in range(low, high + 1)]
-        if count > 0:
-            if victim.row - 1 >= 0:
-                stream.append((victim.row - 1, count))
-            if victim.row + 1 < geometry.rows:
-                stream.append((victim.row + 1, count))
-        stream.append((victim.row, 1))
-        engine.note_window(victim.bank, stream)
+        rows = device.geometry.rows
+        for position, index in enumerate(indices):
+            victim = self.victims[int(index)]
+            count = int(counts[position])
+            engine = device.trr_engine(victim.channel,
+                                       victim.pseudo_channel)
+            stream = [(row, 1) for row in range(
+                max(0, victim.row - self.radius),
+                min(rows - 1, victim.row + self.radius) + 1)]
+            if count > 0:
+                if victim.row - 1 >= 0:
+                    stream.append((victim.row - 1, count))
+                if victim.row + 1 < rows:
+                    stream.append((victim.row + 1, count))
+            stream.append((victim.row, 1))
+            engine.note_window(victim.bank, stream)
 
 
 @dataclass(frozen=True)

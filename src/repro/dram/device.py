@@ -224,8 +224,10 @@ class HBM2Stack:
         #: temperature effects.
         self.calibration_temperature_c = calibration_temperature_c
         #: Current chip temperature (drive it from the thermal rig via
-        #: :meth:`set_temperature`).
+        #: :meth:`set_temperature`, which keeps the derived
+        #: retention acceleration in step).
         self.temperature_c = calibration_temperature_c
+        self._retention_acceleration = self._acceleration_now()
         self.mode_registers = ModeRegisters()
         if disable_ecc:
             # The paper's methodology (Section 3.1): clear the MR bit so
@@ -779,6 +781,7 @@ class HBM2Stack:
     def set_temperature(self, temperature_c: float) -> None:
         """Update the chip temperature (e.g. from the thermal rig)."""
         self.temperature_c = float(temperature_c)
+        self._retention_acceleration = self._acceleration_now()
 
     def temperature_disturbance_factor(self) -> float:
         """Disturbance multiplier at the current temperature.
@@ -795,6 +798,11 @@ class HBM2Stack:
 
     def retention_acceleration(self) -> float:
         """Retention-time acceleration: 2x per RETENTION_DOUBLING_C."""
+        return self._retention_acceleration
+
+    def _acceleration_now(self) -> float:
+        """:meth:`retention_acceleration` at the current temperature
+        (stored by the two writers of ``temperature_c``)."""
         if (self.calibration_temperature_c is None
                 or self.temperature_c is None):
             return 1.0
@@ -907,7 +915,7 @@ class HBM2Stack:
         """Time from the row's last charge restore (by a commit or the
         rolling refresh at ``ref_time``) to ``now``, retention-accelerated."""
         return (now - max(state.restored_at, ref_time)) \
-            * self.retention_acceleration()
+            * self._retention_acceleration
 
     def _pending_flip_bits(self, physical: RowAddress, state: _RowState,
                            now: float, ref_time: float) -> np.ndarray:

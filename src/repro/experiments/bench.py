@@ -52,13 +52,12 @@ test programs to epoch segments, recorded alongside ``calibrate`` /
 device shape as ``"channels x pseudo-channels x banks x rows"`` (e.g.
 ``"8x2x16x16384"``, the paper's Table 1 HBM2 geometry) — so scale-1.0
 full-geometry runs are distinguishable from reduced-geometry history at
-a glance and the perf gate can match on it.  Schema 1 entries
-(``experiments`` mapping id -> plain seconds, no
-``batch``/``wall_seconds``) and schema 2/3/4 entries remain valid
-history; readers should accept all shapes (see
-:func:`experiment_seconds`, :func:`phase_seconds`, and
-:func:`repro.experiments.perf_gate.find_run`, which treat the new
-keys as optional).
+a glance and the perf gate can match on it.  Runs of schemas 1-4 remain
+valid history: every stored entry is a ``{"seconds": ...}`` mapping
+(the schema-1 runs in the committed history were converted from plain
+floats in place), and the keys later schemas added are optional to
+readers (see :func:`experiment_seconds`, :func:`phase_seconds`, and
+:func:`repro.experiments.perf_gate.find_run`).
 """
 
 from __future__ import annotations
@@ -199,27 +198,19 @@ def _exclusive_lock(target: Path):
                 lock.unlink()
 
 
-def experiment_seconds(entry) -> float:
-    """Seconds of one per-experiment bench entry, any schema.
-
-    Schema 1 stored a plain float; schema 2 stores ``{"seconds": ...,
-    "phases": {...}}``.  Gate scripts and tests should read through
-    this helper so old baselines keep working.
-    """
-    if isinstance(entry, dict):
-        return float(entry.get("seconds", 0.0))
-    return float(entry)
+def experiment_seconds(entry: dict) -> float:
+    """Seconds of one per-experiment bench entry (``{"seconds": ...,
+    "phases": {...}}``)."""
+    return float(entry.get("seconds", 0.0))
 
 
-def phase_seconds(entry, phase: str) -> Optional[float]:
+def phase_seconds(entry: dict, phase: str) -> Optional[float]:
     """Seconds one entry spent in ``phase``, or ``None`` if unrecorded.
 
-    Schema-1 entries (plain floats) carry no phase breakdown; schema
-    >= 2 entries may simply lack the phase (e.g. ``compile`` before
-    schema 4).  Gates must treat ``None`` as "cannot judge", not 0.0.
+    Entries may lack the phase (schema 1 recorded no phases, and
+    ``compile`` arrived with schema 4).  Gates must treat ``None`` as
+    "cannot judge", not 0.0.
     """
-    if not isinstance(entry, dict):
-        return None
     phases = entry.get("phases")
     if not isinstance(phases, dict) or phase not in phases:
         return None

@@ -8,12 +8,12 @@ checked-in history) and exits 1 when the measured per-experiment wall
 time exceeds ``factor`` times the baseline.
 
 Both files are read through
-:func:`repro.experiments.bench.experiment_seconds`, so schema-1 history
-(plain float entries) keeps working as a baseline.  Runs are matched on
-(experiment, scale, jobs, cache, faults) — the warm/jobs=1/faults=off
+:func:`repro.experiments.bench.experiment_seconds`; schema-1 history (no
+``batch`` key, no phases) still serves as a baseline.  Runs are matched
+on (experiment, scale, jobs, cache, faults) — the warm/jobs=1/faults=off
 default isolates the compute path from calibration, pool variance and
-chaos plans, which is what a 2x threshold can police without flaking
-on shared CI hardware.  ``--faults on`` gates chaos-mode (fault-plan)
+chaos plans, which is what a 2x threshold can police without flaking on
+shared CI hardware.  ``--faults on`` gates chaos-mode (fault-plan)
 runs instead — the teeth behind the fault-path batching: its
 ``--min-batch-speedup`` collapses if fault windows ever fall back to
 per-command dispatch wholesale.  ``--phase compile`` (any recorded

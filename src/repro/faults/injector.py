@@ -47,19 +47,6 @@ from repro.faults.plan import (DROPPABLE, GHOSTABLE, TAG_DROP, TAG_GHOST,
 #: Exit code used when a worker-level crash fault kills the process.
 CRASH_EXIT_CODE = 97
 
-# The tags/kind sets live in :mod:`repro.faults.plan` (shared with the
-# vectorized samplers); the historical module-private names stay valid.
-_TAG_STALL = TAG_STALL
-_TAG_HANG = TAG_HANG
-_TAG_DROP = TAG_DROP
-_TAG_GHOST = TAG_GHOST
-_TAG_JITTER = TAG_JITTER
-_TAG_RDFLIP = TAG_RDFLIP
-_TAG_STUCK = TAG_STUCK
-
-_DROPPABLE = DROPPABLE
-_GHOSTABLE = GHOSTABLE
-
 #: Command counters :meth:`FaultyStack.clean_ref_prefix` classifies at
 #: least at once (one vectorized pass serves many short catch-ups).
 _REF_LOOKAHEAD = 1024
@@ -135,10 +122,8 @@ class FaultyStack:
         return uniform_for(self.plan.seed, tag, index)
 
     def _log(self, index: int, fault: str, command: str,
-             detail: Tuple[int, ...] = (),
-             sink: Optional[List[FaultEvent]] = None) -> None:
-        target = self.events if sink is None else sink
-        target.append(FaultEvent(index, fault, command, detail))
+             detail: Tuple[int, ...] = ()) -> None:
+        self.events.append(FaultEvent(index, fault, command, detail))
 
     def _platform(self, command: str) -> Tuple[int, Optional[str]]:
         """Advance the command counter and fire platform-level faults.
@@ -149,20 +134,20 @@ class FaultyStack:
         self._counter += 1
         index = self._counter
         plan = self.plan
-        if plan.stall_rate and self._draw(_TAG_STALL, index) \
+        if plan.stall_rate and self._draw(TAG_STALL, index) \
                 < plan.stall_rate:
             self._log(index, "stall", command)
             time.sleep(plan.stall_seconds)
-        if plan.hang_rate and self._draw(_TAG_HANG, index) < plan.hang_rate:
+        if plan.hang_rate and self._draw(TAG_HANG, index) < plan.hang_rate:
             self._log(index, "hang", command)
             raise PlatformHangError(
                 f"injected platform hang at command #{index} ({command})")
-        if command in _DROPPABLE and plan.drop_rate \
-                and self._draw(_TAG_DROP, index) < plan.drop_rate:
+        if command in DROPPABLE and plan.drop_rate \
+                and self._draw(TAG_DROP, index) < plan.drop_rate:
             self._log(index, "drop", command)
             return index, "drop"
-        if command in _GHOSTABLE and plan.ghost_rate \
-                and self._draw(_TAG_GHOST, index) < plan.ghost_rate:
+        if command in GHOSTABLE and plan.ghost_rate \
+                and self._draw(TAG_GHOST, index) < plan.ghost_rate:
             self._log(index, "ghost", command)
             return index, "ghost"
         return index, None
@@ -172,22 +157,19 @@ class FaultyStack:
         counters holding ``index`` (a no-op if it already is).
 
         Fault draws are a pure function of the counter, so the plan's
-        vectorized samplers settle a whole block in one pass.
+        fault rule settles a whole block in one pass, read as HAMMERs
+        (the jitter draw is the same for an ACT).
         """
         block = (index - 1) // _JITTER_LOOKAHEAD
         if block == self._block:
             return
-        plan = self.plan
         first = block * _JITTER_LOOKAHEAD + 1
         indices = np.arange(first, first + _JITTER_LOOKAHEAD,
                             dtype=np.int64)
-        jitter = plan._rate_mask(
-            _TAG_JITTER, plan.act_jitter_rate if plan.act_jitter_ns else 0.0,
-            indices)
-        platform = plan.stall_mask(indices) | plan.hang_mask(indices)
+        faults = self.plan.command_faults("HAMMER", indices)
         self._block = block
-        self._jitter_hits = frozenset(indices[jitter].tolist())
-        self._hammer_faults = frozenset(indices[jitter | platform].tolist())
+        self._jitter_hits = frozenset(indices[faults.jitter].tolist())
+        self._hammer_faults = frozenset(indices[faults.any()].tolist())
 
     def _jitter_ns(self, index: int, command: str) -> float:
         """Deterministic ACT-interval jitter (0.0 when the fault misses).
@@ -201,7 +183,7 @@ class FaultyStack:
         self._classify_block(index)
         if index not in self._jitter_hits:
             return 0.0
-        fraction = uniform_for(plan.seed, _TAG_JITTER, index, 1)
+        fraction = uniform_for(plan.seed, TAG_JITTER, index, 1)
         jitter = plan.act_jitter_ns * fraction
         self._log(index, "jitter", command, (int(round(jitter * 1000)),))
         return jitter
@@ -311,9 +293,9 @@ class FaultyStack:
     def clean_ref_prefix(self, limit: int) -> int:
         """How many of the next ``limit`` REFs draw no fault.
 
-        Classifies the upcoming counters with the plan's vectorized
-        samplers (stall, hang, drop, ghost — the faults a REF can take)
-        and returns the length of the leading clean run, capped at
+        Classifies the upcoming counters with the plan's fault rule
+        (stall, hang, drop, ghost — the faults a REF can take) and
+        returns the length of the leading clean run, capped at
         ``limit``.  Issues nothing.
         """
         counter = self._counter
@@ -322,12 +304,10 @@ class FaultyStack:
         # Classify at least a look-ahead window: REF-cleanliness is a
         # pure function of the counter, so the verdict serves every
         # later catch-up until the counter reaches the first fault.
-        plan = self.plan
         window = max(limit, _REF_LOOKAHEAD)
         indices = np.arange(counter + 1, counter + window + 1,
                             dtype=np.int64)
-        hits = (plan.stall_mask(indices) | plan.hang_mask(indices)
-                | plan.drop_mask(indices) | plan.ghost_mask(indices))
+        hits = self.plan.command_faults("REF", indices).any()
         clean = int(hits.argmax()) if hits.any() else window
         self._clean_through = counter + clean
         return min(clean, limit)
@@ -358,7 +338,7 @@ class FaultyStack:
         """Skip ``count`` command slots whose fault draws are known misses.
 
         The batched executors classify future command counters with the
-        plan's vectorized samplers; a span where *no* draw hits is
+        plan's fault rule; a span where *no* draw hits is
         executed on the fast engine and its counters consumed here in
         one step, keeping the schedule aligned with the command stream
         a scalar replay would see.  Returns the new counter value.
@@ -367,37 +347,28 @@ class FaultyStack:
         return self._counter
 
     def apply_read_faults(self, address: RowAddress, data: np.ndarray,
-                          index: int,
-                          events: Optional[List[FaultEvent]] = None
-                          ) -> np.ndarray:
+                          index: int) -> np.ndarray:
         """Data-path faults (stuck cells, then RD bit errors) for the
         read at command counter ``index``, logging events in order.
 
         ``read_row`` uses this after every wrapped read; the batched
-        executors call it directly on engine-computed row images at the
-        read's statically known counter.  ``events`` redirects the
-        logged fault events into a caller-owned buffer instead of
-        :attr:`events` — a speculative executor evaluates reads at
-        *assumed* counters and must be able to discard (or defer) the
-        resulting events until the speculation is accepted.
+        session measurement calls it directly on engine-computed row
+        images at the read's statically known counter.
         """
-        data = self._apply_stuck_cells(address, data, index, events)
-        return self._apply_read_flips(data, index, events)
+        data = self._apply_stuck_cells(address, data, index)
+        return self._apply_read_flips(data, index)
 
     # -- data-path faults --------------------------------------------------
 
-    def _apply_read_flips(self, data: np.ndarray, index: int,
-                          events: Optional[List[FaultEvent]] = None
-                          ) -> np.ndarray:
+    def _apply_read_flips(self, data: np.ndarray, index: int) -> np.ndarray:
         plan = self.plan
         if not plan.read_flip_rate \
-                or self._draw(_TAG_RDFLIP, index) >= plan.read_flip_rate:
+                or self._draw(TAG_RDFLIP, index) >= plan.read_flip_rate:
             return data
         positions = plan.read_flip_positions(index, data.size * 8)
         data = data.copy()
         _xor_bits(data, positions)
-        self._log(index, "rd-flip", "RD",
-                  tuple(int(p) for p in positions), sink=events)
+        self._log(index, "rd-flip", "RD", tuple(int(p) for p in positions))
         return data
 
     def _stuck_bits_for(self, address: RowAddress) \
@@ -409,8 +380,8 @@ class FaultyStack:
         plan = self.plan
         stuck: Optional[Tuple[np.ndarray, np.ndarray]] = None
         if plan.stuck_row_rate and uniform_for(
-                plan.seed, _TAG_STUCK, *key) < plan.stuck_row_rate:
-            rng = generator_for(plan.seed, _TAG_STUCK, *key, 1)
+                plan.seed, TAG_STUCK, *key) < plan.stuck_row_rate:
+            rng = generator_for(plan.seed, TAG_STUCK, *key, 1)
             count = 1 + int(rng.integers(plan.stuck_bits_per_row))
             row_bits = self.wrapped.geometry.row_bits
             positions = np.unique(rng.integers(row_bits, size=count))
@@ -420,9 +391,7 @@ class FaultyStack:
         return stuck
 
     def _apply_stuck_cells(self, address: RowAddress, data: np.ndarray,
-                           index: int,
-                           events: Optional[List[FaultEvent]] = None
-                           ) -> np.ndarray:
+                           index: int) -> np.ndarray:
         stuck = self._stuck_bits_for(address)
         if stuck is None:
             return data
@@ -435,8 +404,7 @@ class FaultyStack:
         np.bitwise_and.at(data, byte_index, np.uint8(0xFF) ^ mask)
         np.bitwise_or.at(data, byte_index,
                          (values << bit_in_byte).astype(np.uint8))
-        self._log(index, "stuck", "RD", tuple(int(p) for p in positions),
-                  sink=events)
+        self._log(index, "stuck", "RD", tuple(int(p) for p in positions))
         return data
 
 

@@ -41,7 +41,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import (Any, Dict, FrozenSet, Mapping, NamedTuple,
+                    Optional, Tuple)
 
 import numpy as np
 
@@ -62,9 +63,42 @@ TAG_JITTER = 0x71EE
 TAG_RDFLIP = 0x2DF1
 TAG_STUCK = 0x57C4
 
-#: Command kinds a drop fault can lose / a ghost fault can duplicate.
+#: Command kinds a drop fault can lose / a ghost fault can duplicate /
+#: a jitter fault can stretch; stalls and hangs fire on any command.
+#: :meth:`FaultPlan.command_faults` is the one vectorized form of this
+#: table.
 DROPPABLE: FrozenSet[str] = frozenset({"ACT", "PRE", "WR", "REF", "WAIT"})
 GHOSTABLE: FrozenSet[str] = frozenset({"PRE", "REF"})
+JITTERABLE: FrozenSet[str] = frozenset({"ACT", "HAMMER"})
+_DROPPABLE = sorted(DROPPABLE)
+_GHOSTABLE = sorted(GHOSTABLE)
+_JITTERABLE = sorted(JITTERABLE)
+
+
+class CommandFaults(NamedTuple):
+    """Per-command (or per-window) masks, one per fault kind."""
+
+    stall: np.ndarray
+    hang: np.ndarray
+    drop: np.ndarray
+    ghost: np.ndarray
+    jitter: np.ndarray
+
+    def any(self) -> np.ndarray:
+        """Where any fault fires: the command is not clean."""
+        return self.stall | self.hang | self.drop | self.ghost | self.jitter
+
+
+def _drawn(sampler: Any, enabled: Any, indices: np.ndarray,
+           eligible: Any) -> np.ndarray:
+    """``sampler`` evaluated at the counters ``eligible()`` selects (no
+    draw at all while the fault is disabled)."""
+    hits = np.zeros(indices.shape, dtype=bool)
+    if enabled:
+        where = eligible()
+        if where.any():
+            hits[where] = sampler(indices[where])
+    return hits
 
 
 @dataclass(frozen=True)
@@ -211,58 +245,60 @@ class FaultPlan:
             magnitudes[hits] = self.act_jitter_ns * fractions
         return hits, magnitudes
 
-    def classify_probe_windows(
-            self, bases: np.ndarray, writes: np.ndarray,
-            hammers: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Classify measurement windows laid out on per-row virtual
-        counter streams.
+    def command_faults(self, kinds: Any,
+                       indices: np.ndarray) -> CommandFaults:
+        """The fault rule: which faults the commands at ``indices`` draw.
 
-        Window ``k`` is a ``WR``×``writes[k]`` / ``HAMMER``×
-        ``hammers[k]`` / ``RD``×1 command sequence whose first command
-        draws at counter ``bases[k] + 1`` (the injector pre-increments
-        before every draw).  ``bases`` is an *explicit* counter base per
-        window rather than one global running tick, which lets a
-        speculative executor lay out many rows' probe paths and ask, in
-        one vectorized pass, which windows a scalar replay would have
-        perturbed.
-
-        Returns ``(dirty, read_indices)``:
-
-        - ``dirty[k]`` — the window is touched by a fault the batch
-          engine cannot express: a stall or hang anywhere in it, a drop
-          on one of its WRs, or jitter on one of its HAMMERs.  (PRE/REF
-          never appear inside a window, so ghost faults cannot fire;
-          read-path faults — stuck cells and RD bit errors — are *not*
-          dirtying because they apply to the returned image after the
-          fact.)
-        - ``read_indices[k]`` — the counter of the window's RD, where
-          the read-path draws for that probe key.
+        ``kinds`` names each command's kind (``"ACT"``, ``"HAMMER"``,
+        ...), one per counter or one name for all of them.  Stall
+        and hang can fire on any command, drop on :data:`DROPPABLE`
+        kinds, ghost on :data:`GHOSTABLE` kinds and jitter on
+        :data:`JITTERABLE` kinds.  Each mask holds the decision the
+        scalar :meth:`~repro.faults.injector.FaultyStack._platform` and
+        :meth:`~repro.faults.injector.FaultyStack._jitter_ns` make at
+        that counter: a hang ends the command before any later draw,
+        and a drop before the ghost draw.
         """
-        bases = np.asarray(bases, dtype=np.int64)
-        writes = np.asarray(writes, dtype=np.int64)
-        hammers = np.asarray(hammers, dtype=np.int64)
-        lengths = writes + hammers + 1
+        indices = np.asarray(indices, dtype=np.int64)
+        kinds = np.asarray(kinds)
+        stall = self.stall_mask(indices)
+        hang = self.hang_mask(indices)
+        live = ~hang
+        drop = _drawn(self.drop_mask, self.drop_rate, indices,
+                      lambda: live & np.isin(kinds, _DROPPABLE))
+        ghost = _drawn(self.ghost_mask, self.ghost_rate, indices,
+                       lambda: live & ~drop & np.isin(kinds, _GHOSTABLE))
+        jitter = _drawn(lambda at: self.draw_jitter_array(at)[0],
+                        self.act_jitter_rate and self.act_jitter_ns, indices,
+                        lambda: live & np.isin(kinds, _JITTERABLE))
+        return CommandFaults(stall, hang, drop, ghost, jitter)
+
+    def classify_probe_windows(self, base: int, kinds: Any,
+                               lengths: np.ndarray) -> CommandFaults:
+        """:meth:`command_faults` reduced over back-to-back windows.
+
+        Window ``k`` holds ``lengths[k]`` commands; the windows occupy
+        consecutive command counters from ``base + 1`` (the injector
+        pre-increments before every draw).  ``kinds`` names every
+        command of every window, in counter order.  Each returned mask
+        says whether a fault of that kind fires anywhere in the window;
+        ``.any()`` marks the windows a batched executor must replay
+        command by command.
+        """
+        lengths = np.asarray(lengths, dtype=np.int64)
         total = int(lengths.sum())
-        read_indices = bases + lengths
-        if total == 0:
-            return np.zeros(bases.shape, dtype=bool), read_indices
-        window_of = np.repeat(np.arange(bases.size), lengths)
-        offsets = (np.arange(total)
-                   - np.repeat(np.cumsum(lengths) - lengths, lengths))
-        indices = np.repeat(bases, lengths) + offsets + 1
-        hits = self.stall_mask(indices) | self.hang_mask(indices)
-        if self.drop_rate:
-            is_write = offsets < np.repeat(writes, lengths)
-            hits[is_write] |= self.drop_mask(indices[is_write])
-        if self.act_jitter_rate and self.act_jitter_ns:
-            is_hammer = ((offsets >= np.repeat(writes, lengths))
-                         & (offsets < np.repeat(writes + hammers,
-                                                lengths)))
-            jitter_hits, __ = self.draw_jitter_array(indices[is_hammer])
-            hits[is_hammer] |= jitter_hits
-        dirty = np.zeros(bases.shape, dtype=bool)
-        np.logical_or.at(dirty, window_of, hits)
-        return dirty, read_indices
+        faults = self.command_faults(
+            kinds, np.arange(base + 1, base + total + 1, dtype=np.int64))
+        nonempty = np.flatnonzero(lengths)
+        starts = (np.cumsum(lengths) - lengths)[nonempty]
+
+        def per_window(hits: np.ndarray) -> np.ndarray:
+            windows = np.zeros(lengths.shape, dtype=bool)
+            if total:
+                windows[nonempty] = np.logical_or.reduceat(hits, starts)
+            return windows
+
+        return CommandFaults(*(per_window(hits) for hits in faults))
 
     def draw_bitflips_array(self, indices: np.ndarray) -> np.ndarray:
         """Which RD counters suffer interface bit errors.

@@ -32,14 +32,6 @@ divergence becomes a regression test.  Entry point::
 and ``--mutate NAME`` runs the campaign against a deliberately seeded
 engine bug (:mod:`repro.fuzz.mutations`) to prove the harness can
 actually catch one.
-
-``--search-budget N`` adds HC_first differential search probes
-(:mod:`repro.fuzz.search`): each case runs a random victim set through
-the scalar per-victim :func:`~repro.bender.routines.hcfirst.
-search_hc_first` loop and the speculative-replay
-:func:`~repro.bender.routines.hcfirst.search_hc_first_rows` under a
-random fault plan, cross-checking results, fault events, command
-counter and TRR sampler state.
 """
 
 from repro.fuzz.corpus import iter_corpus, load_case, save_case
@@ -47,17 +39,12 @@ from repro.fuzz.generator import FuzzCase, generate_case, generate_program
 from repro.fuzz.harness import (CaseResult, EngineOutcome, run_budget,
                                 run_case, snapshot_state)
 from repro.fuzz.mutations import MUTATIONS, seeded_bug
-from repro.fuzz.search import (SearchCase, SearchCaseResult,
-                               generate_search_case, run_search_budget,
-                               run_search_case, search_case_variants)
 from repro.fuzz.shrink import shrink
 
 __all__ = [
     "FuzzCase", "generate_case", "generate_program",
     "CaseResult", "EngineOutcome", "run_budget", "run_case",
     "snapshot_state",
-    "SearchCase", "SearchCaseResult", "generate_search_case",
-    "run_search_budget", "run_search_case", "search_case_variants",
     "iter_corpus", "load_case", "save_case",
     "MUTATIONS", "seeded_bug",
     "shrink",

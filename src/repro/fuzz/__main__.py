@@ -10,7 +10,6 @@ Runs a differential fuzzing campaign (see :mod:`repro.fuzz`) and exits:
 Examples::
 
     python -m repro.fuzz --seed 0 --budget 200
-    python -m repro.fuzz --seed 0 --budget 200 --search-budget 20
     python -m repro.fuzz --seed 0 --budget 200 --corpus out/fuzz
     python -m repro.fuzz --replay tests/fuzz/corpus
     python -m repro.fuzz --seed 0 --budget 50 --mutate clock-skew
@@ -22,21 +21,15 @@ import argparse
 import contextlib
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from repro.bender.assembler import disassemble
 from repro.dram.device import HBM2Stack
 from repro.fuzz.corpus import iter_corpus, save_case
-from repro.fuzz.generator import FuzzCase
 from repro.fuzz.harness import (CaseResult, run_budget, run_case,
                                 still_fails)
 from repro.fuzz.mutations import MUTATIONS, seeded_bug
-from repro.fuzz.search import (SearchCaseResult, run_search_budget,
-                               run_search_case, search_case_variants,
-                               still_fails_search)
 from repro.fuzz.shrink import shrink
-
-AnyResult = Union[CaseResult, SearchCaseResult]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,11 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="campaign seed (default: 0)")
     parser.add_argument("--budget", type=int, default=200,
                         help="number of generated cases (default: 200)")
-    parser.add_argument("--search-budget", type=int, default=0,
-                        help="number of generated HC_first search cases "
-                             "(scalar-per-victim search_hc_first vs the "
-                             "speculative search_hc_first_rows; "
-                             "default: 0)")
     parser.add_argument("--corpus", type=Path, default=None,
                         help="directory to write shrunk reproducers to")
     parser.add_argument("--replay", type=Path, default=None,
@@ -71,39 +59,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_failure(result: AnyResult, quiet: bool) -> None:
+def _report_failure(result: CaseResult, quiet: bool) -> None:
     print(result.describe())
     if quiet:
         return
     case = result.case
     print("  shrunk reproducer:")
-    if isinstance(result, SearchCaseResult):
-        for victim in case.victims:
-            print(f"    victim ch{victim.channel} pc"
-                  f"{victim.pseudo_channel} ba{victim.bank} "
-                  f"row {victim.row}")
-        print(f"    pattern {case.pattern}, start {case.start}, "
-              f"max_hammers {case.max_hammers}, "
-              f"tolerance {case.tolerance}")
-    else:
-        for line in disassemble(case.program).splitlines():
-            print(f"    {line}")
+    for line in disassemble(case.program).splitlines():
+        print(f"    {line}")
     if case.fault_plan is not None:
         print(f"  fault plan: {case.fault_plan.to_dict()}")
     print(f"  trr_enabled: {case.trr_enabled}")
 
 
-def _shrink_failures(failures: Sequence[AnyResult],
+def _shrink_failures(failures: Sequence[CaseResult],
                      corpus: Optional[Path],
                      quiet: bool) -> None:
     for failure in failures:
-        if isinstance(failure, SearchCaseResult):
-            shrunk = shrink(failure.case, still_fails_search,
-                            variants=search_case_variants)
-            result: AnyResult = run_search_case(shrunk)
-        else:
-            shrunk = shrink(failure.case, still_fails)
-            result = run_case(shrunk)
+        result = run_case(shrink(failure.case, still_fails))
         if result.ok:  # shrinking raced a flaky predicate; keep original
             result = failure
         _report_failure(result, quiet)
@@ -112,14 +85,13 @@ def _shrink_failures(failures: Sequence[AnyResult],
             print(f"  saved reproducer to {target}")
 
 
-def _replay(root: Path, keep_going: bool) -> List[AnyResult]:
+def _replay(root: Path, keep_going: bool) -> List[CaseResult]:
     row_bytes = HBM2Stack().geometry.row_bytes
-    failures: List[AnyResult] = []
+    failures: List[CaseResult] = []
     replayed = 0
     for case in iter_corpus(root, row_bytes=row_bytes):
         replayed += 1
-        result: AnyResult = run_case(case) if isinstance(case, FuzzCase) \
-            else run_search_case(case)
+        result = run_case(case)
         if not result.ok:
             failures.append(result)
             if not keep_going:
@@ -134,13 +106,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.budget < 0:
         parser.error("--budget must be non-negative")
-    if args.search_budget < 0:
-        parser.error("--search-budget must be non-negative")
 
     context = seeded_bug(args.mutate) if args.mutate \
         else contextlib.nullcontext()
     with context:
-        failures: List[AnyResult]
+        failures: List[CaseResult]
         if args.replay is not None:
             failures = _replay(args.replay, args.keep_going)
         else:
@@ -148,14 +118,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                        keep_going=args.keep_going))
             print(f"ran {args.budget} generated case(s) "
                   f"(seed {args.seed}), {len(failures)} failing")
-            if args.search_budget and (args.keep_going or not failures):
-                search_failures = run_search_budget(
-                    args.seed, args.search_budget,
-                    keep_going=args.keep_going)
-                print(f"ran {args.search_budget} generated search "
-                      f"case(s) (seed {args.seed}), "
-                      f"{len(search_failures)} failing")
-                failures.extend(search_failures)
         if failures:
             _shrink_failures(failures, args.corpus, args.quiet)
 

@@ -1,39 +1,28 @@
 """Regression-corpus persistence for shrunk fuzzer reproducers.
 
-One reproducer is a directory holding a ``case.json`` with a ``kind``
-field selecting the case type:
-
-- ``"program"`` — a differential program case.  ``case.json`` carries
-  the execution context (campaign seed/index, TRR enable, fault plan)
-  and a sibling ``program.sbp`` holds the shrunk program as SoftBender
-  assembly (:func:`~repro.bender.assembler.disassemble`);
-  human-readable and directly replayable,
-- ``"search"`` — an HC_first differential search case
-  (:class:`~repro.fuzz.search.SearchCase`): JSON-only, the victims and
-  search parameters fully describe the reproducer.
-
-Either kind also records the divergence strings observed when the case
-was saved.  ``tests/fuzz/corpus/`` replays every committed reproducer
-through the matching differential harness on each test run, so a
-divergence found once by a nightly campaign stays fixed forever.
+One reproducer is a directory holding a ``case.json`` and a
+``program.sbp``.  ``case.json`` carries the execution context (campaign
+seed/index, TRR enable, fault plan), the divergence strings observed
+when the case was saved and a ``kind`` field, which is always
+``"program"``; ``program.sbp`` holds the shrunk program as SoftBender
+assembly (:func:`~repro.bender.assembler.disassemble`), human-readable
+and directly replayable.  ``tests/fuzz/corpus/`` replays every committed
+reproducer through the matching differential harness on each test run,
+so a divergence found once by a nightly campaign stays fixed forever.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Sequence
 
 from repro.bender.assembler import assemble, disassemble
-from repro.dram.geometry import RowAddress
 from repro.faults.plan import FaultPlan
 from repro.fuzz.generator import FuzzCase
-from repro.fuzz.search import SearchCase
 
 PROGRAM_FILE = "program.sbp"
 CASE_FILE = "case.json"
-
-AnyCase = Union[FuzzCase, SearchCase]
 
 
 def _write_json(target: Path, payload: dict) -> None:
@@ -42,7 +31,7 @@ def _write_json(target: Path, payload: dict) -> None:
         encoding="utf-8")
 
 
-def save_case(directory: Path, case: AnyCase,
+def save_case(directory: Path, case: FuzzCase,
               divergences: Sequence[str] = ()) -> Path:
     """Persist one reproducer under ``directory / case.name``."""
     target = Path(directory) / case.name
@@ -53,31 +42,18 @@ def save_case(directory: Path, case: AnyCase,
         "fault_plan": None if case.fault_plan is None
         else case.fault_plan.to_dict(),
         "divergences": list(divergences),
+        "kind": "program",
+        "trr_enabled": case.trr_enabled,
     }
-    if isinstance(case, SearchCase):
-        payload.update({
-            "kind": "search",
-            "victims": [[v.channel, v.pseudo_channel, v.bank, v.row]
-                        for v in case.victims],
-            "pattern": case.pattern,
-            "start": case.start,
-            "max_hammers": case.max_hammers,
-            "tolerance": case.tolerance,
-            "trr_enabled": case.trr_enabled,
-        })
-    else:
-        payload.update({
-            "kind": "program",
-            "trr_enabled": case.trr_enabled,
-        })
-        (target / PROGRAM_FILE).write_text(disassemble(case.program),
-                                           encoding="utf-8")
+    (target / PROGRAM_FILE).write_text(disassemble(case.program),
+                                       encoding="utf-8")
     _write_json(target, payload)
     return target
 
 
-def load_case(directory: Path, row_bytes: int = 1024) -> AnyCase:
-    """Load one persisted reproducer (dispatching on its ``kind``)."""
+def load_case(directory: Path, row_bytes: int = 1024) -> FuzzCase:
+    """Load one persisted reproducer (a payload without ``kind`` is a
+    program case; any other kind is rejected)."""
     directory = Path(directory)
     payload = json.loads((directory / CASE_FILE).read_text(
         encoding="utf-8"))
@@ -85,18 +61,6 @@ def load_case(directory: Path, row_bytes: int = 1024) -> AnyCase:
     if payload.get("fault_plan") is not None:
         plan = FaultPlan.from_dict(payload["fault_plan"])
     kind = payload.get("kind", "program")
-    if kind == "search":
-        return SearchCase(
-            seed=int(payload["seed"]),
-            index=int(payload["index"]),
-            victims=tuple(RowAddress(*map(int, entry))
-                          for entry in payload["victims"]),
-            pattern=str(payload["pattern"]),
-            start=int(payload["start"]),
-            max_hammers=int(payload["max_hammers"]),
-            tolerance=float(payload["tolerance"]),
-            trr_enabled=bool(payload["trr_enabled"]),
-            fault_plan=plan)
     if kind != "program":
         raise ValueError(
             f"unknown corpus case kind {kind!r} in {directory}")
@@ -110,7 +74,7 @@ def load_case(directory: Path, row_bytes: int = 1024) -> AnyCase:
 
 
 def iter_corpus(root: Path, row_bytes: int = 1024
-                ) -> Iterator[AnyCase]:
+                ) -> Iterator[FuzzCase]:
     """Yield every reproducer under ``root`` (sorted, deterministic)."""
     root = Path(root)
     if not root.is_dir():

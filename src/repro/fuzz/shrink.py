@@ -20,7 +20,7 @@ the same reproducer.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Callable, Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 from repro.bender.program import Instruction, Loop, TestProgram
 from repro.dram.commands import Command, CommandKind
@@ -100,24 +100,17 @@ def _case_variants(case: FuzzCase) -> Iterator[FuzzCase]:
             _with_instructions(case.program, instructions))
 
 
-def shrink(case: Any, still_fails: Callable[[Any], bool],
-           max_steps: int = MAX_STEPS,
-           variants: Optional[Callable[[Any], Iterator[Any]]] = None
-           ) -> Any:
+def shrink(case: FuzzCase, still_fails: Callable[[FuzzCase], bool],
+           max_steps: int = MAX_STEPS) -> FuzzCase:
     """Greedily minimize ``case`` while ``still_fails`` holds.
 
     ``still_fails(case)`` must be True on entry; the returned case
     still fails and no single further reduction keeps it failing.
-    ``variants`` yields the single-step reductions of a case — the
-    default covers :class:`~repro.fuzz.generator.FuzzCase` programs;
-    :func:`repro.fuzz.search.search_case_variants` plugs in HC_first
-    search cases.
     """
-    reduce = _case_variants if variants is None else variants
     current = case
     for __ in range(max_steps):
-        accepted: Optional[Any] = None
-        for candidate in reduce(current):
+        accepted: Optional[FuzzCase] = None
+        for candidate in _case_variants(current):
             if still_fails(candidate):
                 accepted = candidate
                 break

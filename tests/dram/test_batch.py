@@ -294,14 +294,15 @@ def _trr_state(session):
 class TestSpeculativeEquivalence:
     """search_hc_first_rows under a fault plan == the scalar loop.
 
-    The speculative-replay contract (PR 10): per-row results, the
-    injected fault-event log, the final command counter and the TRR
-    sampler state are bit-identical to running :func:`search_hc_first`
-    per victim on a fresh identically-seeded FaultyStack.
+    Regression contract of the multi-row search under faults: per-row
+    results, the injected fault-event log, the final command counter
+    and the TRR sampler state are bit-identical to running
+    :func:`search_hc_first` per victim on a fresh identically-seeded
+    FaultyStack.
     """
 
-    #: Hot enough that short searches hit dirty windows, read faults
-    #: and (with drops) the overlap demotion — not just clean paths.
+    #: Hot enough that short searches hit drops, jitter and read
+    #: faults — not just clean paths.
     PLAN = dict(drop_rate=0.01, act_jitter_rate=0.01, act_jitter_ns=5.0,
                 read_flip_rate=0.05, stuck_row_rate=0.05)
 

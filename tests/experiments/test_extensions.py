@@ -46,6 +46,46 @@ class TestTemperatureExtension:
             "f255ccfc71c9be79ea2720b62eab5b7a0750447bf15a725170c4e196c8c69bd2")
 
 
+class TestFaultsReachHcFirst:
+    """A heavy plan must bite the search ext-temperature runs, not only
+    leave the run standing."""
+
+    def test_heavy_read_flips_move_hc_first(self):
+        from repro.bender.host import BenderSession
+        from repro.bender.routines import search_hc_first_rows
+        from repro.chips.profiles import make_chip
+        from repro.core.patterns import CHECKERED0
+        from repro.experiments.ext_temperature import TEMPERATURES, VICTIM
+        from repro.faults import FaultPlan, clear_plan, install_plan
+
+        chip = make_chip(0)
+
+        def search(temperature, plan):
+            device = chip.make_device()
+            device.set_temperature(temperature)
+            if plan is not None:
+                install_plan(plan)
+            try:
+                session = BenderSession(device, mapping=chip.row_mapping())
+                result = search_hc_first_rows(session, [VICTIM],
+                                              CHECKERED0, tolerance=0.01)
+            finally:
+                clear_plan()
+            return result[0].hc_first, getattr(session.device, "events",
+                                               None)
+
+        # Most RDs return a corrupted image, so most probes read a flip.
+        heavy = FaultPlan(seed=7, read_flip_rate=0.9)
+        moved = []
+        for temperature in TEMPERATURES:
+            clean, __ = search(temperature, None)
+            faulted, events = search(temperature, heavy)
+            assert events, f"no fault reached the search at {temperature}"
+            assert {event.fault for event in events} == {"rd-flip"}
+            moved.append(faulted != clean)
+        assert any(moved)
+
+
 class TestDefenseExtension:
     @pytest.fixture(scope="class")
     def result(self):

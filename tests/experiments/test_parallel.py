@@ -1,6 +1,7 @@
 """Tests for the parallel experiment runner and the bench harness."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -104,11 +105,17 @@ class TestBenchHarness:
         assert run["experiments"]["fig05"]["phases"]["calibrate"] == 0.4
         assert bench.experiment_seconds(run["experiments"]["fig05"]) == 1.0
 
-    def test_experiment_seconds_reads_schema1_floats(self):
-        """Checked-in schema-1 baselines must stay readable (the CI
-        perf gate compares against them)."""
-        assert bench.experiment_seconds(1.2838) == 1.2838
-        assert bench.experiment_seconds({"seconds": 0.31}) == 0.31
+    def test_committed_history_stores_mapping_entries(self):
+        """Every stored entry, schema-1 runs included, is a
+        ``{"seconds": ...}`` mapping: the readers have no float path."""
+        history = json.loads(
+            (Path(__file__).resolve().parents[2]
+             / "BENCH_experiments.json").read_text())
+        entries = [entry for run in history["runs"]
+                   for entry in run["experiments"].values()]
+        assert entries
+        assert all(isinstance(entry, dict) for entry in entries)
+        assert bench.experiment_seconds(entries[0]) == 1.3736
 
     def test_run_records_carry_phases_into_bench(self, tmp_path):
         path = tmp_path / "bench.json"

@@ -33,10 +33,10 @@ class TestFindRun:
         seconds, __ = find_run(payload, "fig05", 0.25, 1, "warm")
         assert seconds == 0.4
 
-    def test_schema1_float_entries(self):
-        """The checked-in PR-1 history stores plain floats."""
+    def test_schema1_entries(self):
+        """The checked-in schema-1 history: no batch key, no phases."""
         payload = {"runs": [{"scale": 0.25, "jobs": 1, "cache": "warm",
-                             "experiments": {"fig05": 1.2838},
+                             "experiments": {"fig05": {"seconds": 1.2838}},
                              "total_seconds": 1.2838}]}
         seconds, __ = find_run(payload, "fig05", 0.25, 1, "warm")
         assert seconds == 1.2838
@@ -63,7 +63,7 @@ class TestFindRun:
         """Schema-1 entries carry no batch flag, so they only match
         the 'any' default."""
         payload = {"runs": [{"scale": 0.25, "jobs": 1, "cache": "warm",
-                             "experiments": {"fig05": 1.2838},
+                             "experiments": {"fig05": {"seconds": 1.2838}},
                              "total_seconds": 1.2838}]}
         assert find_run(payload, "fig05", 0.25, 1, "warm",
                         batch=True) == (None, None)

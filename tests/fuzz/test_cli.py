@@ -71,47 +71,3 @@ class TestCorpusFlags:
         with seeded_bug("lint-blind"):
             code = main(["--replay", str(CORPUS)])
         assert code == 1
-
-
-class TestSearchBudget:
-    def test_clean_search_budget_exits_zero(self, capsys):
-        assert main(["--seed", "0", "--budget", "0",
-                     "--search-budget", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "5 generated search case(s)" in out
-        assert "0 failing" in out
-
-    def test_negative_search_budget_is_usage_error(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--search-budget", "-1"])
-        assert excinfo.value.code == 2
-
-    def test_search_failure_shrinks_and_persists(self, tmp_path, capsys):
-        import json
-        from unittest import mock
-
-        import numpy as np
-
-        from repro.faults.plan import FaultPlan
-
-        real = FaultPlan.classify_probe_windows
-
-        def blind(plan, bases, writes, hammers):
-            dirty, reads = real(plan, bases, writes, hammers)
-            return np.zeros_like(dirty), reads
-
-        corpus = tmp_path / "out"
-        with mock.patch.object(FaultPlan, "classify_probe_windows",
-                               blind):
-            code = main(["--seed", "0", "--budget", "0",
-                         "--search-budget", "40",
-                         "--corpus", str(corpus)])
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "shrunk reproducer" in out
-        assert "victim ch" in out
-        saved = [p for p in corpus.iterdir() if p.is_dir()]
-        assert len(saved) == 1
-        payload = json.loads((saved[0] / "case.json").read_text())
-        assert payload["kind"] == "search"
-        assert not (saved[0] / "program.sbp").exists()

@@ -6,7 +6,10 @@ reproducer committed under ``tests/fuzz/corpus`` replays clean through
 the differential harness — a divergence found once stays fixed.
 """
 
+import json
 from pathlib import Path
+
+import pytest
 
 from repro.dram.device import HBM2Stack
 from repro.fuzz.corpus import (corpus_names, iter_corpus, load_case,
@@ -54,6 +57,24 @@ class TestRoundTrip:
                                               row_bytes=ROW_BYTES))
         names = corpus_names(tmp_path)
         assert names == sorted(names) and len(names) == 3
+
+    def test_unknown_kind_rejected(self, tmp_path):
+        target = tmp_path / "weird"
+        target.mkdir()
+        (target / "case.json").write_text('{"kind": "search"}')
+        with pytest.raises(ValueError, match="search"):
+            load_case(target)
+
+    def test_legacy_payload_defaults_to_program(self, tmp_path):
+        # Early corpus entries have no kind field.
+        case = generate_case(0, 3, row_bytes=ROW_BYTES)
+        target = save_case(tmp_path, case)
+        payload = json.loads((target / "case.json").read_text())
+        assert payload.pop("kind") == "program"
+        (target / "case.json").write_text(json.dumps(payload))
+        loaded = load_case(target, row_bytes=ROW_BYTES)
+        assert loaded.seed == case.seed
+        assert _stream_key(loaded.program) == _stream_key(case.program)
 
 
 class TestCommittedCorpus:

@@ -68,6 +68,18 @@ class TestRetentionAcceleration:
         assert make_device(40.0).retention_acceleration() == \
             pytest.approx(0.5)
 
+    def test_stored_value_follows_every_temperature_write(self):
+        """The acceleration is derived once per temperature write (the
+        restore's early exit reads it on every call), so it must equal
+        the formula after construction and after each set_temperature."""
+        device = make_device(50.0)
+        assert device.retention_acceleration() == 1.0
+        for temperature in (62.0, 91.5, 50.0, 17.0):
+            device.set_temperature(temperature)
+            assert device.retention_acceleration() \
+                == 2.0 ** ((temperature - 50.0) / 10.0)
+        assert HBM2Stack(retention=None).retention_acceleration() == 1.0
+
     def test_hot_chip_loses_data_sooner(self, chip0):
         device = chip0.make_device()
         # Find a row with retention just above 1 s at calibration temp.
