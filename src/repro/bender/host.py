@@ -10,7 +10,7 @@ must stay within the 32 ms refresh window (Section 3.1) can assert it.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from repro.dram.batch import (RowBatchProfile, batch_enabled,
 from repro.dram.device import HBM2Stack
 from repro.dram.geometry import RowAddress
 from repro.dram.row_mapping import RowMapping
-from repro.faults.injector import FaultyStack
 
 
 class RefreshWindowExceeded(Exception):
@@ -134,12 +133,12 @@ class BenderSession:
         """Whether batched measurement may replace the scalar path here.
 
         False when the ``HBMSIM_BATCH`` escape hatch disables it or the
-        device is a subclass the closed-form engine cannot model.  Fault
-        plans batch too: a ``FaultyStack``-wrapped plain stack is
-        supported — the session classifies each victim's command window
-        with the plan's fault rule, measures fault-free windows
-        on the engine, and replays only fault-hit windows per-command
-        (see :meth:`hammer_rows`).  TRR-enabled devices batch fine: the
+        device is a subclass the closed-form engine cannot model.  The
+        callers (the HC_first row search, the TRR-bypass attack) still
+        take their per-row path on a ``FaultyStack``-wrapped device:
+        under a fault plan, programs batch in the compiled executor,
+        whose ``compile.dirty_window_mask`` replays only fault-hit
+        windows per-command.  TRR-enabled devices batch fine: the
         engine mirrors the activation stream into the TRR sampler.
         """
         return batch_enabled() and engine_supported(self.device)
@@ -155,125 +154,3 @@ class BenderSession:
         """
         return RowBatchProfile(self.device, addresses, pattern,
                                radius=radius)
-
-    def hammer_rows(self, victims, pattern, count: int,
-                    t_on: Optional[float] = None) -> List[np.ndarray]:
-        """Measure init -> double-sided hammer -> read for many victims.
-
-        Returns the per-victim row images a ``read_physical_row`` after
-        the hammer would observe, in victim order.  Uses the batch engine
-        when :meth:`batching_active`; otherwise falls back to the scalar
-        command sequence (which, like the real methodology, advances
-        device time and is visible to TRR).  Under a fault plan the
-        victims whose command windows draw no fault still measure on the
-        engine; fault-hit windows replay per-command so drops, jitter,
-        stalls and hangs land exactly as they would scalar — images and
-        the fault-event schedule are bit-identical to ``HBMSIM_BATCH=0``
-        either way.
-        """
-        victims = list(victims)
-        if not victims:
-            return []
-        if not self.batching_active():
-            return self._hammer_rows_scalar(victims, pattern, count, t_on)
-        if isinstance(self.device, FaultyStack):
-            return self._hammer_rows_faulty(victims, pattern, count, t_on)
-        result = self.profile_rows(victims, pattern).hammer(count, t_on)
-        return [image for image in result.images]
-
-    def _hammer_rows_scalar(self, victims, pattern, count: int,
-                            t_on: Optional[float]) -> List[np.ndarray]:
-        from repro.bender.routines.hammer import double_sided_hammer
-        from repro.bender.routines.rowinit import initialize_window
-        images = []
-        for victim in victims:
-            initialize_window(self, victim, pattern)
-            double_sided_hammer(self, victim, count, t_on)
-            images.append(self.read_physical_row(victim))
-        return images
-
-    def _hammer_rows_faulty(self, victims, pattern, count: int,
-                            t_on: Optional[float]) -> List[np.ndarray]:
-        """Batched measurement under an active fault plan.
-
-        Per victim the scalar sequence issues a *statically known*
-        command window — the window-init WRs, the aggressor HAMMERs,
-        one RD — so its counter range is known before executing
-        anything.  :meth:`~repro.faults.plan.FaultPlan.
-        classify_probe_windows` classifies each window up front:
-
-        - **clean** (no draw hits): measured through the batch engine;
-          the counters are consumed wholesale and only the read's
-          data-path faults (stuck cells, RD bit errors) apply, at the
-          read's exact counter,
-        - **dirty** (any stall/hang/drop/jitter hit): replayed through
-          the scalar command path on the live device, firing the exact
-          events the scalar run would.
-
-        A dropped window-init WR makes the replay read *stale* row
-        content, which only matches the scalar run if earlier
-        overlapping measurements actually wrote their windows — so any
-        earlier victim within ``2 * radius`` rows of a drop-hit victim
-        is demoted to the dirty set as well.  Victims are processed
-        strictly in order either way, keeping the TRR sampler's
-        first-activation CAM aligned with the scalar stream.
-        """
-        from repro.bender.routines.rowinit import window_rows
-
-        stack = self.device
-        plan = stack.plan
-        radius = 8
-        n = len(victims)
-        # Static command layout per victim: W writes, H hammers, one RD.
-        kinds: List[str] = []
-        per_victim = np.empty(n, dtype=np.int64)
-        for i, victim in enumerate(victims):
-            writes = len(window_rows(self, victim, radius))
-            neighbors = len(self.aggressors_of(victim))
-            if neighbors == 2:
-                hammers = 2 if count > 0 else 0
-            elif neighbors == 1:
-                hammers = 1
-            else:
-                raise ValueError("victim has no neighbors in the bank")
-            kinds += ["WR"] * writes + ["HAMMER"] * hammers + ["RD"]
-            per_victim[i] = writes + hammers + 1
-        read_indices = np.cumsum(per_victim) + stack._counter
-        faults = plan.classify_probe_windows(stack._counter, kinds,
-                                             per_victim)
-        dirty = faults.any()
-        # Demote earlier overlapping victims of drop-hit windows: their
-        # writes are the stale content the dirty replay will read.
-        for j in np.flatnonzero(faults.drop):
-            for i in range(int(j)):
-                if dirty[i]:
-                    continue
-                if (victims[i].bank_key == victims[j].bank_key
-                        and abs(victims[i].row - victims[j].row)
-                        <= 2 * radius):
-                    dirty[i] = True
-
-        profile = None
-        if not dirty.all():
-            profile = self.profile_rows(victims, pattern)
-        images: List[Optional[np.ndarray]] = [None] * n
-        i = 0
-        while i < n:
-            if dirty[i]:
-                images[i] = self._hammer_rows_scalar(
-                    [victims[i]], pattern, count, t_on)[0]
-                i += 1
-                continue
-            run_end = i
-            while run_end < n and not dirty[run_end]:
-                run_end += 1
-            subset = np.arange(i, run_end)
-            result = profile.hammer(count, t_on, subset=subset)
-            for position, v in enumerate(subset):
-                image = result.images[position]
-                stack.advance_counter(int(per_victim[v]))
-                images[v] = stack.apply_read_faults(
-                    self.logical_of_physical(victims[v]), image,
-                    int(read_indices[v]))
-            i = run_end
-        return images

@@ -25,28 +25,15 @@ Layout and invalidation
   bit-identical to a freshly calibrated one (asserted in
   ``tests/chips/test_cache.py``).
 
-Writes are atomic (``os.replace`` of a same-directory temp file), so
-concurrent writers — e.g. parallel experiment workers racing on a cold
-cache — at worst duplicate work, never corrupt an entry.  Corrupt or
-unreadable entries are treated as misses.
+Writes go through :func:`repro.experiments.store.atomic_write` (a
+same-directory temp file ``os.replace``d over the entry), so concurrent
+writers — e.g. parallel experiment workers racing on a cold cache — at
+worst duplicate work, never corrupt an entry.  Corrupt or unreadable
+entries are treated as misses.
 
-Whole-experiment results
-------------------------
-
-The same content-addressed scheme generalizes from one calibration
-scalar to a whole :class:`~repro.experiments.base.ExperimentResult`:
-:func:`experiment_key` hashes everything a report is a function of —
-the experiment id, the scale, the execution engine, the per-chip
-calibration fingerprints (which fold in
-:data:`~repro.chips.profiles.CALIBRATION_VERSION` and every model
-constant), and caller-supplied ``extra`` context such as the active
-fault-plan digest or a chip/channel shard.  The service layer
-(:mod:`repro.service`) uses these keys both for request coalescing and
-for its persistent result cache: a cache hit is guaranteed
-bit-identical to a fresh run because any input that could change the
-report changes the key.  Results are pickled (the checkpoint format of
-the resilient runner) and stored with the same atomic-replace,
-corrupt-entry-is-a-miss discipline as calibration entries.
+The same directory also holds the experiment service's whole-result
+entries; those belong to :mod:`repro.experiments.store`, which builds
+its content key on :func:`calibration_fingerprint`.
 """
 
 from __future__ import annotations
@@ -54,10 +41,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
-import tempfile
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Optional
+
+from repro.experiments.store import atomic_write
 
 _ENV_DIR = "HBMSIM_CACHE_DIR"
 _ENV_DISABLE = "HBMSIM_NO_CACHE"
@@ -78,7 +65,7 @@ def cache_dir() -> Path:
     return base / "hbmsim"
 
 
-def _calibration_fingerprint(spec, geometry) -> dict:
+def calibration_fingerprint(spec, geometry) -> dict:
     """Everything ``base_f_weak`` is a function of, JSON-serializable."""
     from repro.chips import profiles
     from repro.dram import cell_model
@@ -119,7 +106,7 @@ def _calibration_fingerprint(spec, geometry) -> dict:
 
 def cache_key(spec, geometry) -> str:
     """Stable content hash identifying one calibration result."""
-    canonical = json.dumps(_calibration_fingerprint(spec, geometry),
+    canonical = json.dumps(calibration_fingerprint(spec, geometry),
                            sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -149,114 +136,12 @@ def store_base_f_weak(spec, geometry, value: float) -> bool:
         "base_f_weak_hex": float(value).hex(),
         "base_f_weak": float(value),  # human-readable mirror
         "chip": spec.label,
-        "fingerprint": _calibration_fingerprint(spec, geometry),
+        "fingerprint": calibration_fingerprint(spec, geometry),
     }
-    path = _entry_path(cache_key(spec, geometry))
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent,
-                                        prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return True
+        atomic_write(_entry_path(cache_key(spec, geometry)),
+                     json.dumps(payload, indent=2,
+                                sort_keys=True).encode("utf-8"))
     except OSError:
         return False
-
-
-# ----------------------------------------------------------------------
-# Whole-experiment results (content-addressed, service-grade)
-# ----------------------------------------------------------------------
-
-def experiment_fingerprint(experiment_id: str, scale: float,
-                           extra: Optional[Mapping[str, Any]] = None
-                           ) -> dict:
-    """Everything a whole-experiment report is a function of.
-
-    Folds in the calibration fingerprint of every chip spec (hence the
-    calibration version and all model constants), the active execution
-    engine, and any ``extra`` caller context (fault-plan digest, shard,
-    tenant-independent config).  ``extra`` values must be
-    JSON-serializable.
-    """
-    from repro.chips.profiles import CHIP_SPECS
-    from repro.dram.batch import batch_enabled
-    from repro.dram.geometry import DEFAULT_GEOMETRY
-
-    return {
-        "experiment_id": experiment_id,
-        "scale": float(scale),
-        "batch": batch_enabled(),
-        "chips": [_calibration_fingerprint(spec, DEFAULT_GEOMETRY)
-                  for spec in CHIP_SPECS],
-        "extra": dict(extra or {}),
-    }
-
-
-def experiment_key(experiment_id: str, scale: float,
-                   extra: Optional[Mapping[str, Any]] = None) -> str:
-    """Stable content hash identifying one experiment result."""
-    canonical = json.dumps(
-        experiment_fingerprint(experiment_id, scale, extra),
-        sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _result_path(key: str) -> Path:
-    return cache_dir() / f"expres-{key}.pkl"
-
-
-def load_experiment_result(key: str):
-    """Cached :class:`~repro.experiments.base.ExperimentResult` for
-    ``key``, or ``None`` on miss/corruption/disabled cache."""
-    from repro.experiments.base import ExperimentResult
-
-    if not cache_enabled():
-        return None
-    try:
-        with _result_path(key).open("rb") as handle:
-            result = pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError, ValueError):
-        return None
-    if not isinstance(result, ExperimentResult):
-        return None
-    return result
-
-
-def store_experiment_result(key: str, result) -> bool:
-    """Persist one experiment result under its content key.
-
-    Returns ``False`` when the cache is disabled or unwritable (never
-    raises); writes are atomic, concurrent writers of the same key are
-    harmless (last replace wins, both payloads are bit-identical by
-    construction of the key).
-    """
-    if not cache_enabled():
-        return False
-    path = _result_path(key)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent,
-                                        prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(result, handle,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return True
-    except OSError:
-        return False
+    return True

@@ -31,12 +31,11 @@ TRR sampler (the one piece of device state whose future behaviour
 depends on the activation history) so that later REF commands see the
 same sampler state as after the scalar command sequence.
 
-**Fault plans batch too**: fault draws are pure functions of ``(seed,
-tag, command counter)`` and the measurement window's command layout is
-static, so a ``FaultyStack``-wrapped plain stack is supported — the
-session layer classifies each victim's window with the plan's fault
-rule (:meth:`repro.faults.plan.FaultPlan.classify_probe_windows`),
-measures the untouched windows through this engine, and
+Under a fault plan the row-population callers (HC_first search, the
+TRR-bypass attack) measure per row on the ``FaultyStack``; fault plans
+batch in the compiled program executor instead, which classifies each
+window with the plan's fault rule
+(:meth:`repro.faults.plan.FaultPlan.classify_probe_windows`) and
 replays only the fault-hit windows per-command.  ``HBMSIM_BATCH=0``
 (the escape hatch) selects only the command-level oracles: the scalar
 interpreter, per-REF catch-up and per-row profiling; the closed-form

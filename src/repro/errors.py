@@ -27,6 +27,8 @@ place every such class is defined:
   subclasses :class:`KeyError` for backward compatibility and carries
   close-match suggestions for the CLI's "did you mean" hint.
 - :class:`FaultPlanError` — an invalid ``HBMSIM_FAULTS`` spec.
+- :class:`ShardSpecError` — a ``--shard``/``shard`` value that is not
+  an ``"i/n"`` sweep slice.
 - :class:`ServiceError` and its :class:`AdmissionError` /
   :class:`OverloadError` / :class:`CircuitOpenError` refinements —
   structured rejections of the experiment service layer
@@ -52,6 +54,14 @@ class TimingError(HbmSimError):
 
 class FaultPlanError(HbmSimError):
     """A fault plan spec (``HBMSIM_FAULTS`` or programmatic) is invalid."""
+
+
+class ShardSpecError(HbmSimError, ValueError):
+    """A shard string that does not name one ``"i/n"`` sweep slice.
+
+    Subclasses :class:`ValueError` so callers validating arguments
+    catch it with the other malformed-value errors.
+    """
 
 
 class LintError(HbmSimError):

@@ -65,7 +65,8 @@ def main(argv=None) -> int:
                              "progresses")
     parser.add_argument("--resume", action="store_true",
                         help="with --run-dir: skip invocations whose "
-                             "results were already checkpointed")
+                             "results were already checkpointed under "
+                             "the same inputs (scale, shard, fault plan)")
     parser.add_argument("--shard", default=None, metavar="I/N",
                         help="run only shard I of N (0-based) of each "
                              "shardable experiment's sweep; partial "

@@ -66,12 +66,12 @@ import contextlib
 import datetime
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Union
 
 from repro.chips import cache as calibration_cache
+from repro.experiments.store import atomic_write
 
 #: Default bench record, relative to the invoking working directory.
 DEFAULT_BENCH_PATH = "BENCH_experiments.json"
@@ -461,18 +461,6 @@ def _append_run(target: Path, entries: Dict[str, dict], scale: float,
     if rss is not None:
         run["peak_rss_mb"] = round(rss, 1)
     payload["runs"].append(run)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=target.parent,
-                                    prefix=target.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp_name, target)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    atomic_write(target, (json.dumps(payload, indent=2, sort_keys=True)
+                          + "\n").encode("utf-8"))
     return target

@@ -120,8 +120,8 @@ def run_experiment(experiment_id: str, scale: float = 1.0,
     ``shard`` may be an ``"i/n"`` string: the experiment then measures
     only that slice of its sweep and returns a *partial* result for
     :func:`merge_shard_results` (requires a :data:`SHARDABLE`
-    experiment).  Any other non-``None`` value is an opaque service
-    cache label and is ignored here (the full experiment runs).
+    experiment); any other string raises
+    :class:`~repro.errors.ShardSpecError`.
     """
     runner = EXPERIMENTS.get(experiment_id) or EXTENSIONS.get(experiment_id)
     if runner is None:

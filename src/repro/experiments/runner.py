@@ -23,9 +23,12 @@ module is that harness for the simulated experiments:
   :class:`~repro.errors.ExperimentError` subclass carrying the same
   information across the process boundary.
 - **Checkpoint/resume** — with ``run_dir`` every completed
-  :class:`~repro.experiments.base.ExperimentResult` is persisted
-  atomically; ``resume=True`` re-runs only the invocations without a
-  persisted result, so an interrupted sweep restarts where it stopped.
+  :class:`~repro.experiments.base.ExperimentResult` is persisted in a
+  :class:`~repro.experiments.store.ResultStore` under its content key
+  (:func:`~repro.experiments.store.result_key`); ``resume=True`` serves
+  every invocation whose key is already stored and re-runs the rest, so
+  an interrupted sweep restarts where it stopped and a changed input
+  (scale, shard, fault plan, engine, calibration) always recomputes.
 
 Timeout enforcement requires the ability to *kill* a running
 experiment, which ``concurrent.futures`` cannot do, so the pool here is
@@ -49,16 +52,13 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import pickle
 import queue as queue_module
-import tempfile
 import threading
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
-from pathlib import Path
 from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence,
                     Tuple)
 
@@ -66,6 +66,8 @@ from repro.dram.seeding import uniform_for
 from repro.errors import (ExperimentError, ExperimentTimeoutError,
                           HbmSimError, WorkerCrashError)
 from repro.experiments.base import ExperimentResult
+from repro.experiments.sharding import ShardSpec
+from repro.experiments.store import ResultStore, atomic_write, result_key
 
 #: Default base delay (seconds) for the exponential retry backoff.
 DEFAULT_RETRY_DELAY = 0.25
@@ -75,7 +77,7 @@ DEFAULT_RETRY_DELAY = 0.25
 #: ends, so a SIGKILL'd pool leaves the pipe open).
 _ORPHAN_POLL_S = 2.0
 
-#: Checkpoint schema version (bump on layout changes).
+#: ``records.json`` schema version (bump on layout changes).
 _RUN_DIR_SCHEMA = 1
 
 #: Namespace tag for the deterministic backoff jitter.
@@ -281,110 +283,13 @@ class _Task:
     plan_spec: Optional[str] = None
     #: Shard directive forwarded to the worker: an ``"i/n"`` string
     #: runs only that slice of a shardable experiment's sweep (the
-    #: result is a partial for the merge step); other values are opaque
-    #: service cache labels the registry ignores.
+    #: result is a partial for the merge step).
     shard: Optional[str] = None
     #: Set by :meth:`ResilientPool.cancel`; the scheduler kills the
     #: running worker (or drops the pending task) on its next pass.
     cancelled: bool = False
     #: Completion handle (pool submissions only).
     job: Optional["PoolJob"] = None
-
-
-# ----------------------------------------------------------------------
-# Checkpoint directory
-# ----------------------------------------------------------------------
-
-class _RunDir:
-    """Checkpoint layout: manifest + one pickled result per invocation."""
-
-    def __init__(self, root: Path, ids: Sequence[str],
-                 scale: float, resume: bool) -> None:
-        self.root = Path(root)
-        self.results = self.root / "results"
-        manifest = {"schema": _RUN_DIR_SCHEMA, "ids": list(ids),
-                    "scale": scale}
-        existing = self._load_manifest()
-        if resume:
-            if existing is not None and existing != manifest:
-                raise HbmSimError(
-                    f"run dir {self.root} was created for a different "
-                    f"sweep (ids/scale mismatch); refusing to resume")
-        elif existing is not None:
-            # Fresh run into an existing dir: drop stale checkpoints so
-            # a later --resume cannot mix results from two sweeps.
-            for stale in self.results.glob("*.pkl"):
-                stale.unlink(missing_ok=True)
-        self.results.mkdir(parents=True, exist_ok=True)
-        self._write_json(self.root / "manifest.json", manifest)
-
-    def _load_manifest(self) -> Optional[dict]:
-        try:
-            payload = json.loads(
-                (self.root / "manifest.json").read_text())
-        except (OSError, ValueError):
-            return None
-        return {"schema": payload.get("schema"),
-                "ids": payload.get("ids"), "scale": payload.get("scale")}
-
-    def _result_path(self, index: int, experiment_id: str) -> Path:
-        return self.results / f"{index:04d}-{experiment_id}.pkl"
-
-    def load(self, index: int,
-             experiment_id: str) -> Optional[ExperimentResult]:
-        """A previously persisted result, or None (corrupt = miss)."""
-        path = self._result_path(index, experiment_id)
-        try:
-            with path.open("rb") as handle:
-                result = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError,
-                AttributeError, ImportError):
-            return None
-        if not isinstance(result, ExperimentResult) \
-                or result.experiment_id != experiment_id:
-            return None
-        return result
-
-    def store(self, index: int, result: ExperimentResult) -> None:
-        """Atomically persist one completed result."""
-        path = self._result_path(index, result.experiment_id)
-        fd, tmp_name = tempfile.mkstemp(dir=str(path.parent),
-                                        prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(result, handle,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-
-    def write_records(self, records: Sequence[RunRecord]) -> None:
-        """Persist the per-invocation record summaries (records.json)."""
-        self._write_json(self.root / "records.json", {
-            "schema": _RUN_DIR_SCHEMA,
-            "records": [record.summary() for record in records],
-        })
-
-    @staticmethod
-    def _write_json(path: Path, payload: dict) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=str(path.parent),
-                                        prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
 
 
 # ----------------------------------------------------------------------
@@ -426,16 +331,22 @@ def run_resilient(experiment_ids: Sequence[str], scale: float = 1.0,
         raise ValueError("timeout must be positive")
     if resume and run_dir is None:
         raise HbmSimError("--resume requires --run-dir")
+    ShardSpec.parse(shard)  # a malformed shard fails before any run
 
     records = [RunRecord(experiment_id, index)
                for index, experiment_id in enumerate(ids)]
-    checkpoint = (_RunDir(Path(run_dir), ids, scale, resume)
-                  if run_dir is not None else None)
+    store = ResultStore(run_dir) if run_dir is not None else None
+    keys = {experiment_id: result_key(experiment_id, scale, shard, None)
+            for experiment_id in (ids if store is not None else ())}
+
+    def checkpoint(record: RunRecord) -> None:
+        if store is not None:
+            store.store(keys[record.experiment_id], record.result)
 
     tasks: Deque[_Task] = deque()
     for record in records:
-        if checkpoint is not None and resume:
-            cached = checkpoint.load(record.index, record.experiment_id)
+        if store is not None and resume:
+            cached = store.load(keys[record.experiment_id])
             if cached is not None:
                 record.status = "cached"
                 record.result = cached
@@ -452,21 +363,23 @@ def run_resilient(experiment_ids: Sequence[str], scale: float = 1.0,
                 _run_pool(tasks, records, jobs, timeout, retries,
                           keep_going, retry_delay, checkpoint)
     finally:
-        if checkpoint is not None:
-            checkpoint.write_records(records)
+        if store is not None:
+            summary = {"schema": _RUN_DIR_SCHEMA,
+                       "records": [record.summary() for record in records]}
+            atomic_write(store.root / "records.json", (json.dumps(
+                summary, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     return records
 
 
 def _record_success(record: RunRecord, result: ExperimentResult,
                     elapsed: float, attempts: int,
-                    checkpoint: Optional[_RunDir]) -> None:
+                    checkpoint: Callable[[RunRecord], None]) -> None:
     record.status = "ok" if attempts == 1 else "retried"
     record.result = result
     record.elapsed = elapsed
     record.attempts = attempts
     record.error = None
-    if checkpoint is not None:
-        checkpoint.store(record.index, result)
+    checkpoint(record)
 
 
 def _final_failure(record: RunRecord, status: str, error: str,
@@ -480,7 +393,7 @@ def _final_failure(record: RunRecord, status: str, error: str,
 
 def _run_inline(tasks: Deque[_Task], records: List[RunRecord],
                 retries: int, keep_going: bool, retry_delay: float,
-                checkpoint: Optional[_RunDir]) -> None:
+                checkpoint: Callable[[RunRecord], None]) -> None:
     """Serial in-process execution (no timeout enforcement possible)."""
     from repro import faults
     from repro.experiments import registry
@@ -639,8 +552,7 @@ class ResilientPool:
             raise ValueError("retries must be non-negative")
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive")
-        from repro.experiments.sharding import ShardSpec
-        ShardSpec.parse(shard)  # raises on a malformed "i/n" shard
+        ShardSpec.parse(shard)  # raises on a malformed shard
         with self._lock:
             if self._closed:
                 raise HbmSimError("pool is shut down")
@@ -955,7 +867,8 @@ def _shard_fanout(experiment_id: str, jobs: int) -> int:
 
 def _run_pool(tasks: Deque[_Task], records: List[RunRecord], jobs: int,
               timeout: Optional[float], retries: int, keep_going: bool,
-              retry_delay: float, checkpoint: Optional[_RunDir]) -> None:
+              retry_delay: float,
+              checkpoint: Callable[[RunRecord], None]) -> None:
     """Kill-capable worker-pool execution with crash recovery.
 
     Shardable experiments (see ``registry.SHARDABLE``) fan out across
@@ -1020,8 +933,7 @@ def _run_pool(tasks: Deque[_Task], records: List[RunRecord], jobs: int,
             if entry is None:
                 record = job.record
                 if record.succeeded:
-                    if checkpoint is not None:
-                        checkpoint.store(record.index, record.result)
+                    checkpoint(record)
                 elif not keep_going:
                     raise job.exception or ExperimentError(
                         record.experiment_id, record.attempts)

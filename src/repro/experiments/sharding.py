@@ -18,11 +18,8 @@ order, and a ``render`` building the full report from a payload — the
 base derives ``run``/``run_shard``/``merge_shards`` with the shared
 fan-out-coverage validation.
 
-Shard strings are ``"i/n"`` (e.g. ``"0/8"``).  The service layer's
-``shard`` request key predates this format and remains an *opaque
-cache-partition label* for any other value: :meth:`ShardSpec.parse`
-returns ``None`` for non-matching strings instead of raising, so labels
-like ``"ch0"`` keep their historical meaning.
+Shard strings are ``"i/n"`` (e.g. ``"0/8"``); anything else is rejected
+with :class:`~repro.errors.ShardSpecError`.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.errors import HbmSimError
+from repro.errors import HbmSimError, ShardSpecError
 from repro.experiments.base import ExperimentResult
 
 _SHARD_RE = re.compile(r"^(\d+)/(\d+)$")
@@ -46,10 +43,10 @@ class ShardSpec:
 
     def __post_init__(self) -> None:
         if self.count < 1:
-            raise ValueError(
+            raise ShardSpecError(
                 f"shard count must be >= 1, got {self.count}")
         if not 0 <= self.index < self.count:
-            raise ValueError(
+            raise ShardSpecError(
                 f"shard index {self.index} outside [0, {self.count})")
 
     @property
@@ -59,19 +56,20 @@ class ShardSpec:
 
     @classmethod
     def parse(cls, value: Optional[str]) -> Optional["ShardSpec"]:
-        """Parse an ``"i/n"`` shard string.
+        """Parse an ``"i/n"`` shard string (``None`` = unsharded).
 
-        Returns ``None`` when ``value`` is ``None`` or does not look
-        like a shard string at all (an opaque service label); raises
-        :class:`ValueError` when it matches the format but names an
-        impossible shard (``i >= n`` or ``n == 0``) — a malformed
-        request must fail loudly, not silently run the full sweep.
+        Raises :class:`~repro.errors.ShardSpecError` for any other
+        string and for an impossible shard (``i >= n`` or ``n == 0``):
+        a malformed request must fail loudly, not silently run the full
+        sweep.
         """
         if value is None:
             return None
         match = _SHARD_RE.match(value.strip())
         if match is None:
-            return None
+            raise ShardSpecError(
+                f"shard must be an 'i/n' string such as '0/2', "
+                f"got {value!r}")
         return cls(int(match.group(1)), int(match.group(2)))
 
     def slice_of(self, n_units: int) -> Tuple[int, int]:

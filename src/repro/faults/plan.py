@@ -283,7 +283,8 @@ class FaultPlan:
         command of every window, in counter order.  Each returned mask
         says whether a fault of that kind fires anywhere in the window;
         ``.any()`` marks the windows a batched executor must replay
-        command by command.
+        command by command.  The compiled executor
+        (``repro.bender.compile.dirty_window_mask``) is the only caller.
         """
         lengths = np.asarray(lengths, dtype=np.int64)
         total = int(lengths.sum())

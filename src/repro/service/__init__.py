@@ -14,9 +14,10 @@ failure:
   structured :class:`~repro.errors.AdmissionError`\\ s.
 - **Coalescing** (:mod:`repro.service.core`) — identical requests
   (same content key: experiment, scale, calibration version, engine,
-  fault plan, shard) share one in-flight execution, and completed
-  results persist in the content-addressed cache generalized from
-  :mod:`repro.chips.cache`, so repeats are served without re-running.
+  effective fault plan, shard) share one in-flight execution, and
+  completed results persist in the content-keyed result store
+  (:mod:`repro.experiments.store`) the runner's ``--run-dir`` also
+  uses, so repeats are served without re-running.
 - **Backpressure** (:mod:`repro.service.queues`) — bounded per-tenant
   queues drained by a weighted-fair scheduler; past the global
   high-water mark requests are shed with a ``Retry-After``-style hint

@@ -128,22 +128,16 @@ class AdmissionGate:
 
     @staticmethod
     def _check_shard(shard: str, experiment_id: str) -> None:
-        """Validate ``"i/n"`` shard strings; other values stay opaque.
-
-        A shard matching the ``"i/n"`` execution format must name a
-        possible slice (``0 <= i < n``) of a shardable experiment;
-        anything else remains the historical opaque cache-partition
-        label and admits unchanged.
-        """
+        """Require an ``"i/n"`` slice (``0 <= i < n``) of a shardable
+        experiment."""
         from repro.experiments import registry
         from repro.experiments.sharding import ShardSpec
 
         try:
-            spec = ShardSpec.parse(shard)
+            ShardSpec.parse(shard)
         except ValueError as exc:
             raise AdmissionError(str(exc), field="shard")
-        if spec is not None and experiment_id \
-                and experiment_id not in registry.SHARDABLE:
+        if experiment_id and experiment_id not in registry.SHARDABLE:
             raise AdmissionError(
                 f"experiment {experiment_id!r} does not support shard "
                 f"execution (shardable: {sorted(registry.SHARDABLE)})",

@@ -23,8 +23,9 @@ state is loop-confined and lock-free.
 :meth:`~repro.service.requests.ExperimentRequest.coalescing_key` match
 an in-flight job attach to it as *followers*: one execution, N
 results, each follower's :class:`~repro.experiments.runner.RunRecord`
-marked ``cached``.  Completed results persist in the content-addressed
-result cache (:mod:`repro.chips.cache`), so later identical requests —
+marked ``cached``.  Completed results persist in the content-keyed
+result store (:mod:`repro.experiments.store`) under the cache directory
+(:func:`repro.chips.cache.cache_dir`), so later identical requests —
 including re-adopted ones after a service crash — complete without a
 worker at all.  Because the key covers every run input (calibration
 version, engine, fault plan, shard, scale), a coalesced or cached
@@ -34,16 +35,18 @@ result is bit-identical to a fresh run by construction.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Union
 
-from repro.chips import cache as result_cache
+from repro.chips.cache import cache_dir, cache_enabled
 from repro.errors import (AdmissionError, ExperimentError,
                           ExperimentTimeoutError, HbmSimError,
                           OverloadError, WorkerCrashError)
 from repro.experiments.runner import (DEFAULT_RETRY_DELAY, PoolJob,
                                       ResilientPool, RunRecord)
+from repro.experiments.store import ResultStore
 from repro.service.admission import MAX_SCALE, AdmissionGate
 from repro.service.breaker import (DEFAULT_COOLDOWN, DEFAULT_THRESHOLD,
                                    BreakerBoard)
@@ -82,7 +85,8 @@ class ServiceConfig:
     #: Nominal seconds one queued job occupies a slot — only used to
     #: compute the ``Retry-After`` hint attached to shed requests.
     nominal_job_seconds: float = 1.0
-    #: Serve and populate the content-addressed result cache.
+    #: Serve and populate the content-keyed result cache (also off
+    #: under ``HBMSIM_NO_CACHE``).
     use_result_cache: bool = True
 
 
@@ -163,6 +167,9 @@ class ExperimentService:
                                      self.config.breaker_cooldown)
         self.journal = (ServiceJournal(self.config.journal_dir)
                         if self.config.journal_dir is not None else None)
+        self._results = (ResultStore(cache_dir())
+                         if self.config.use_result_cache
+                         and cache_enabled() else None)
         self._jobs: Dict[str, Job] = {}
         #: key -> primary job currently queued or running.
         self._inflight: Dict[str, Job] = {}
@@ -355,9 +362,9 @@ class ExperimentService:
                    backlog * self.config.nominal_job_seconds / slots)
 
     def _cached_result(self, key: str):
-        if not self.config.use_result_cache:
+        if self._results is None:
             return None
-        return result_cache.load_experiment_result(key)
+        return self._results.load(key)
 
     def _complete_cached(self, job: Job, result) -> None:
         record = job.record
@@ -407,8 +414,10 @@ class ExperimentService:
         job.exception = pool_job.exception
         self._record_breaker_outcome(job)
         if record.succeeded and record.result is not None \
-                and self.config.use_result_cache:
-            result_cache.store_experiment_result(job.key, record.result)
+                and self._results is not None:
+            # An unwritable cache costs a later recompute, not this job.
+            with contextlib.suppress(OSError):
+                self._results.store(job.key, record.result)
         followers = self._followers.pop(job.key, [])
         self._inflight.pop(job.key, None)
         self._resolve(job)

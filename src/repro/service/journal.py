@@ -10,8 +10,8 @@ the event being written, never a prior one.
 On restart, :meth:`ServiceJournal.replay` folds the log into one entry
 per job; :meth:`open_jobs` is the re-adoption set — jobs admitted (in
 this or a previous incarnation) without a terminal line.  Re-adoption
-composes with the content-addressed result cache
-(:mod:`repro.chips.cache`): a job whose execution completed before the
+composes with the content-keyed result store
+(:mod:`repro.experiments.store`): a job whose execution completed before the
 crash re-adopts straight from the cache without re-running, which is
 what makes "SIGKILL the service mid-batch" a recoverable event instead
 of a duplicated sweep.

@@ -8,13 +8,13 @@ optionally carries an inline SoftBender program for the lint admission
 gate to verify.
 
 Two requests are *the same work* when their :meth:`coalescing key
-<ExperimentRequest.coalescing_key>` matches: the key is the
-content-addressed :func:`repro.chips.cache.experiment_key` over the
-experiment id, the scale, the execution engine, every chip's
-calibration fingerprint (hence ``CALIBRATION_VERSION``), the
-canonicalized fault plan, and the shard — any input that could change
-the report changes the key, so coalesced and cached results are
-guaranteed bit-identical to a fresh run.
+<ExperimentRequest.coalescing_key>` matches: the key is
+:func:`repro.experiments.store.result_key` over the experiment id, the
+scale, the shard, the effective fault plan (the request's own, else the
+service's ambient plan), the execution engine and every chip's
+calibration fingerprint (hence ``CALIBRATION_VERSION``) — any input
+that could change the report changes the key, so coalesced and cached
+results are guaranteed bit-identical to a fresh run.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
-from repro.chips import cache as result_cache
-from repro.faults.plan import FaultPlan
+from repro.experiments.store import result_key
+from repro.faults.plan import FaultPlan, active_plan
 
 #: Tenant used when a request does not name one.
 DEFAULT_TENANT = "default"
@@ -42,11 +42,9 @@ class ExperimentRequest:
     experiment_id: str = ""
     scale: float = 1.0
     tenant: str = DEFAULT_TENANT
-    #: Shard key; requests for different shards never coalesce (they
-    #: are different slices of the sweep).  An ``"i/n"`` value (see
-    #: :mod:`repro.experiments.sharding`) additionally *executes* only
-    #: that slice of a shardable experiment's sweep; any other string
-    #: stays a purely opaque cache-partition label.
+    #: ``"i/n"`` shard (see :mod:`repro.experiments.sharding`): the
+    #: request executes only that slice of a shardable experiment's
+    #: sweep.  Requests for different shards never coalesce.
     shard: Optional[str] = None
     #: Per-request fault plan (:class:`~repro.faults.plan.FaultPlan`
     #: fields); installed in the worker for this invocation only.
@@ -57,18 +55,17 @@ class ExperimentRequest:
     #: verify-only request: it completes at admission, occupying no
     #: worker.
     program: Optional[str] = None
-    _canonical_plan: Optional[str] = field(default=None, repr=False,
-                                           compare=False)
+    _plan: Optional[FaultPlan] = field(default=None, repr=False,
+                                       compare=False)
 
     def __post_init__(self) -> None:
-        # Canonicalize the plan once: field order and default values
-        # must not split the coalescing key.  Validation happened in
-        # the admission gate; a malformed plan here is a programming
-        # error and may raise FaultPlanError.
-        canonical = None
+        # Parse the plan once: field order and default values must not
+        # split the coalescing key.  Validation happened in the
+        # admission gate; a malformed plan here is a programming error
+        # and may raise FaultPlanError.
         if self.fault_plan is not None:
-            canonical = FaultPlan.from_dict(self.fault_plan).to_json()
-        object.__setattr__(self, "_canonical_plan", canonical)
+            object.__setattr__(self, "_plan",
+                               FaultPlan.from_dict(self.fault_plan))
 
     @property
     def verify_only(self) -> bool:
@@ -78,23 +75,22 @@ class ExperimentRequest:
     def plan_spec(self) -> str:
         """Worker-side plan directive for this invocation.
 
-        The canonical plan JSON when the request carries one, else the
-        empty string ("clear any per-request plan; ambient
-        ``HBMSIM_FAULTS`` still applies").
+        The canonical JSON of the plan the coalescing key names — the
+        request's own, else the service's ambient plan — or the empty
+        string (clear any installed plan) when there is none, so a
+        worker runs exactly the plan its result is keyed under.
         """
-        return self._canonical_plan or ""
+        plan = self._plan if self._plan is not None else active_plan()
+        return plan.to_json() if plan is not None else ""
 
     def coalescing_key(self) -> str:
         """Content key identifying this request's result."""
-        extra: Dict[str, Any] = {
-            "shard": self.shard,
-            "fault_plan": self._canonical_plan,
-        }
+        extra: Dict[str, Any] = {}
         if self.program is not None:
             extra["program_sha"] = hashlib.sha256(
                 self.program.encode("utf-8")).hexdigest()
-        return result_cache.experiment_key(self.experiment_id, self.scale,
-                                           extra)
+        return result_key(self.experiment_id, self.scale, self.shard,
+                          self._plan, extra)
 
     def to_payload(self) -> Dict[str, Any]:
         """Wire rendering (the journal and the protocol share it)."""
@@ -106,7 +102,7 @@ class ExperimentRequest:
         if self.shard is not None:
             payload["shard"] = self.shard
         if self.fault_plan is not None:
-            payload["fault_plan"] = json.loads(self.plan_spec())
+            payload["fault_plan"] = json.loads(self._plan.to_json())
         if self.program is not None:
             payload["program"] = self.program
         return payload

@@ -18,15 +18,12 @@ from repro.bender.compile import (MAX_DIRTY_FRACTION, MIN_EPOCH_REPEATS,
                                   EpochSegment, PlanExecutor,
                                   ScalarSegment, _EpochContext,
                                   compile_program, dirty_window_mask)
-from repro.bender.host import BenderSession
 from repro.bender.interpreter import Interpreter
 from repro.bender.program import TestProgram
-from repro.chips.profiles import make_chip
-from repro.core.patterns import ALL_PATTERNS, CHECKERED0
 from repro.dram.device import HBM2Stack
 from repro.dram.geometry import RowAddress
 from repro.dram.trr import TrrConfig
-from repro.faults import FaultPlan, clear_plan, install_plan
+from repro.faults import FaultPlan
 from repro.faults.injector import FaultyStack
 
 ROW_BYTES = HBM2Stack().geometry.row_bytes
@@ -382,65 +379,3 @@ def test_random_programs_bit_identical(data):
     retention = data.draw(st.booleans())
     assert_identical(*run_both(program, plan, trr_enabled=trr_enabled,
                                retention=retention))
-
-
-# ----------------------------------------------------------------------
-# Session-level hybrid hammer_rows under a fault plan
-# ----------------------------------------------------------------------
-
-
-@pytest.fixture
-def chaos_chip():
-    return make_chip(1)
-
-
-def hammer_rows_both(chip, plan, victims, pattern, count, t_on,
-                     monkeypatch):
-    """hammer_rows through both engines under an installed plan."""
-    outcomes = []
-    install_plan(plan)
-    try:
-        for flag in ("0", "1"):
-            monkeypatch.setenv("HBMSIM_BATCH", flag)
-            session = BenderSession(chip.make_device(),
-                                    mapping=chip.row_mapping())
-            assert isinstance(session.device, FaultyStack)
-            images = session.hammer_rows(victims, pattern, count, t_on)
-            stack = session.device
-            outcomes.append({
-                "images": [image.tobytes() for image in images],
-                "events": [(e.index, e.fault, e.command, e.detail)
-                           for e in stack.events],
-                "digest": stack.schedule_digest(),
-                "counter": stack._counter,
-            })
-    finally:
-        clear_plan()
-        monkeypatch.setenv("HBMSIM_BATCH", "1")
-    return outcomes
-
-
-class TestHammerRowsHybrid:
-    def test_fault_plan_hammer_rows_bit_identical(self, chaos_chip,
-                                                  monkeypatch):
-        plan = FaultPlan(seed=21, drop_rate=0.02, act_jitter_rate=0.02,
-                         act_jitter_ns=4.0, read_flip_rate=0.3,
-                         read_flip_bits=2, stuck_row_rate=0.2)
-        rows = chaos_chip.geometry.rows
-        victims = [RowAddress(0, 0, 0, 3000 + 20 * k) for k in range(6)]
-        victims += [RowAddress(0, 0, 1, 3005), RowAddress(0, 0, 0, 0),
-                    RowAddress(0, 0, 0, rows - 1)]
-        scalar, batched = hammer_rows_both(
-            chaos_chip, plan, victims, CHECKERED0, 60_000, None,
-            monkeypatch)
-        assert scalar == batched
-
-    def test_overlapping_drop_demotion(self, chaos_chip, monkeypatch):
-        """Adjacent victims around a dropped window-init WR still match
-        scalar: the engine demotes the stale-content neighbors."""
-        plan = FaultPlan(seed=5, drop_rate=0.08)
-        victims = [RowAddress(0, 0, 0, 4000 + 3 * k) for k in range(8)]
-        scalar, batched = hammer_rows_both(
-            chaos_chip, plan, victims, ALL_PATTERNS[1], 50_000, 40.0,
-            monkeypatch)
-        assert scalar == batched

@@ -1,5 +1,6 @@
-"""Concurrent-access robustness for the calibration cache (satellite:
-a corrupt or mid-write entry must read as a miss, never crash)."""
+"""Concurrent-access robustness for the calibration cache and the
+whole-experiment result store: a corrupt or mid-write entry must read
+as a miss, never crash."""
 
 import json
 import multiprocessing
@@ -9,6 +10,9 @@ import pytest
 from repro.chips import cache
 from repro.chips.profiles import CHIP_SPECS
 from repro.dram.geometry import DEFAULT_GEOMETRY
+from repro.errors import ShardSpecError
+from repro.experiments.store import ResultStore, result_key
+from repro.faults import FaultPlan, clear_plan, install_plan
 
 SPEC = CHIP_SPECS[1]
 GEOMETRY = DEFAULT_GEOMETRY
@@ -78,7 +82,7 @@ def test_reads_under_concurrent_writer_never_crash(cache_dir):
 
 
 # ----------------------------------------------------------------------
-# Whole-experiment result cache (service-layer coalescing substrate)
+# Whole-experiment result store (run dirs and the service cache)
 # ----------------------------------------------------------------------
 
 def _sample_result(text: str = "report"):
@@ -87,70 +91,116 @@ def _sample_result(text: str = "report"):
                             text=text, data={"hc_first": [1, 2, 3]})
 
 
-def _result_writer_loop(key: str, iterations: int) -> None:
+def _key(**changes):
+    inputs = dict(experiment_id="fig05", scale=0.25, shard=None, plan=None)
+    inputs.update(changes)
+    return result_key(**inputs)
+
+
+def _result_writer_loop(root, key: str, iterations: int) -> None:
     result = _sample_result()
     for _ in range(iterations):
-        assert cache.store_experiment_result(key, result)
+        ResultStore(root).store(key, result)
 
 
 class TestExperimentResultCache:
     def test_roundtrip_preserves_the_result(self, cache_dir):
-        key = cache.experiment_key("fig05", 0.25)
-        assert cache.load_experiment_result(key) is None
+        store = ResultStore(cache_dir)
+        key = _key()
+        assert store.load(key) is None
         stored = _sample_result()
-        assert cache.store_experiment_result(key, stored)
-        loaded = cache.load_experiment_result(key)
+        store.store(key, stored)
+        loaded = store.load(key)
         assert loaded.text == stored.text
         assert loaded.data == stored.data
 
     def test_key_covers_every_run_input(self, cache_dir):
-        base = cache.experiment_key("fig05", 0.25)
-        assert cache.experiment_key("fig05", 0.25) == base
-        assert cache.experiment_key("fig07", 0.25) != base
-        assert cache.experiment_key("fig05", 0.5) != base
-        assert cache.experiment_key("fig05", 0.25,
-                                    {"shard": "ch0"}) != base
+        base = _key()
+        assert _key() == base
+        assert _key(experiment_id="fig07") != base
+        assert _key(scale=0.5) != base
+        assert _key(shard="0/2") != base
+        assert _key(shard="0/2") == _key(shard=" 0/2")  # canonical label
+        assert _key(plan=FaultPlan(seed=3)) != base
+        assert _key(extra={"program_sha": "ab"}) != base
+
+    def test_key_ignores_worker_only_plan_fields(self, cache_dir):
+        plain = _key(plan=FaultPlan(seed=7))
+        assert _key(plan=FaultPlan(seed=7, crash_once=("fig05",),
+                                   stall_experiments={"fig05": 9.0})) \
+            == plain
+        assert _key(plan=FaultPlan(seed=7, read_flip_rate=0.001)) != plain
+
+    def test_key_falls_back_to_the_active_plan(self, cache_dir):
+        base = _key()
+        install_plan(FaultPlan(seed=3, read_flip_rate=0.9))
+        try:
+            assert _key() != base
+            assert _key() == _key(plan=FaultPlan(seed=3,
+                                                 read_flip_rate=0.9))
+        finally:
+            clear_plan()
+        assert _key() == base
+
+    def test_malformed_shard_has_no_key(self, cache_dir):
+        with pytest.raises(ShardSpecError):
+            _key(shard="ch0")
 
     @pytest.mark.parametrize("payload", [
         b"", b"\x80\x04garbage", b"not a pickle at all"])
     def test_corrupt_result_reads_as_miss(self, cache_dir, payload):
-        key = cache.experiment_key("fig05", 0.25)
+        store = ResultStore(cache_dir)
+        key = _key()
         cache_dir.mkdir(parents=True, exist_ok=True)
-        cache._result_path(key).write_bytes(payload)
-        assert cache.load_experiment_result(key) is None
+        store._path(key).write_bytes(payload)
+        assert store.load(key) is None
         # And store recovers the slot.
-        assert cache.store_experiment_result(key, _sample_result())
-        assert cache.load_experiment_result(key) is not None
+        store.store(key, _sample_result())
+        assert store.load(key) is not None
 
     def test_wrong_object_type_reads_as_miss(self, cache_dir):
         import pickle
-        key = cache.experiment_key("fig05", 0.25)
+        store = ResultStore(cache_dir)
+        key = _key()
         cache_dir.mkdir(parents=True, exist_ok=True)
-        cache._result_path(key).write_bytes(
-            pickle.dumps({"not": "a result"}))
-        assert cache.load_experiment_result(key) is None
+        store._path(key).write_bytes(pickle.dumps({"not": "a result"}))
+        assert store.load(key) is None
 
     def test_disabled_cache_stores_and_loads_nothing(self, cache_dir,
                                                      monkeypatch):
+        """``HBMSIM_NO_CACHE`` turns the service's cache off; an
+        explicit store (a ``--run-dir``) ignores it."""
+        from repro.service.core import ExperimentService
+
         monkeypatch.setenv("HBMSIM_NO_CACHE", "1")
-        key = cache.experiment_key("fig05", 0.25)
-        assert not cache.store_experiment_result(key, _sample_result())
-        assert cache.load_experiment_result(key) is None
+        assert ExperimentService()._results is None
+        store = ResultStore(cache_dir)
+        store.store(_key(), _sample_result())
+        assert store.load(_key()) is not None
+
+    def test_unwritable_root_raises(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        store = ResultStore(blocker / "store")
+        with pytest.raises(OSError):
+            store.store(_key(), _sample_result())
+        assert store.load(_key()) is None
 
     @needs_fork
     def test_reads_under_concurrent_result_writer_never_crash(
             self, cache_dir):
-        """The coalescing cache's concurrency contract: a reader sees
-        a complete result or a miss, never a torn pickle."""
-        key = cache.experiment_key("fig05", 0.25)
+        """The store's concurrency contract: a reader sees a complete
+        result or a miss, never a torn pickle."""
+        key = _key()
+        store = ResultStore(cache_dir)
         context = multiprocessing.get_context("fork")
         writer = context.Process(target=_result_writer_loop,
-                                 args=(key, 200))
+                                 args=(cache_dir, key, 200))
         writer.start()
         try:
             outcomes = set()
             for _ in range(1000):
-                loaded = cache.load_experiment_result(key)
+                loaded = store.load(key)
                 outcomes.add(None if loaded is None else loaded.text)
         finally:
             writer.join(timeout=60)

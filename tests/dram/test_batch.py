@@ -97,22 +97,6 @@ class TestHammerEquivalence:
         for index, image in enumerate(expected):
             assert np.array_equal(result.images[index], image)
 
-    def test_hammer_rows_scalar_fallback_identical(self, chip1,
-                                                   monkeypatch):
-        """The session wrapper's env-gated fallback renders the same
-        images as the batched path."""
-        victims = mixed_victims(chip1.geometry)[:3]
-        batched = BenderSession(chip1.make_device(),
-                                mapping=chip1.row_mapping()) \
-            .hammer_rows(victims, CHECKERED0, HAMMERS)
-        monkeypatch.setenv("HBMSIM_BATCH", "0")
-        assert not batch_enabled()
-        scalar = BenderSession(chip1.make_device(),
-                               mapping=chip1.row_mapping()) \
-            .hammer_rows(victims, CHECKERED0, HAMMERS)
-        for batch_image, scalar_image in zip(batched, scalar):
-            assert np.array_equal(batch_image, scalar_image)
-
     def test_extended_t_on_matches_scalar(self, chip1, batch_session):
         """RowPress-style aggressor-on-time amplification agrees."""
         t_on = 500.0
@@ -196,7 +180,7 @@ class TestFallbackGates:
         batch_device = chip0.make_device()
         session = BenderSession(batch_device, mapping=chip0.row_mapping())
         assert session.batching_active()
-        session.hammer_rows(victims, CHECKERED0, 2_000)
+        session.profile_rows(victims, CHECKERED0).hammer(2_000)
 
         scalar_device = chip0.make_device()
         scalar_session = BenderSession(scalar_device,

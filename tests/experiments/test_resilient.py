@@ -8,11 +8,13 @@ from pathlib import Path
 import pytest
 
 from repro.errors import (ExperimentError, ExperimentTimeoutError,
-                          HbmSimError, UnknownExperimentError)
+                          HbmSimError, ShardSpecError,
+                          UnknownExperimentError)
 from repro.experiments import registry
 from repro.experiments.__main__ import main
 from repro.experiments.base import ExperimentResult
 from repro.experiments.runner import backoff_delay, run_resilient
+from repro.faults import FaultPlan, clear_plan, install_plan
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -34,6 +36,11 @@ def _chaos_ok(scale: float) -> ExperimentResult:
 
 def _chaos_ok2(scale: float) -> ExperimentResult:
     return _result("chaos-ok2")
+
+
+def _chaos_scaled(scale: float) -> ExperimentResult:
+    return ExperimentResult(experiment_id="chaos-scaled",
+                            title="chaos-scaled", text=f"ran at {scale}")
 
 
 def _chaos_bad(scale: float) -> ExperimentResult:
@@ -67,6 +74,7 @@ def _chaos_sleep(scale: float) -> ExperimentResult:
 @pytest.fixture()
 def chaos_registry(monkeypatch, tmp_path):
     for name, fn in [("chaos-ok", _chaos_ok), ("chaos-ok2", _chaos_ok2),
+                     ("chaos-scaled", _chaos_scaled),
                      ("chaos-bad", _chaos_bad),
                      ("chaos-flaky", _chaos_flaky),
                      ("chaos-crash", _chaos_crash),
@@ -177,23 +185,73 @@ class TestCheckpointResume:
         assert second[0].result.text == "ran chaos-ok"
         assert (run_dir / "records.json").exists()
 
-    def test_resume_requires_matching_manifest(self, chaos_registry,
-                                               tmp_path):
+    def test_resume_at_another_scale_recomputes(self, chaos_registry,
+                                                tmp_path):
         run_dir = tmp_path / "run"
-        run_resilient(["chaos-ok"], scale=0.5, keep_going=True,
-                      run_dir=run_dir)
-        with pytest.raises(HbmSimError):
-            run_resilient(["chaos-ok"], scale=1.0, keep_going=True,
-                          run_dir=run_dir, resume=True)
+        run_resilient(["chaos-scaled"], scale=0.5, run_dir=run_dir)
+        records = run_resilient(["chaos-scaled"], scale=1.0,
+                                run_dir=run_dir, resume=True)
+        assert records[0].status == "ok"
+        assert records[0].result.text == "ran at 1.0"
+        again = run_resilient(["chaos-scaled"], scale=0.5,
+                              run_dir=run_dir, resume=True)
+        assert again[0].status == "cached"
+        assert again[0].result.text == "ran at 0.5"
 
     def test_fresh_run_clears_stale_checkpoints(self, chaos_registry,
                                                 tmp_path):
         run_dir = tmp_path / "run"
         run_resilient(["chaos-ok"], keep_going=True, run_dir=run_dir)
-        # Without --resume, the same run-dir starts from scratch.
+        # Without --resume, the same run dir re-executes everything.
         records = run_resilient(["chaos-ok"], keep_going=True,
                                 run_dir=run_dir)
         assert records[0].status == "ok"
+
+    def test_resume_of_another_shard_runs_it(self, tmp_path):
+        run_dir = tmp_path / "run"
+        first = run_resilient(["fig04"], scale=0.02, shard="0/2",
+                              run_dir=run_dir)
+        second = run_resilient(["fig04"], scale=0.02, shard="1/2",
+                               run_dir=run_dir, resume=True)
+        assert second[0].status == "ok"
+        assert second[0].result.text.startswith("fig04 shard 1/2")
+        assert first[0].result.text.startswith("fig04 shard 0/2")
+
+    def test_resume_under_a_device_fault_plan_reruns(self, chaos_registry,
+                                                     tmp_path):
+        run_dir = tmp_path / "run"
+        run_resilient(["chaos-ok"], run_dir=run_dir)
+        install_plan(FaultPlan(seed=3, read_flip_rate=0.9))
+        try:
+            records = run_resilient(["chaos-ok"], run_dir=run_dir,
+                                    resume=True)
+        finally:
+            clear_plan()
+        assert records[0].status == "ok"
+
+    def test_resume_ignores_worker_only_plan_fields(self, chaos_registry,
+                                                    tmp_path):
+        """Only ``crash_once``/``stall_experiments`` changed: every
+        invocation is served from the store, in any request order."""
+        run_dir = tmp_path / "run"
+        install_plan(FaultPlan(seed=7, crash_once=("chaos-bad",),
+                               stall_experiments={"chaos-sleep": 99.0}))
+        try:
+            run_resilient(["chaos-ok", "chaos-ok2"], run_dir=run_dir)
+            install_plan(FaultPlan(seed=7))
+            records = run_resilient(["chaos-ok2", "chaos-ok"],
+                                    run_dir=run_dir, resume=True)
+        finally:
+            clear_plan()
+        assert [r.status for r in records] == ["cached", "cached"]
+        assert records[0].result.text == "ran chaos-ok2"
+
+    def test_malformed_shard_rejected_before_running(self, chaos_registry,
+                                                     tmp_path):
+        with pytest.raises(ShardSpecError):
+            run_resilient(["chaos-ok"], shard="0-2",
+                          run_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
 
 class TestDeterministicSequence:

@@ -12,8 +12,9 @@ from unittest import mock
 
 import pytest
 
-from repro.errors import AdmissionError, HbmSimError
+from repro.errors import AdmissionError, HbmSimError, ShardSpecError
 from repro.experiments import fig05_hcfirst_chips, registry, runner
+from repro.experiments.__main__ import main
 from repro.experiments.registry import run_timed
 from repro.experiments.sharding import ShardSpec, shard_labels
 from repro.service.admission import AdmissionGate
@@ -27,10 +28,13 @@ class TestShardSpec:
         assert spec == ShardSpec(2, 8)
         assert spec.label == "2/8"
 
-    @pytest.mark.parametrize("value", [None, "ch0", "0/0x", "a/b",
-                                       "1-4", ""])
-    def test_non_matching_values_stay_opaque(self, value):
-        assert ShardSpec.parse(value) is None
+    def test_none_is_unsharded(self):
+        assert ShardSpec.parse(None) is None
+
+    @pytest.mark.parametrize("value", ["ch0", "0/0x", "a/b", "1-4", ""])
+    def test_non_matching_values_rejected(self, value):
+        with pytest.raises(ShardSpecError, match="i/n"):
+            ShardSpec.parse(value)
 
     @pytest.mark.parametrize("value", ["4/4", "5/2", "0/0"])
     def test_malformed_matches_rejected(self, value):
@@ -101,10 +105,15 @@ class TestRegistryShardApi:
         assert registry.shard_units("fig13") == 3
         assert registry.shard_units("fig03") is None
 
-    def test_opaque_label_runs_full(self):
-        full = registry.run_experiment("fig05", SCALE)
-        labelled = registry.run_experiment("fig05", SCALE, shard="ch0")
-        assert labelled.text == full.text
+    def test_non_shard_label_rejected(self):
+        with pytest.raises(ShardSpecError):
+            registry.run_experiment("fig05", SCALE, shard="ch0")
+
+    def test_cli_malformed_shard_exits_2(self, capsys):
+        assert main(["fig04", "--scale", str(SCALE), "--shard", "0-2"]) == 2
+        captured = capsys.readouterr()
+        assert "i/n" in captured.err
+        assert "=== fig04" not in captured.out
 
     def test_shard_on_non_shardable_rejected(self):
         with pytest.raises(HbmSimError, match="shard"):
@@ -213,10 +222,11 @@ class TestServiceShardAdmission:
             {"experiment_id": "fig05", "scale": SCALE, "shard": "0/8"})
         assert request.shard == "0/8"
 
-    def test_opaque_label_still_admits(self):
-        request = AdmissionGate().admit(
-            {"experiment_id": "fig03", "scale": SCALE, "shard": "ch0"})
-        assert request.shard == "ch0"
+    def test_non_shard_label_rejected(self):
+        with pytest.raises(AdmissionError) as excinfo:
+            AdmissionGate().admit(
+                {"experiment_id": "fig03", "scale": SCALE, "shard": "ch0"})
+        assert excinfo.value.field == "shard"
 
     def test_malformed_execution_shard_rejected(self):
         with pytest.raises(AdmissionError) as excinfo:

@@ -80,6 +80,15 @@ def _svc_crash_once(scale: float) -> ExperimentResult:
     return _result("svc-crash-once", scale)
 
 
+def _svc_plan(scale: float) -> ExperimentResult:
+    """Report the fault plan the worker runs under."""
+    from repro.faults import active_plan
+    plan = active_plan()
+    rate = plan.read_flip_rate if plan is not None else None
+    return ExperimentResult(experiment_id="svc-plan", title="svc-plan",
+                            text=f"read_flip_rate {rate}")
+
+
 def _svc_sleep(scale: float) -> ExperimentResult:
     import time
     time.sleep(30.0)
@@ -91,6 +100,7 @@ def chaos_registry(monkeypatch, tmp_path):
     for name, fn in [("svc-ok", _svc_ok), ("svc-ok2", _svc_ok2),
                      ("svc-bad", _svc_bad), ("svc-crash", _svc_crash),
                      ("svc-crash-once", _svc_crash_once),
+                     ("svc-plan", _svc_plan),
                      ("svc-sleep", _svc_sleep)]:
         monkeypatch.setitem(registry.EXPERIMENTS, name, fn)
     monkeypatch.setenv(MARKER_ENV, str(tmp_path / "marker"))

@@ -4,6 +4,7 @@ typed, field-naming AdmissionError before any worker is involved."""
 import pytest
 
 from repro.errors import AdmissionError
+from repro.faults import FaultPlan, clear_plan, install_plan
 from repro.service.admission import MAX_PROGRAM_BYTES, AdmissionGate
 from repro.service.requests import DEFAULT_TENANT, ExperimentRequest
 
@@ -186,10 +187,24 @@ class TestCoalescingKey:
                         "fault_plan": {"drop_rate": 0.1, "seed": 1}})
         assert a.coalescing_key() == b.coalescing_key()
 
+    def test_ambient_plan_splits_key(self, gate):
+        """A request without its own plan runs under the ambient one,
+        so the key must change with it."""
+        request = gate.admit({"experiment_id": "ext-temperature",
+                              "scale": 0.05})
+        plain = request.coalescing_key()
+        install_plan(FaultPlan(seed=3, read_flip_rate=0.9))
+        try:
+            ambient = request.coalescing_key()
+        finally:
+            clear_plan()
+        assert ambient != plain
+        assert request.coalescing_key() == plain
+
     @pytest.mark.parametrize("other", [
         {"experiment_id": "fig07"},
         {"experiment_id": "fig05", "scale": 0.5},
-        {"experiment_id": "fig05", "shard": "ch0"},
+        {"experiment_id": "fig05", "shard": "0/2"},
         {"experiment_id": "fig05", "fault_plan": {"seed": 9}},
     ])
     def test_different_work_different_key(self, gate, other):

@@ -12,6 +12,7 @@ import pytest
 
 from repro.errors import (CircuitOpenError, ExperimentError, HbmSimError,
                           OverloadError, WorkerCrashError)
+from repro.faults import FaultPlan, clear_plan, install_plan
 from repro.service import ExperimentService, ServiceConfig
 
 from tests.service.conftest import needs_fork, run_async
@@ -262,3 +263,27 @@ class TestResultCacheIntegration:
 
         from tests.service.conftest import executions
         assert executions(chaos_registry / "executions") == 1
+
+    def test_ambient_plan_reaches_workers_and_splits_the_cache(
+            self, chaos_registry, service_cache):
+        """A plan installed in the service process is the plan its
+        workers run and its results are keyed under, so a service
+        without it sharing the cache directory recomputes."""
+        async def run_once():
+            service = await _started(ServiceConfig(slots=1))
+            try:
+                return await service.submit(
+                    {"experiment_id": "svc-plan"}).wait()
+            finally:
+                await service.close()
+
+        install_plan(FaultPlan(seed=3, read_flip_rate=0.9))
+        try:
+            chaos = run_async(run_once())
+        finally:
+            clear_plan()
+        plain = run_async(run_once())
+        assert chaos.status == "ok"
+        assert chaos.result.text == "read_flip_rate 0.9"
+        assert plain.status == "ok"
+        assert plain.result.text == "read_flip_rate None"
