@@ -29,14 +29,10 @@ place every such class is defined:
 - :class:`FaultPlanError` — an invalid ``HBMSIM_FAULTS`` spec.
 - :class:`ShardSpecError` — a ``--shard``/``shard`` value that is not
   an ``"i/n"`` sweep slice.
-- :class:`ServiceError` and its :class:`AdmissionError` /
-  :class:`OverloadError` / :class:`CircuitOpenError` refinements —
-  structured rejections of the experiment service layer
-  (:mod:`repro.service`): a request that fails validation or the lint
-  admission gate, a request shed under backpressure (with a
-  ``Retry-After``-style hint), and a request fast-failed by an open
-  per-family circuit breaker.  All three are raised *before* a worker
-  slot is ever occupied.
+- :class:`AdmissionError` — a structured rejection of the experiment
+  service layer (:mod:`repro.service`): a request that fails
+  validation or the lint admission gate, raised *before* a worker slot
+  is ever occupied.
 """
 
 from __future__ import annotations
@@ -114,34 +110,16 @@ class UnknownExperimentError(HbmSimError, KeyError):
         return self.args[0]
 
 
-class ServiceError(HbmSimError):
-    """Base of the experiment service's structured request rejections.
-
-    ``retry_after`` (seconds, or ``None``) is the service's hint for
-    when a retry could plausibly succeed — the line-JSON protocol
-    forwards it to clients the way an HTTP service sends
-    ``Retry-After``.
-    """
-
-    #: Stable wire identifier (the protocol's ``error.code`` field).
-    code = "service"
-
-    def __init__(self, message: str,
-                 retry_after: Optional[float] = None) -> None:
-        self.retry_after = retry_after
-        super().__init__(message)
-
-
-class AdmissionError(ServiceError):
+class AdmissionError(HbmSimError):
     """A request was rejected by admission control before queueing.
 
     Carries the rejected field (dotted path into the request payload)
     and, when the lint gate rejected an inline program, the static
     findings — so clients can fix the request without re-submitting
-    blind.  Admission rejections are never retryable as-is:
-    ``retry_after`` stays ``None``.
+    blind.  Admission rejections are never retryable as-is.
     """
 
+    #: Stable wire identifier (the protocol's ``error.code`` field).
     code = "admission"
 
     def __init__(self, message: str, field: Optional[str] = None,
@@ -159,54 +137,6 @@ class AdmissionError(ServiceError):
             lines = "\n".join(f"  {finding}" for finding in self.findings)
             detail += f"\n{lines}"
         super().__init__(detail)
-
-
-class OverloadError(ServiceError):
-    """A request was shed under backpressure (queue full / high water).
-
-    ``scope`` is ``"tenant"`` when the tenant's bounded queue is full
-    and ``"global"`` when total depth crossed the high-water mark;
-    ``depth``/``limit`` quantify the rejection and ``retry_after`` is
-    the service's drain-rate estimate.
-    """
-
-    code = "overload"
-
-    def __init__(self, scope: str, depth: int, limit: int,
-                 retry_after: Optional[float] = None,
-                 tenant: Optional[str] = None) -> None:
-        self.scope = scope
-        self.depth = depth
-        self.limit = limit
-        self.tenant = tenant
-        where = f"tenant {tenant!r} queue" if scope == "tenant" \
-            else "service"
-        message = f"{where} overloaded (depth {depth} >= limit {limit})"
-        if retry_after is not None:
-            message += f"; retry after {retry_after:.2f}s"
-        super().__init__(message, retry_after)
-
-
-class CircuitOpenError(ServiceError):
-    """A request was fast-failed by an open per-family circuit breaker.
-
-    After repeated worker crashes/failures in one experiment family the
-    service stops occupying slots with requests that are expected to
-    die; ``retry_after`` is the remaining cooldown before a half-open
-    probe will be admitted.
-    """
-
-    code = "circuit-open"
-
-    def __init__(self, family: str, failures: int,
-                 retry_after: Optional[float] = None) -> None:
-        self.family = family
-        self.failures = failures
-        message = (f"circuit for experiment family {family!r} is open "
-                   f"after {failures} consecutive failures")
-        if retry_after is not None:
-            message += f"; half-open probe in {retry_after:.2f}s"
-        super().__init__(message, retry_after)
 
 
 class ExperimentError(HbmSimError):

@@ -121,6 +121,15 @@ class RunRecord:
         }
 
 
+def validate_retry_policy(timeout: Optional[float], retries: int) -> None:
+    """Reject a per-attempt ``timeout`` or a ``retries`` count that no
+    invocation could run under (raises :class:`ValueError`)."""
+    if retries < 0:
+        raise ValueError("retries must be non-negative")
+    if timeout is not None and timeout <= 0:
+        raise ValueError("timeout must be positive")
+
+
 def backoff_delay(experiment_id: str, attempt: int,
                   base: float = DEFAULT_RETRY_DELAY) -> float:
     """Exponential backoff with deterministic jitter.
@@ -325,10 +334,7 @@ def run_resilient(experiment_ids: Sequence[str], scale: float = 1.0,
 
     ids = list(experiment_ids)
     registry.validate_ids(ids)
-    if retries < 0:
-        raise ValueError("retries must be non-negative")
-    if timeout is not None and timeout <= 0:
-        raise ValueError("timeout must be positive")
+    validate_retry_policy(timeout, retries)
     if resume and run_dir is None:
         raise HbmSimError("--resume requires --run-dir")
     ShardSpec.parse(shard)  # a malformed shard fails before any run
@@ -548,10 +554,7 @@ class ResilientPool:
         """
         from repro.experiments import registry
         registry.validate_ids([experiment_id])
-        if retries < 0:
-            raise ValueError("retries must be non-negative")
-        if timeout is not None and timeout <= 0:
-            raise ValueError("timeout must be positive")
+        validate_retry_policy(timeout, retries)
         ShardSpec.parse(shard)  # raises on a malformed shard
         with self._lock:
             if self._closed:

@@ -29,6 +29,7 @@ reads as a miss.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -36,7 +37,7 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
 from repro.experiments.base import ExperimentResult
 from repro.experiments.sharding import ShardSpec
@@ -131,3 +132,16 @@ class ResultStore:
         """
         atomic_write(self._path(key), pickle.dumps(
             result, protocol=pickle.HIGHEST_PROTOCOL))
+
+    def usage(self) -> Dict[str, int]:
+        """``{"entries": n, "bytes": b}`` over the stored results.
+
+        Entries are never evicted, so this is how far the store has
+        grown; an entry removed while being counted is skipped.
+        """
+        entries = size = 0
+        for path in self.root.glob("expres-*.pkl"):
+            with contextlib.suppress(OSError):
+                size += path.stat().st_size
+                entries += 1
+        return {"entries": entries, "bytes": size}

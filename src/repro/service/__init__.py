@@ -2,10 +2,9 @@
 
 The paper's multi-hour FPGA campaigns finish because the harness around
 them survives board hangs and host crashes; :mod:`repro.experiments.runner`
-is that harness locally.  This package productionizes it into a
-long-lived service that absorbs experiment requests at traffic levels a
-single CLI sweep never sees, without duplicated work or cascading
-failure:
+is that harness locally.  This package wraps it in a long-lived service
+that runs experiment requests without duplicated work and without
+losing admitted work to a crash:
 
 - **Admission control** (:mod:`repro.service.admission`) — requests are
   validated structurally, against the experiment registry, and — for
@@ -18,15 +17,11 @@ failure:
   completed results persist in the content-keyed result store
   (:mod:`repro.experiments.store`) the runner's ``--run-dir`` also
   uses, so repeats are served without re-running.
-- **Backpressure** (:mod:`repro.service.queues`) — bounded per-tenant
-  queues drained by a weighted-fair scheduler; past the global
-  high-water mark requests are shed with a ``Retry-After``-style hint
-  (:class:`~repro.errors.OverloadError`).
-- **Graceful degradation** (:mod:`repro.service.breaker`) — a circuit
-  breaker per experiment family opens after repeated worker crashes,
-  fast-failing requests (:class:`~repro.errors.CircuitOpenError`)
-  until a half-open probe succeeds; partial progress streams to
-  clients as :class:`~repro.experiments.runner.RunRecord` events.
+- **Dispatch** (:mod:`repro.service.core`) — admitted jobs wait in one
+  FIFO queue for a worker slot of the runner's
+  :class:`~repro.experiments.runner.ResilientPool` (timeouts, retries,
+  crash respawn); partial progress streams to clients as
+  :class:`~repro.experiments.runner.RunRecord` events.
 - **Crash-safe resumption** (:mod:`repro.service.journal`) — an
   append-only journal plus the runner's atomic result persistence let
   a restarted service re-adopt in-flight jobs instead of re-running
@@ -38,21 +33,15 @@ directly in an asyncio application.
 """
 
 from repro.service.admission import AdmissionGate
-from repro.service.breaker import BreakerBoard, CircuitBreaker
 from repro.service.core import ExperimentService, Job, ServiceConfig
 from repro.service.journal import ServiceJournal
-from repro.service.queues import QueuePolicy, TenantQueues
 from repro.service.requests import ExperimentRequest
 
 __all__ = [
     "AdmissionGate",
-    "BreakerBoard",
-    "CircuitBreaker",
     "ExperimentRequest",
     "ExperimentService",
     "Job",
-    "QueuePolicy",
     "ServiceConfig",
     "ServiceJournal",
-    "TenantQueues",
 ]

@@ -47,15 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--journal-dir", default=None,
                         help="journal directory for crash-safe "
                              "resumption (default: off)")
-    parser.add_argument("--per-tenant-depth", type=int, default=64,
-                        help="queued jobs allowed per tenant")
-    parser.add_argument("--high-water", type=int, default=256,
-                        help="global queue depth before load shedding")
-    parser.add_argument("--breaker-threshold", type=int, default=3,
-                        help="consecutive infra failures opening a "
-                             "family's circuit")
-    parser.add_argument("--breaker-cooldown", type=float, default=30.0,
-                        help="seconds an open circuit fast-fails")
     parser.add_argument("--no-result-cache", action="store_true",
                         help="disable the content-addressed result "
                              "cache (disables coalescing reuse too)")
@@ -68,10 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> ServiceConfig:
     return ServiceConfig(
         slots=args.slots, timeout=args.timeout, retries=args.retries,
-        per_tenant_depth=args.per_tenant_depth,
-        global_high_water=args.high_water,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown,
         journal_dir=args.journal_dir,
         use_result_cache=not args.no_result_cache)
 
@@ -144,8 +131,12 @@ async def drain(config: ServiceConfig) -> int:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = config_from_args(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = config_from_args(args)
+    except ValueError as exc:
+        parser.error(str(exc))  # exits 2 before stdin is read
     if args.drain:
         return asyncio.run(drain(config))
     return asyncio.run(serve(config))

@@ -4,7 +4,7 @@ The gate is the service-side incarnation of the ``repro.lint`` strict
 gate plus request-shape validation:
 
 - **structural** — unknown payload fields, wrong types, non-finite or
-  out-of-range scales, over-long tenant names;
+  out-of-range scales;
 - **registry** — unknown experiment ids are rejected with the same
   close-match suggestions the CLI prints;
 - **fault plan** — per-request plans are parsed through
@@ -28,15 +28,11 @@ import math
 from typing import Any, Mapping, Optional, Union
 
 from repro.errors import AdmissionError, FaultPlanError
-from repro.service.requests import (DEFAULT_TENANT, REQUEST_FIELDS,
-                                    ExperimentRequest)
+from repro.service.requests import REQUEST_FIELDS, ExperimentRequest
 
 #: Scales above this are almost certainly unit confusion (the paper's
 #: full geometry is scale 1.0); admission rejects them.
 MAX_SCALE = 4.0
-
-#: Tenant names are queue keys and journal content: keep them short.
-MAX_TENANT_LENGTH = 64
 
 #: Inline programs larger than this are rejected unparsed (the lint
 #: walker is linear, but the service should not buffer megabytes of
@@ -81,7 +77,6 @@ class AdmissionGate:
         if experiment_id:
             self._check_experiment_id(experiment_id)
         scale = self._scale(payload)
-        tenant = self._tenant(payload)
         shard = self._optional_string(payload, "shard")
         if shard is not None:
             self._check_shard(shard, experiment_id)
@@ -89,7 +84,7 @@ class AdmissionGate:
         if program is not None:
             self._check_program(program)
         return ExperimentRequest(experiment_id=experiment_id, scale=scale,
-                                 tenant=tenant, shard=shard,
+                                 shard=shard,
                                  fault_plan=fault_plan, program=program)
 
     # -- field validators -------------------------------------------------
@@ -159,22 +154,6 @@ class AdmissionGate:
                 f"scale {scale:g} exceeds the admission ceiling "
                 f"{self.max_scale:g}", field="scale")
         return scale
-
-    @staticmethod
-    def _tenant(payload: Mapping[str, Any]) -> str:
-        value = payload.get("tenant", DEFAULT_TENANT)
-        if not isinstance(value, str):
-            raise AdmissionError(
-                f"must be a string, got {type(value).__name__}",
-                field="tenant")
-        tenant = value.strip()
-        if not tenant:
-            raise AdmissionError("must not be empty", field="tenant")
-        if len(tenant) > MAX_TENANT_LENGTH:
-            raise AdmissionError(
-                f"longer than {MAX_TENANT_LENGTH} characters",
-                field="tenant")
-        return tenant
 
     @staticmethod
     def _fault_plan(payload: Mapping[str, Any]

@@ -5,10 +5,7 @@ execution machinery.  One service instance owns:
 
 - an :class:`~repro.service.admission.AdmissionGate` (typed rejection
   before a worker is occupied),
-- a :class:`~repro.service.queues.TenantQueues` (bounded per-tenant
-  backpressure with weighted-fair dequeue and load shedding),
-- a :class:`~repro.service.breaker.BreakerBoard` (per-experiment-family
-  circuit breakers quarantining crash loops),
+- one FIFO dispatch queue of admitted jobs waiting for a free slot,
 - a :class:`~repro.experiments.runner.ResilientPool` (kill-capable
   worker slots with timeouts, retries and crash respawn), and
 - optionally a :class:`~repro.service.journal.ServiceJournal` (durable
@@ -37,21 +34,18 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import hashlib
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Union
+from collections import deque
+from dataclasses import dataclass
+from typing import Any, Deque, Dict, List, Mapping, Optional, Union
 
 from repro.chips.cache import cache_dir, cache_enabled
-from repro.errors import (AdmissionError, ExperimentError,
-                          ExperimentTimeoutError, HbmSimError,
-                          OverloadError, WorkerCrashError)
+from repro.errors import AdmissionError, ExperimentError, HbmSimError
 from repro.experiments.runner import (DEFAULT_RETRY_DELAY, PoolJob,
-                                      ResilientPool, RunRecord)
+                                      ResilientPool, RunRecord,
+                                      validate_retry_policy)
 from repro.experiments.store import ResultStore
 from repro.service.admission import MAX_SCALE, AdmissionGate
-from repro.service.breaker import (DEFAULT_COOLDOWN, DEFAULT_THRESHOLD,
-                                   BreakerBoard)
 from repro.service.journal import ServiceJournal
-from repro.service.queues import QueuePolicy, TenantQueues
 from repro.service.requests import ExperimentRequest
 
 
@@ -71,23 +65,20 @@ class ServiceConfig:
     #: Retries per invocation after the first attempt.
     retries: int = 1
     retry_delay: float = DEFAULT_RETRY_DELAY
-    #: Backpressure bounds (see :class:`~repro.service.queues.QueuePolicy`).
-    per_tenant_depth: int = 64
-    global_high_water: int = 256
-    weights: Mapping[str, float] = field(default_factory=dict)
-    #: Circuit-breaker policy (per experiment family).
-    breaker_threshold: int = DEFAULT_THRESHOLD
-    breaker_cooldown: float = DEFAULT_COOLDOWN
     #: Journal directory; ``None`` runs without crash-safe resumption.
     journal_dir: Optional[str] = None
     #: Admission ceiling for request scales.
     max_scale: float = MAX_SCALE
-    #: Nominal seconds one queued job occupies a slot — only used to
-    #: compute the ``Retry-After`` hint attached to shed requests.
-    nominal_job_seconds: float = 1.0
     #: Serve and populate the content-keyed result cache (also off
     #: under ``HBMSIM_NO_CACHE``).
     use_result_cache: bool = True
+
+    def __post_init__(self) -> None:
+        # Fail at construction, not at the first dispatch: by then the
+        # job would already be journaled admitted and started.
+        if self.slots < 1:
+            raise ValueError("slots must be >= 1")
+        validate_retry_policy(self.timeout, self.retries)
 
 
 class Job:
@@ -136,7 +127,6 @@ class Job:
     def summary(self) -> Dict[str, Any]:
         payload = {
             "job": self.job_id,
-            "tenant": self.request.tenant,
             "state": self.state,
             "executions": self.executions,
             "record": self.record.summary(),
@@ -159,12 +149,8 @@ class ExperimentService:
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
         self.gate = AdmissionGate(max_scale=self.config.max_scale)
-        self.queues = TenantQueues(QueuePolicy(
-            per_tenant_depth=self.config.per_tenant_depth,
-            global_high_water=self.config.global_high_water,
-            weights=dict(self.config.weights)))
-        self.breakers = BreakerBoard(self.config.breaker_threshold,
-                                     self.config.breaker_cooldown)
+        #: Primary jobs admitted but not yet dispatched, oldest first.
+        self._queue: Deque[Job] = deque()
         self.journal = (ServiceJournal(self.config.journal_dir)
                         if self.config.journal_dir is not None else None)
         self._results = (ResultStore(cache_dir())
@@ -237,10 +223,9 @@ class ExperimentService:
                ) -> Job:
         """Admit one request; returns its :class:`Job`.
 
-        Raises :class:`~repro.errors.AdmissionError` (invalid request),
-        :class:`~repro.errors.CircuitOpenError` (family quarantined) or
-        :class:`~repro.errors.OverloadError` (queues full) — all before
-        any worker is occupied.  Must run on the service's loop.
+        Raises :class:`~repro.errors.AdmissionError` on an invalid
+        request, before any worker is occupied.  Must run on the
+        service's loop.
         """
         self._require_started()
         request = self.gate.admit(payload)
@@ -254,13 +239,11 @@ class ExperimentService:
             return job
 
         key = request.coalescing_key()
-        breaker = self.breakers.check(request.experiment_id)
         job = Job(job_id, request, key, self._loop)
 
         primary = self._inflight.get(key)
         if primary is not None:
             # Coalesce: one execution, N results.
-            breaker.release_probe()
             job.coalesced_with = primary.job_id
             self._followers.setdefault(key, []).append(job)
             self._jobs[job_id] = job
@@ -270,30 +253,24 @@ class ExperimentService:
 
         cached = self._cached_result(key)
         if cached is not None:
-            breaker.release_probe()
             self._jobs[job_id] = job
             self._journal("admitted", job)
             self._complete_cached(job, cached)
             return job
 
-        try:
-            position = self.queues.push(request.tenant, job,
-                                        retry_after=self._retry_hint())
-        except OverloadError:
-            breaker.release_probe()
-            raise
+        self._queue.append(job)
         self._inflight[key] = job
         self._jobs[job_id] = job
         self._journal("admitted", job)
-        self._emit("admitted", job, position=position)
+        self._emit("admitted", job, position=len(self._queue) - 1)
         self._pump()
         return job
 
     def cancel(self, job_id: str) -> bool:
         """Cancel a job; returns False when unknown or already done.
 
-        Queued jobs release their queue slot synchronously; running
-        jobs have their worker killed by the pool (the record turns
+        Queued jobs leave the queue synchronously; running jobs have
+        their worker killed by the pool (the record turns
         ``cancelled`` when the kill lands).  Cancelling a coalescing
         primary promotes its first follower to primary so the other
         waiters still get their result.
@@ -310,10 +287,8 @@ class ExperimentService:
             if job in followers:
                 followers.remove(job)
         else:
-            self.queues.remove(job.request.tenant, job)
+            self._queue.remove(job)
             self._inflight.pop(job.key, None)
-            self.breakers.breaker(
-                job.request.experiment_id).release_probe()
             self._promote_follower(job.key)
         record.status = "cancelled"
         record.error = "cancelled before execution"
@@ -326,17 +301,17 @@ class ExperimentService:
     # -- inspection -------------------------------------------------------
 
     def status(self) -> Dict[str, Any]:
-        """Service snapshot (queues, breakers, job counts)."""
+        """Service snapshot (slots, queue depth, job counts, cache)."""
         states: Dict[str, int] = {}
         for job in self._jobs.values():
             states[job.state] = states.get(job.state, 0) + 1
         return {
             "running": self._running,
             "slots": self._pool.slots if self._pool is not None else 0,
-            "queued": self.queues.depth(),
-            "tenants": self.queues.tenants(),
-            "breakers": self.breakers.snapshot(),
+            "queued": len(self._queue),
             "jobs": states,
+            "cache": (self._results.usage()
+                      if self._results is not None else None),
         }
 
     def job(self, job_id: str) -> Optional[Job]:
@@ -354,13 +329,6 @@ class ExperimentService:
         self._sequence += 1
         return f"job-{self._sequence:06d}"
 
-    def _retry_hint(self) -> float:
-        """Retry-After seconds for shed requests: rough drain time."""
-        slots = self._pool.slots if self._pool is not None else 1
-        backlog = self.queues.depth() + self._running
-        return max(1.0,
-                   backlog * self.config.nominal_job_seconds / slots)
-
     def _cached_result(self, key: str):
         if self._results is None:
             return None
@@ -377,12 +345,9 @@ class ExperimentService:
     def _pump(self) -> None:
         """Dispatch queued jobs while worker slots are free."""
         assert self._pool is not None
-        while not self._closed and self._running < self._pool.slots:
-            popped = self.queues.pop()
-            if popped is None:
-                return
-            _tenant, job = popped
-            self._dispatch(job)
+        while (not self._closed and self._queue
+               and self._running < self._pool.slots):
+            self._dispatch(self._queue.popleft())
 
     def _dispatch(self, job: Job) -> None:
         assert self._pool is not None and self._loop is not None
@@ -412,7 +377,6 @@ class ExperimentService:
         self._running = max(0, self._running - 1)
         record = job.record
         job.exception = pool_job.exception
-        self._record_breaker_outcome(job)
         if record.succeeded and record.result is not None \
                 and self._results is not None:
             # An unwritable cache costs a later recompute, not this job.
@@ -437,21 +401,6 @@ class ExperimentService:
         if not self._closed:
             self._pump()
 
-    def _record_breaker_outcome(self, job: Job) -> None:
-        """Breaker bookkeeping: infrastructure failures trip it,
-        ordinary experiment exceptions are request-scoped."""
-        if self._closed:
-            return
-        record = job.record
-        if record.status == "cancelled":
-            self.breakers.breaker(
-                job.request.experiment_id).release_probe()
-            return
-        infra_failure = isinstance(
-            job.exception, (WorkerCrashError, ExperimentTimeoutError))
-        self.breakers.record(job.request.experiment_id,
-                             not infra_failure)
-
     def _promote_follower(self, key: str) -> None:
         """A cancelled primary hands the work to its first follower."""
         followers = self._followers.get(key)
@@ -460,20 +409,7 @@ class ExperimentService:
             return
         promoted = followers.pop(0)
         promoted.coalesced_with = None
-        try:
-            self.queues.push(promoted.request.tenant, promoted,
-                             retry_after=self._retry_hint())
-        except OverloadError as exc:
-            # The tenant's queue filled since admission; the follower
-            # gets the typed overload verdict rather than silence.
-            record = promoted.record
-            record.status = "failed"
-            record.error = str(exc)
-            promoted.exception = ExperimentError(
-                record.experiment_id, 0, type(exc).__name__, str(exc))
-            self._resolve(promoted)
-            self._promote_follower(key)
-            return
+        self._queue.append(promoted)
         self._inflight[key] = promoted
         for follower in self._followers.get(key, []):
             follower.coalesced_with = promoted.job_id
@@ -485,7 +421,7 @@ class ExperimentService:
 
         Jobs whose execution completed before the crash re-adopt
         straight from the result cache — zero duplicate executions —
-        and genuinely in-flight jobs re-enter the queues.
+        and genuinely in-flight jobs re-enter the queue.
         """
         job_id = entry["job"]
         try:
@@ -511,17 +447,7 @@ class ExperimentService:
             job.coalesced_with = primary.job_id
             self._followers.setdefault(key, []).append(job)
             return
-        try:
-            self.queues.push(request.tenant, job,
-                             retry_after=self._retry_hint())
-        except OverloadError as exc:
-            record = job.record
-            record.status = "failed"
-            record.error = str(exc)
-            job.exception = ExperimentError(
-                record.experiment_id, 0, type(exc).__name__, str(exc))
-            self._resolve(job)
-            return
+        self._queue.append(job)
         self._inflight[key] = job
 
     def _resolve(self, job: Job, journal: bool = True) -> None:
@@ -545,7 +471,6 @@ class ExperimentService:
         if event == "admitted":
             payload.setdefault("request", job.request.to_payload())
             payload.setdefault("key", job.key)
-            payload.setdefault("tenant", job.request.tenant)
         self.journal.append(event, job.job_id, **payload)
 
     def _emit(self, kind: str, job: Job, **extra: Any) -> None:

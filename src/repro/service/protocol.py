@@ -16,17 +16,16 @@ Requests::
 
 Responses carry ``{"ok": true, "op": ...}`` plus op-specific fields, or
 ``{"ok": false, "error": {...}}`` where the error object is the typed
-service verdict: its ``code`` distinguishes admission rejections from
-overload sheds from open circuits, and ``retry_after`` (seconds) is the
-``Retry-After``-style backoff hint on retryable rejections.
+service verdict: its ``code`` is ``"admission"`` for a rejected
+request (with the offending ``field``, did-you-mean ``suggestions`` and
+lint ``findings``), else the exception's type name.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.errors import (AdmissionError, CircuitOpenError, HbmSimError,
-                          OverloadError, ServiceError)
+from repro.errors import AdmissionError, HbmSimError
 from repro.service.core import ExperimentService
 
 #: Protocol schema version, echoed in every response.
@@ -41,9 +40,6 @@ def encode_error(exc: BaseException) -> Dict[str, Any]:
         "code": getattr(exc, "code", type(exc).__name__),
         "message": str(exc),
     }
-    retry_after = getattr(exc, "retry_after", None)
-    if retry_after is not None:
-        error["retry_after"] = round(float(retry_after), 3)
     if isinstance(exc, AdmissionError):
         if exc.field is not None:
             error["field"] = exc.field
@@ -52,14 +48,6 @@ def encode_error(exc: BaseException) -> Dict[str, Any]:
         if exc.findings:
             error["findings"] = [str(finding)
                                  for finding in exc.findings]
-    if isinstance(exc, OverloadError):
-        error["scope"] = exc.scope
-        error["depth"] = exc.depth
-        error["limit"] = exc.limit
-        if exc.tenant is not None:
-            error["tenant"] = exc.tenant
-    if isinstance(exc, CircuitOpenError):
-        error["family"] = exc.family
     return error
 
 
@@ -84,8 +72,6 @@ class LineProtocol:
         handler = getattr(self, f"_op_{op}")
         try:
             return await handler(payload)
-        except ServiceError as exc:
-            return self._error(op, exc)
         except HbmSimError as exc:
             return self._error(op, exc)
 

@@ -3,9 +3,8 @@
 An :class:`ExperimentRequest` names *what* to run (experiment id,
 scale, optional chip/channel shard), *under which chaos* (an optional
 per-request fault plan, installed in the worker for that invocation),
-*for whom* (the tenant, which selects the backpressure queue), and
-optionally carries an inline SoftBender program for the lint admission
-gate to verify.
+and optionally carries an inline SoftBender program for the lint
+admission gate to verify.
 
 Two requests are *the same work* when their :meth:`coalescing key
 <ExperimentRequest.coalescing_key>` matches: the key is
@@ -27,12 +26,9 @@ from typing import Any, Dict, Mapping, Optional
 from repro.experiments.store import result_key
 from repro.faults.plan import FaultPlan, active_plan
 
-#: Tenant used when a request does not name one.
-DEFAULT_TENANT = "default"
-
 #: Fields a request payload may carry (wire names).
-REQUEST_FIELDS = ("experiment_id", "scale", "tenant", "shard",
-                  "fault_plan", "program")
+REQUEST_FIELDS = ("experiment_id", "scale", "shard", "fault_plan",
+                  "program")
 
 
 @dataclass(frozen=True)
@@ -41,7 +37,6 @@ class ExperimentRequest:
 
     experiment_id: str = ""
     scale: float = 1.0
-    tenant: str = DEFAULT_TENANT
     #: ``"i/n"`` shard (see :mod:`repro.experiments.sharding`): the
     #: request executes only that slice of a shardable experiment's
     #: sweep.  Requests for different shards never coalesce.
@@ -97,7 +92,6 @@ class ExperimentRequest:
         payload: Dict[str, Any] = {
             "experiment_id": self.experiment_id,
             "scale": self.scale,
-            "tenant": self.tenant,
         }
         if self.shard is not None:
             payload["shard"] = self.shard

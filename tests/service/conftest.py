@@ -8,7 +8,6 @@ inherit them through the monkeypatched registry, exactly as in
 import asyncio
 import multiprocessing
 import os
-from pathlib import Path
 
 import pytest
 
@@ -19,7 +18,6 @@ needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="service pool requires the fork start method")
 
-MARKER_ENV = "HBMSIM_TEST_MARKER"
 COUNTER_ENV = "HBMSIM_TEST_COUNTER"
 
 
@@ -65,19 +63,9 @@ def _svc_bad(scale: float) -> ExperimentResult:
 
 
 def _svc_crash(scale: float) -> ExperimentResult:
-    """Hard-kill the worker on every attempt (breaker fodder)."""
+    """Hard-kill the worker on every attempt (a crash loop)."""
     count_execution()
     os._exit(97)
-
-
-def _svc_crash_once(scale: float) -> ExperimentResult:
-    """Kill the worker on the first attempt only; retries succeed."""
-    count_execution()
-    marker = Path(os.environ[MARKER_ENV])
-    if not marker.exists():
-        marker.write_text("seen")
-        os._exit(97)
-    return _result("svc-crash-once", scale)
 
 
 def _svc_plan(scale: float) -> ExperimentResult:
@@ -99,11 +87,9 @@ def _svc_sleep(scale: float) -> ExperimentResult:
 def chaos_registry(monkeypatch, tmp_path):
     for name, fn in [("svc-ok", _svc_ok), ("svc-ok2", _svc_ok2),
                      ("svc-bad", _svc_bad), ("svc-crash", _svc_crash),
-                     ("svc-crash-once", _svc_crash_once),
                      ("svc-plan", _svc_plan),
                      ("svc-sleep", _svc_sleep)]:
         monkeypatch.setitem(registry.EXPERIMENTS, name, fn)
-    monkeypatch.setenv(MARKER_ENV, str(tmp_path / "marker"))
     monkeypatch.setenv(COUNTER_ENV, str(tmp_path / "executions"))
     return tmp_path
 

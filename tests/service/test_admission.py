@@ -6,7 +6,7 @@ import pytest
 from repro.errors import AdmissionError
 from repro.faults import FaultPlan, clear_plan, install_plan
 from repro.service.admission import MAX_PROGRAM_BYTES, AdmissionGate
-from repro.service.requests import DEFAULT_TENANT, ExperimentRequest
+from repro.service.requests import REQUEST_FIELDS, ExperimentRequest
 
 GOOD_PROGRAM = """
 ACT 0 0 0 100
@@ -31,7 +31,6 @@ class TestStructure:
         request = gate.admit({"experiment_id": "fig05"})
         assert isinstance(request, ExperimentRequest)
         assert request.scale == 1.0
-        assert request.tenant == DEFAULT_TENANT
         assert request.fault_plan is None
         assert not request.verify_only
 
@@ -80,16 +79,14 @@ class TestScale:
 
 
 class TestTenant:
-    def test_tenant_is_stripped(self, gate):
-        request = gate.admit({"experiment_id": "fig05",
-                              "tenant": "  ci  "})
-        assert request.tenant == "ci"
-
-    @pytest.mark.parametrize("tenant", ["", "   ", 7, "x" * 65])
-    def test_bad_tenants_rejected(self, gate, tenant):
+    def test_tenant_field_rejected(self, gate):
+        """The service has one queue: a request naming a tenant is an
+        unknown field, answered with the valid-field list."""
         with pytest.raises(AdmissionError) as excinfo:
-            gate.admit({"experiment_id": "fig05", "tenant": tenant})
+            gate.admit({"experiment_id": "fig05", "tenant": "ci"})
         assert excinfo.value.field == "tenant"
+        assert "valid fields: " + ", ".join(REQUEST_FIELDS) \
+            in str(excinfo.value)
 
 
 class TestFaultPlan:
@@ -175,9 +172,7 @@ class TestProgramGate:
 class TestCoalescingKey:
     def test_same_request_same_key(self, gate):
         a = gate.admit({"experiment_id": "fig05", "scale": 0.25})
-        b = gate.admit({"experiment_id": "fig05", "scale": 0.25,
-                        "tenant": "other"})
-        # Tenancy routes queues; it must not split the content key.
+        b = gate.admit({"experiment_id": "fig05", "scale": 0.25})
         assert a.coalescing_key() == b.coalescing_key()
 
     def test_plan_field_order_does_not_split_key(self, gate):

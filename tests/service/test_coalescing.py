@@ -52,9 +52,8 @@ class TestCoalescingProof:
             await service.start()
             try:
                 jobs = [service.submit({"experiment_id": "fig05",
-                                        "scale": 0.25,
-                                        "tenant": f"t{i % 4}"})
-                        for i in range(16)]
+                                        "scale": 0.25})
+                        for _ in range(16)]
                 return [await job.wait() for job in jobs]
             finally:
                 await service.close()

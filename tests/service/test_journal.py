@@ -190,6 +190,30 @@ class TestReadoption:
         replay = ServiceJournal(journal_dir).replay()
         assert replay["job-000001"]["status"] == "failed"
 
+    def test_journaled_tenant_request_fails_typed(self, chaos_registry,
+                                                  service_cache, tmp_path):
+        """A journal written while requests still named a tenant
+        re-adopts those open jobs as admission failures, unrun."""
+        journal_dir = tmp_path / "journal"
+        self._crash_leaving_journal(
+            journal_dir, [{"experiment_id": "svc-ok", "tenant": "ci"}])
+
+        async def scenario():
+            service = ExperimentService(ServiceConfig(
+                slots=1, journal_dir=str(journal_dir)))
+            await service.start()
+            try:
+                return await service.drain()
+            finally:
+                await service.close()
+
+        assert run_async(scenario()) == []
+        entry = ServiceJournal(journal_dir).replay()["job-000001"]
+        assert entry["status"] == "failed"
+        assert "unknown request field(s): tenant" \
+            in entry["terminal"]["error"]
+        assert executions(chaos_registry / "executions") == 0
+
     def test_new_jobs_continue_the_id_sequence(self, chaos_registry,
                                                service_cache, tmp_path):
         journal_dir = tmp_path / "journal"

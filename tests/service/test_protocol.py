@@ -5,7 +5,7 @@ import asyncio
 
 import pytest
 
-from repro.errors import AdmissionError, CircuitOpenError, OverloadError
+from repro.errors import AdmissionError
 from repro.service import ExperimentService, ServiceConfig
 from repro.service.protocol import PROTOCOL_SCHEMA, LineProtocol, encode_error
 
@@ -20,23 +20,6 @@ class TestErrorEncoding:
         assert error["code"] == "admission"
         assert error["field"] == "experiment_id"
         assert error["suggestions"] == ["fig05"]
-        assert "retry_after" not in error
-
-    def test_overload_error_fields(self):
-        exc = OverloadError("tenant", 8, 8, retry_after=2.5,
-                            tenant="ci")
-        error = encode_error(exc)
-        assert error["code"] == "overload"
-        assert error["scope"] == "tenant"
-        assert error["tenant"] == "ci"
-        assert error["depth"] == 8 and error["limit"] == 8
-        assert error["retry_after"] == 2.5
-
-    def test_circuit_open_error_fields(self):
-        error = encode_error(CircuitOpenError("fig", 3, retry_after=12.0))
-        assert error["code"] == "circuit-open"
-        assert error["family"] == "fig"
-        assert error["retry_after"] == 12.0
 
     def test_foreign_exception_still_encodes(self):
         error = encode_error(ValueError("boom"))
@@ -75,6 +58,41 @@ class TestOps:
 
         run_async(scenario())
 
+    def test_status_reports_result_store_size(self, chaos_registry,
+                                              service_cache):
+        async def scenario():
+            service, protocol = self._scenario()
+            await service.start()
+            try:
+                before = await protocol.handle({"op": "status"})
+                submitted = await protocol.handle(
+                    {"op": "submit",
+                     "request": {"experiment_id": "svc-ok"}})
+                await protocol.handle({"op": "wait",
+                                       "job": submitted["job"]})
+                after = await protocol.handle({"op": "status"})
+            finally:
+                await service.close()
+            return before["status"]["cache"], after["status"]["cache"]
+
+        before, after = run_async(scenario())
+        assert before == {"entries": 0, "bytes": 0}
+        [entry] = service_cache.glob("expres-*.pkl")
+        assert after == {"entries": 1, "bytes": entry.stat().st_size}
+
+    def test_status_cache_is_none_when_off(self, chaos_registry,
+                                           service_cache):
+        async def scenario():
+            service, protocol = self._scenario(
+                ServiceConfig(slots=1, use_result_cache=False))
+            await service.start()
+            try:
+                return await protocol.handle({"op": "status"})
+            finally:
+                await service.close()
+
+        assert run_async(scenario())["status"]["cache"] is None
+
     def test_failed_job_wait_carries_typed_error(self, chaos_registry,
                                                  service_cache):
         async def scenario():
@@ -88,8 +106,8 @@ class TestOps:
                 waited = await protocol.handle(
                     {"op": "wait", "job": submitted["job"]})
                 assert waited["record"]["status"] == "failed"
-                assert waited["error"]["code"] == "service" \
-                    or "injected failure" in waited["error"]["message"]
+                assert waited["error"]["code"] == "ExperimentError"
+                assert "injected failure" in waited["error"]["message"]
             finally:
                 await service.close()
 

@@ -1,5 +1,5 @@
-"""ExperimentService behavior tests: dispatch, cancellation, overload
-shedding, circuit breaking, crash-of-the-service-itself cleanliness.
+"""ExperimentService behavior tests: config validation, dispatch,
+cancellation, crash loops, crash-of-the-service-itself cleanliness.
 
 Every scenario runs on a fresh asyncio loop via ``run_async``; the
 chaos experiments come from the forked-worker-visible registry in
@@ -10,8 +10,7 @@ import asyncio
 
 import pytest
 
-from repro.errors import (CircuitOpenError, ExperimentError, HbmSimError,
-                          OverloadError, WorkerCrashError)
+from repro.errors import ExperimentError, HbmSimError, WorkerCrashError
 from repro.faults import FaultPlan, clear_plan, install_plan
 from repro.service import ExperimentService, ServiceConfig
 
@@ -141,49 +140,42 @@ class TestCancellation:
         run_async(scenario())
 
 
-class TestBackpressureIntegration:
-    def test_overload_sheds_with_retry_hint(self, chaos_registry,
-                                            service_cache):
-        async def scenario():
-            config = ServiceConfig(slots=1, per_tenant_depth=1,
-                                   nominal_job_seconds=2.0)
-            service = await _started(config)
-            try:
-                service.submit({"experiment_id": "svc-sleep"})
-                service.submit({"experiment_id": "svc-ok"})
-                with pytest.raises(OverloadError) as excinfo:
-                    service.submit({"experiment_id": "svc-ok2"})
-                assert excinfo.value.scope == "tenant"
-                assert excinfo.value.retry_after >= 1.0
-                # Another tenant still gets in.
-                service.submit({"experiment_id": "svc-ok2",
-                                "tenant": "other"})
-            finally:
-                await service.close()
+class TestConfigValidation:
+    @pytest.mark.parametrize("fields", [{"slots": 0}, {"timeout": 0},
+                                        {"timeout": -1.0},
+                                        {"retries": -1}])
+    def test_unrunnable_policy_rejected_at_construction(self, fields):
+        with pytest.raises(ValueError):
+            ServiceConfig(**fields)
 
-        run_async(scenario())
+    @pytest.mark.parametrize("argv", [["--timeout", "0"],
+                                      ["--retries", "-1"],
+                                      ["--slots", "0"]])
+    def test_cli_exits_2_before_serving(self, argv, capsys):
+        from repro.service.__main__ import main
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "must be" in capsys.readouterr().err
 
 
-class TestCircuitBreaker:
-    def test_worker_crashes_open_the_family_circuit(
+class TestCrashLoop:
+    def test_crash_loop_costs_retries_plus_one_executions(
             self, chaos_registry, service_cache):
+        """Nothing fast-fails a crashing experiment: every request
+        spends its attempts and ends in a typed WorkerCrashError."""
         async def scenario():
-            config = ServiceConfig(slots=1, retries=0,
-                                   breaker_threshold=2,
-                                   breaker_cooldown=60.0,
+            config = ServiceConfig(slots=1, retries=1,
+                                   retry_delay=0.0,
                                    use_result_cache=False)
             service = await _started(config)
             try:
                 for _ in range(2):
-                    job = service.submit(
-                        {"experiment_id": "svc-crash"})
+                    job = service.submit({"experiment_id": "svc-crash"})
                     record = await job.wait()
                     assert record.status == "failed"
+                    assert record.attempts == 2
                     assert isinstance(job.exception, WorkerCrashError)
-                with pytest.raises(CircuitOpenError) as excinfo:
-                    service.submit({"experiment_id": "svc-crash"})
-                assert excinfo.value.retry_after > 0
-                # Other families are unaffected.
                 ok = service.submit({"experiment_id": "svc-ok"})
                 assert (await ok.wait()).status == "ok"
             finally:
@@ -191,53 +183,8 @@ class TestCircuitBreaker:
 
         run_async(scenario())
 
-    def test_half_open_probe_recovers_the_family(self, chaos_registry,
-                                                 service_cache):
-        async def scenario():
-            config = ServiceConfig(slots=1, retries=0,
-                                   breaker_threshold=1,
-                                   breaker_cooldown=0.2,
-                                   use_result_cache=False)
-            service = await _started(config)
-            try:
-                first = service.submit(
-                    {"experiment_id": "svc-crash-once"})
-                assert (await first.wait()).status == "failed"
-                with pytest.raises(CircuitOpenError):
-                    service.submit({"experiment_id": "svc-crash-once"})
-                await asyncio.sleep(0.3)
-                # The cooldown elapsed: this request is the probe, and
-                # the marker file makes the retry-side succeed.
-                probe = service.submit(
-                    {"experiment_id": "svc-crash-once"})
-                assert (await probe.wait()).status == "ok"
-                again = service.submit(
-                    {"experiment_id": "svc-crash-once"})
-                assert (await again.wait()).status in ("ok", "cached")
-            finally:
-                await service.close()
-
-        run_async(scenario())
-
-    def test_ordinary_failures_do_not_trip_the_breaker(
-            self, chaos_registry, service_cache):
-        async def scenario():
-            config = ServiceConfig(slots=1, retries=0,
-                                   breaker_threshold=1,
-                                   use_result_cache=False)
-            service = await _started(config)
-            try:
-                for _ in range(3):
-                    job = service.submit({"experiment_id": "svc-bad"})
-                    assert (await job.wait()).status == "failed"
-                # svc-bad raises inside the experiment — request-scoped,
-                # not infrastructure — so the family stays closed.
-                assert service.status()["breakers"]["svc-bad"][
-                    "state"] == "closed"
-            finally:
-                await service.close()
-
-        run_async(scenario())
+        from tests.service.conftest import executions
+        assert executions(chaos_registry / "executions") == 2 * 2 + 1
 
 
 class TestResultCacheIntegration:

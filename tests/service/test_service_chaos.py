@@ -41,10 +41,10 @@ GOLDEN = {"fig05": "44546c2cd83c30da", "fig07": "e22a1494c3310f21"}
 #: Two distinct keys, each submitted twice (the duplicates coalesce or
 #: serve from cache — either way they must not re-execute).
 BATCH = [
-    {"experiment_id": "fig05", "scale": 0.25, "tenant": "alpha"},
-    {"experiment_id": "fig07", "scale": 0.25, "tenant": "beta"},
-    {"experiment_id": "fig05", "scale": 0.25, "tenant": "gamma"},
-    {"experiment_id": "fig07", "scale": 0.25, "tenant": "alpha"},
+    {"experiment_id": "fig05", "scale": 0.25},
+    {"experiment_id": "fig07", "scale": 0.25},
+    {"experiment_id": "fig05", "scale": 0.25},
+    {"experiment_id": "fig07", "scale": 0.25},
 ]
 
 
