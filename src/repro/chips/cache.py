@@ -29,11 +29,9 @@ Writes go through :func:`repro.experiments.store.atomic_write` (a
 same-directory temp file ``os.replace``d over the entry), so concurrent
 writers — e.g. parallel experiment workers racing on a cold cache — at
 worst duplicate work, never corrupt an entry.  Corrupt or unreadable
-entries are treated as misses.
-
-The same directory also holds the experiment service's whole-result
-entries; those belong to :mod:`repro.experiments.store`, which builds
-its content key on :func:`calibration_fingerprint`.
+entries are treated as misses.  The whole-result store
+(:mod:`repro.experiments.store`) builds its content key on
+:func:`calibration_fingerprint`.
 """
 
 from __future__ import annotations

@@ -68,29 +68,6 @@ class MitigationController(abc.ABC):
         Returns the *logical* rows to preventively refresh now.
         """
 
-    def observe_epoch(self, entries: Sequence[
-            Tuple[RowAddress, int, Optional[float]]],
-            now_ns: float) -> List[int]:
-        """Process one epoch's worth of activations in a single call.
-
-        ``entries`` lists ``(address, count, t_on)`` in issue order — the
-        same stream :meth:`observe` would see call by call.  Returns the
-        concatenated victim lists in observation order.
-
-        This reference implementation *is* the per-ACT path: it loops
-        :meth:`observe` so the sequential contract (call order, RNG draw
-        order, counter update order) is preserved exactly.  Subclasses
-        may override with an array-form step, but only where the state
-        update provably commutes (BlockHammer's filter adds do; PARA's
-        RNG stream and Graphene's Misra-Gries table do not) — parity
-        with this loop is the bit-identity contract, enforced by
-        ``tests/defenses/test_observe_epoch.py``.
-        """
-        victims: List[int] = []
-        for address, count, t_on in entries:
-            victims.extend(self.observe(address, count, t_on, now_ns))
-        return victims
-
     def victims_of(self, logical_row: int) -> List[int]:
         """Believed logical addresses of the row's physical neighbors."""
         return self.believed_mapping.physical_neighbors(logical_row)

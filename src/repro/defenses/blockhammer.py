@@ -10,7 +10,7 @@ attacker-visible latency (benign workloads rarely hit the blacklist).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -58,27 +58,6 @@ class CountingBloomFilter:
 
     def add(self, key: int, count: int = 1) -> None:
         self.counts[self._indices(key)] += count
-
-    def add_many(self, keys: Sequence[int],
-                 counts: Sequence[int]) -> None:
-        """Array-form :meth:`add` over many keys at once.
-
-        Bit-identical to sequential ``add`` calls in any order: integer
-        increments commute.  The one trap is hash-index collisions
-        *within* a key — fancy-index ``+=`` applies the count once per
-        distinct slot, so each key's index set is deduplicated before
-        the fused scatter-add.
-        """
-        all_indices = []
-        all_counts = []
-        for key, count in zip(keys, counts):
-            unique = np.unique(self._indices(key))
-            all_indices.append(unique)
-            all_counts.append(np.full(unique.size, count,
-                                      dtype=np.int64))
-        if all_indices:
-            np.add.at(self.counts, np.concatenate(all_indices),
-                      np.concatenate(all_counts))
 
     def estimate(self, key: int) -> int:
         """Count-min estimate (never undercounts)."""
@@ -137,23 +116,6 @@ class BlockHammer(MitigationController):
                 t_on: Optional[float], now_ns: float) -> List[int]:
         self.filter.add(self._key(address), count)
         return []  # BlockHammer never refreshes; it throttles.
-
-    def observe_epoch(self, entries: Sequence[
-            Tuple[RowAddress, int, Optional[float]]],
-            now_ns: float) -> List[int]:
-        """Fully vectorizable epoch step.
-
-        BlockHammer's observation state is the counting Bloom filter,
-        and filter increments commute — so the whole epoch collapses
-        into one fused scatter-add with no ordering constraint (unlike
-        PARA's RNG stream or Graphene's Misra-Gries table).
-        """
-        if not entries:
-            return []
-        self.filter.add_many(
-            [self._key(address) for address, __, __ in entries],
-            [count for __, count, __ in entries])
-        return []
 
     def on_window_rollover(self, now_ns: float) -> None:
         self.filter.clear()

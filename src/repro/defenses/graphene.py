@@ -12,7 +12,7 @@ activations undetected.  Deterministic protection, unlike PARA.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.defenses.base import MitigationController
 from repro.dram.geometry import RowAddress
@@ -97,27 +97,6 @@ class Graphene(MitigationController):
             table.reset(address.row)
             return self.victims_of(address.row)
         return []
-
-    def observe_epoch(self, entries: Sequence[
-            Tuple[RowAddress, int, Optional[float]]],
-            now_ns: float) -> List[int]:
-        """Order-preserving epoch step for the deterministic tracker.
-
-        Misra-Gries updates do not commute — a decrement-all consumes
-        whatever counters are *currently* smallest — so the epoch step
-        must replay entries in issue order.  The win over the reference
-        loop is mechanical: the bank-table lookup is hoisted, and the
-        victim translation runs only for entries that cross threshold.
-        """
-        victims: List[int] = []
-        for address, count, __ in entries:
-            table = self._tables.setdefault(address.bank_key,
-                                            _BankTable(self.entries))
-            if table.add(address.row, count) >= self.threshold_for(
-                    address):
-                table.reset(address.row)
-                victims.extend(self.victims_of(address.row))
-        return victims
 
     def on_window_rollover(self, now_ns: float) -> None:
         """Counters reset every refresh window (all cells refreshed)."""

@@ -68,9 +68,9 @@ class HeterogeneousGraphene(Graphene):
                          believed_mapping=believed_mapping)
         self._layout = chip.geometry.subarrays
         # threshold_for is a pure function of (channel, logical row);
-        # memoizing it keeps the (inherited, order-preserving)
-        # observe_epoch step from re-walking the believed mapping and
-        # subarray layout for every entry.  Bit-identical by purity.
+        # memoizing it keeps the inherited observe step from re-walking
+        # the believed mapping and subarray layout for every call.
+        # Bit-identical by purity.
         self._threshold_memo: Dict[Tuple[int, int], int] = {}
 
     def threshold_for(self, address: RowAddress) -> int:

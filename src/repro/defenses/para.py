@@ -14,7 +14,7 @@ ones and is sampled accordingly.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -69,22 +69,6 @@ class Para(MitigationController):
             return []
         picks = self._rng.integers(0, len(neighbors), size=samples)
         return [neighbors[int(pick)] for pick in picks]
-
-    def observe_epoch(self, entries: Sequence[
-            Tuple[RowAddress, int, Optional[float]]],
-            now_ns: float) -> List[int]:
-        """PARA's epoch step is the reference loop, deliberately.
-
-        Every :meth:`observe` draws from the shared generator — one
-        ``binomial`` then (if sampled) one ``integers`` call — and that
-        *draw order* is the bit-identity contract with the scalar
-        engine.  Reordering or fusing the draws (e.g. one vectorized
-        binomial over the whole epoch) would yield a statistically
-        equivalent but bitwise different victim stream, breaking the
-        report-hash equivalence the batch engine guarantees.
-        """
-        return super().observe_epoch(entries, now_ns)
-
 
 class RowPressAwarePara(Para):
     """PARA whose sampling probability scales with the on-time.

@@ -29,10 +29,6 @@ place every such class is defined:
 - :class:`FaultPlanError` — an invalid ``HBMSIM_FAULTS`` spec.
 - :class:`ShardSpecError` — a ``--shard``/``shard`` value that is not
   an ``"i/n"`` sweep slice.
-- :class:`AdmissionError` — a structured rejection of the experiment
-  service layer (:mod:`repro.service`): a request that fails
-  validation or the lint admission gate, raised *before* a worker slot
-  is ever occupied.
 """
 
 from __future__ import annotations
@@ -108,35 +104,6 @@ class UnknownExperimentError(HbmSimError, KeyError):
     def __str__(self) -> str:
         # KeyError.__str__ repr()s its argument; we want the message.
         return self.args[0]
-
-
-class AdmissionError(HbmSimError):
-    """A request was rejected by admission control before queueing.
-
-    Carries the rejected field (dotted path into the request payload)
-    and, when the lint gate rejected an inline program, the static
-    findings — so clients can fix the request without re-submitting
-    blind.  Admission rejections are never retryable as-is.
-    """
-
-    #: Stable wire identifier (the protocol's ``error.code`` field).
-    code = "admission"
-
-    def __init__(self, message: str, field: Optional[str] = None,
-                 findings: Sequence[object] = (),
-                 suggestions: Sequence[str] = ()) -> None:
-        self.field = field
-        self.findings = list(findings)
-        self.suggestions = list(suggestions)
-        detail = message
-        if field:
-            detail = f"{field}: {detail}"
-        if self.suggestions:
-            detail += "; did you mean: " + ", ".join(self.suggestions) + "?"
-        if self.findings:
-            lines = "\n".join(f"  {finding}" for finding in self.findings)
-            detail += f"\n{lines}"
-        super().__init__(detail)
 
 
 class ExperimentError(HbmSimError):

@@ -40,8 +40,8 @@ def scaled(count: int, scale: float, minimum: int = 8) -> int:
 
 _SCALE_ENV = "HBMSIM_SCALE"
 #: Unparsable ``HBMSIM_SCALE`` values already warned about (warn once
-#: per distinct value — the scale is read per CLI/service entry, and a
-#: typo must not spam every invocation).
+#: per distinct value — the scale is read per CLI entry, and a typo
+#: must not spam every invocation).
 _WARNED_SCALE_VALUES: Set[str] = set()
 
 

@@ -33,18 +33,12 @@ module is that harness for the simulated experiments:
 Timeout enforcement requires the ability to *kill* a running
 experiment, which ``concurrent.futures`` cannot do, so the pool here is
 a small dedicated one: one pipe-connected worker process per slot,
-respawned on crash or timeout.  Workers apply any active fault plan
-(:mod:`repro.faults`) — both the worker-level chaos knobs and, through
-the bender interpreter, the device-level ones.
-
-The pool itself is :class:`ResilientPool`: a persistent, thread-driven
-scheduler over the worker slots that accepts submissions one at a time
-(``submit`` returns a :class:`PoolJob` handle), supports **immediate
-cancellation** (``cancel(invocation_id)`` kills the worker running the
-invocation and frees its slot right away, instead of waiting for a
-timeout), and reports completions through thread-safe callbacks — the
-seam the asyncio service layer (:mod:`repro.service`) bridges onto.
-:func:`run_resilient` drives the same pool for the batch CLI path.
+respawned on crash or timeout.  Workers inherit any active fault plan
+(:mod:`repro.faults`) at fork and apply both the worker-level chaos
+knobs and, through the bender interpreter, the device-level ones.
+:func:`_run_pool` drives the slots from the calling thread: it hands
+each free slot its next runnable task, waits on the busy slots' pipes
+and deadlines, and merges and checkpoints completions itself.
 """
 
 from __future__ import annotations
@@ -52,15 +46,12 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import queue as queue_module
-import threading
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
-from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence,
-                    Tuple)
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.dram.seeding import uniform_for
 from repro.errors import (ExperimentError, ExperimentTimeoutError,
@@ -95,7 +86,7 @@ class RunRecord:
     experiment_id: str
     #: Position in the requested id list (stable across retries).
     index: int
-    #: "ok" | "retried" | "timeout" | "failed" | "cached" | "cancelled"
+    #: "ok" | "retried" | "timeout" | "failed" | "cached"
     status: str = "pending"
     #: Wall seconds of the successful attempt (sum of all attempts for
     #: failures); 0.0 for cached results.
@@ -121,15 +112,6 @@ class RunRecord:
         }
 
 
-def validate_retry_policy(timeout: Optional[float], retries: int) -> None:
-    """Reject a per-attempt ``timeout`` or a ``retries`` count that no
-    invocation could run under (raises :class:`ValueError`)."""
-    if retries < 0:
-        raise ValueError("retries must be non-negative")
-    if timeout is not None and timeout <= 0:
-        raise ValueError("timeout must be positive")
-
-
 def backoff_delay(experiment_id: str, attempt: int,
                   base: float = DEFAULT_RETRY_DELAY) -> float:
     """Exponential backoff with deterministic jitter.
@@ -150,27 +132,19 @@ def backoff_delay(experiment_id: str, attempt: int,
 # ----------------------------------------------------------------------
 
 def _worker_main(conn) -> None:
-    """Worker loop: receive (index, id, scale, attempt, plan_spec,
-    shard), reply outcome.
+    """Worker loop: receive (id, scale, attempt, shard), reply outcome.
 
-    ``plan_spec`` is the per-invocation fault-plan directive: ``None``
-    leaves the worker's installed plan untouched (the batch runner's
-    workers inherit any plan installed before the fork), the empty
-    string clears it, and a JSON string installs that plan for this and
-    subsequent invocations on the slot (the scheduler sends a spec with
-    *every* service task, so slots never leak a previous request's
-    chaos).
-
-    Replies ``("ok", index, elapsed, result)`` or ``("error", index,
-    elapsed, payload)`` where payload carries the exception identity as
-    strings (the exception object itself may not pickle).  Exits on
-    ``None``, a closed pipe, or orphaning.
+    The worker runs under the fault plan it inherited at fork.  Replies
+    ``("ok", elapsed, result)`` or ``("error", elapsed, payload)`` where
+    payload carries the exception identity as strings (the exception
+    object itself may not pickle).  Exits on ``None``, a closed pipe,
+    or orphaning.
 
     The orphan check matters because sibling workers forked later
-    inherit this worker's parent-side pipe end, so a SIGKILL'd pool
+    inherit this worker's parent-side pipe end, so a SIGKILL'd runner
     process does not reliably EOF the pipe; without the ppid poll an
     idle worker would block in ``recv`` forever, leaking a process per
-    crashed service.
+    killed run.
     """
     from repro import faults
     from repro.experiments import registry
@@ -180,26 +154,20 @@ def _worker_main(conn) -> None:
         try:
             while not conn.poll(_ORPHAN_POLL_S):
                 if os.getppid() != parent_pid:
-                    return  # pool process died without a shutdown
+                    return  # runner process died without a shutdown
             task = conn.recv()
         except (EOFError, OSError):
             return
         if task is None:
             return
-        index, experiment_id, scale, attempt, plan_spec, shard = task
+        experiment_id, scale, attempt, shard = task
         start = time.perf_counter()
         try:
-            if plan_spec is not None:
-                if plan_spec:
-                    faults.install_plan(
-                        faults.FaultPlan.from_json(plan_spec))
-                else:
-                    faults.clear_plan()
             faults.apply_worker_faults(faults.active_plan(),
                                        experiment_id, attempt)
             result = registry.run_experiment(experiment_id, scale,
                                              shard=shard)
-            conn.send(("ok", index, time.perf_counter() - start, result))
+            conn.send(("ok", time.perf_counter() - start, result))
         except BaseException as exc:  # noqa: BLE001 — must cross the pipe
             payload = {
                 "type": type(exc).__name__,
@@ -207,8 +175,7 @@ def _worker_main(conn) -> None:
                 "traceback": traceback.format_exc(),
             }
             try:
-                conn.send(("error", index,
-                           time.perf_counter() - start, payload))
+                conn.send(("error", time.perf_counter() - start, payload))
             except (OSError, ValueError):
                 return
 
@@ -223,10 +190,9 @@ def _fork_context():
 
 
 class _Worker:
-    """One pipe-connected worker process (respawnable pool slot)."""
+    """One pipe-connected worker process (one pool slot)."""
 
     def __init__(self, ctx) -> None:
-        self._ctx = ctx
         parent_conn, child_conn = ctx.Pipe()
         self.conn = parent_conn
         self.process = ctx.Process(target=_worker_main,
@@ -237,12 +203,12 @@ class _Worker:
         self.deadline: Optional[float] = None
 
     def assign(self, task: "_Task", timeout: Optional[float]) -> None:
+        task.attempts += 1
         self.task = task
         self.deadline = (time.monotonic() + timeout
                          if timeout is not None else None)
-        # ``task.attempts`` was already incremented by the scheduler.
-        self.conn.send((task.index, task.experiment_id, task.scale,
-                        task.attempts, task.plan_spec, task.shard))
+        self.conn.send((task.experiment_id, task.scale, task.attempts,
+                        task.shard))
 
     def kill(self) -> None:
         try:
@@ -271,9 +237,24 @@ class _Worker:
                 pass
 
 
+class _ShardGroup:
+    """Aggregation state of one invocation fanned out across shards."""
+
+    def __init__(self, record: RunRecord, scale: float,
+                 count: int) -> None:
+        self.record = record
+        self.scale = scale
+        self.count = count
+        self.partials: List[Optional[ExperimentResult]] = [None] * count
+        self.done = 0
+        self.elapsed = 0.0
+        self.attempts = 0
+        self.failed = False
+
+
 @dataclass
 class _Task:
-    """Scheduling state of one pending invocation."""
+    """Scheduling state of one pending invocation (or shard of one)."""
 
     index: int
     experiment_id: str
@@ -282,23 +263,13 @@ class _Task:
     #: Monotonic time before which the task must not be (re)assigned.
     not_before: float = 0.0
     elapsed: float = 0.0
-    #: Per-invocation resilience policy (pool jobs may differ).
-    timeout: Optional[float] = None
-    retries: int = 0
-    retry_delay: float = DEFAULT_RETRY_DELAY
-    #: Per-invocation fault-plan directive forwarded to the worker:
-    #: ``None`` = leave the worker's installed plan alone, ``""`` =
-    #: clear it, JSON = install that plan for the invocation.
-    plan_spec: Optional[str] = None
     #: Shard directive forwarded to the worker: an ``"i/n"`` string
     #: runs only that slice of a shardable experiment's sweep (the
     #: result is a partial for the merge step).
     shard: Optional[str] = None
-    #: Set by :meth:`ResilientPool.cancel`; the scheduler kills the
-    #: running worker (or drops the pending task) on its next pass.
-    cancelled: bool = False
-    #: Completion handle (pool submissions only).
-    job: Optional["PoolJob"] = None
+    #: The fan-out this task is shard ``shard_index`` of, if any.
+    group: Optional[_ShardGroup] = None
+    shard_index: int = 0
 
 
 # ----------------------------------------------------------------------
@@ -334,7 +305,10 @@ def run_resilient(experiment_ids: Sequence[str], scale: float = 1.0,
 
     ids = list(experiment_ids)
     registry.validate_ids(ids)
-    validate_retry_policy(timeout, retries)
+    if retries < 0:
+        raise ValueError("retries must be non-negative")
+    if timeout is not None and timeout <= 0:
+        raise ValueError("timeout must be positive")
     if resume and run_dir is None:
         raise HbmSimError("--resume requires --run-dir")
     ShardSpec.parse(shard)  # a malformed shard fails before any run
@@ -342,7 +316,7 @@ def run_resilient(experiment_ids: Sequence[str], scale: float = 1.0,
     records = [RunRecord(experiment_id, index)
                for index, experiment_id in enumerate(ids)]
     store = ResultStore(run_dir) if run_dir is not None else None
-    keys = {experiment_id: result_key(experiment_id, scale, shard, None)
+    keys = {experiment_id: result_key(experiment_id, scale, shard)
             for experiment_id in (ids if store is not None else ())}
 
     def checkpoint(record: RunRecord) -> None:
@@ -461,395 +435,6 @@ def _prewarm_calibration() -> None:
         pass
 
 
-# ----------------------------------------------------------------------
-# Persistent pool: a thread-driven scheduler over the worker slots
-# ----------------------------------------------------------------------
-
-class PoolJob:
-    """Handle to one invocation submitted to a :class:`ResilientPool`.
-
-    ``record`` is live: the scheduler mutates it as attempts run, and
-    the job is *done* once it reaches a terminal status.  Failures (and
-    cancellations) additionally carry the matching typed exception in
-    ``exception`` so callers can re-raise across the submission seam.
-    """
-
-    def __init__(self, invocation_id: int, record: RunRecord) -> None:
-        self.invocation_id = invocation_id
-        self.record = record
-        self.exception: Optional[ExperimentError] = None
-        self._task: Optional[_Task] = None
-        self._event = threading.Event()
-        self._on_done: List[Callable[["PoolJob"], None]] = []
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def wait(self, timeout: Optional[float] = None) -> RunRecord:
-        """Block until the invocation is terminal; returns its record."""
-        if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"invocation {self.invocation_id} "
-                f"({self.record.experiment_id!r}) still running after "
-                f"{timeout:g}s")
-        return self.record
-
-
-class ResilientPool:
-    """Kill-capable worker pool accepting one invocation at a time.
-
-    The batch runner (:func:`run_resilient`) and the asyncio service
-    layer (:mod:`repro.service`) share this pool.  A background
-    scheduler thread owns the worker slots: it assigns pending tasks
-    (honouring retry backoff), recovers crashed workers, enforces
-    per-attempt deadlines, and **enacts cancellations immediately** —
-    ``cancel()`` on a running invocation kills its worker process and
-    respawns the slot on the scheduler's next pass rather than waiting
-    for a timeout.  Completion callbacks fire on the scheduler thread;
-    bridge them with ``loop.call_soon_threadsafe`` from asyncio.
-    """
-
-    def __init__(self, slots: int = 1, prewarm: bool = False) -> None:
-        if slots < 1:
-            raise ValueError("slots must be >= 1")
-        if prewarm and slots > 1:
-            _prewarm_calibration()
-        self._ctx = _fork_context()
-        self._lock = threading.Lock()
-        self._pending: Deque[_Task] = deque()
-        self._jobs: Dict[int, PoolJob] = {}
-        self._next_id = 0
-        self._closed = False
-        self._wake_r, self._wake_w = os.pipe()
-        os.set_blocking(self._wake_w, False)
-        self._workers = [_Worker(self._ctx) for _ in range(slots)]
-        self._thread = threading.Thread(target=self._loop,
-                                        name="hbmsim-pool", daemon=True)
-        self._thread.start()
-
-    @property
-    def slots(self) -> int:
-        return len(self._workers)
-
-    # -- public API -------------------------------------------------------
-
-    def submit(self, experiment_id: str, scale: float = 1.0, *,
-               timeout: Optional[float] = None, retries: int = 0,
-               retry_delay: float = DEFAULT_RETRY_DELAY,
-               plan_spec: Optional[str] = None,
-               shard: Optional[str] = None,
-               record: Optional[RunRecord] = None,
-               on_done: Optional[Callable[[PoolJob], None]] = None
-               ) -> PoolJob:
-        """Enqueue one invocation; returns its :class:`PoolJob` handle.
-
-        ``record`` lets a caller supply the (index-bearing) record the
-        scheduler should fill in; by default a fresh one indexed by the
-        invocation id is created.  ``on_done`` fires on the scheduler
-        thread once the record is terminal.  ``plan_spec`` is the
-        per-invocation fault-plan directive (see :func:`_worker_main`);
-        ``shard`` the per-invocation shard directive (``"i/n"`` runs
-        that sweep slice of a shardable experiment — validated here so a
-        malformed shard fails at submission, not in a worker).
-        """
-        from repro.experiments import registry
-        registry.validate_ids([experiment_id])
-        validate_retry_policy(timeout, retries)
-        ShardSpec.parse(shard)  # raises on a malformed shard
-        with self._lock:
-            if self._closed:
-                raise HbmSimError("pool is shut down")
-            invocation_id = self._next_id
-            self._next_id += 1
-            if record is None:
-                record = RunRecord(experiment_id, invocation_id)
-            job = PoolJob(invocation_id, record)
-            if on_done is not None:
-                job._on_done.append(on_done)
-            task = _Task(record.index, experiment_id, scale,
-                         timeout=timeout, retries=retries,
-                         retry_delay=retry_delay, plan_spec=plan_spec,
-                         shard=shard, job=job)
-            job._task = task
-            self._jobs[invocation_id] = job
-            self._pending.append(task)
-        self._wake()
-        return job
-
-    def cancel(self, invocation_id: int) -> bool:
-        """Cancel an invocation; returns False when unknown or done.
-
-        Pending invocations are dropped without ever occupying a slot.
-        Running ones have their worker process killed and the slot
-        respawned immediately (the cancellation analogue of a timeout
-        kill); the record terminates with status ``"cancelled"``.
-        """
-        finalized: List[PoolJob] = []
-        with self._lock:
-            job = self._jobs.get(invocation_id)
-            if job is None or job._task is None:
-                return False
-            task = job._task
-            task.cancelled = True
-            try:
-                self._pending.remove(task)
-            except ValueError:
-                pass  # running (or replying): the scheduler enacts it
-            else:
-                self._finalize_cancel_locked(task, finalized)
-        self._fire(finalized)
-        self._wake()
-        return True
-
-    def shutdown(self, timeout: float = 5.0) -> None:
-        """Stop the scheduler and the workers; never hangs a waiter.
-
-        Unfinished invocations (pending or running) finalize with
-        status ``"cancelled"`` so no ``wait()`` or callback consumer
-        blocks on a dead pool.
-        """
-        finalized: List[PoolJob] = []
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            while self._pending:
-                task = self._pending.popleft()
-                task.cancelled = True
-                self._finalize_cancel_locked(task, finalized)
-            for worker in self._workers:
-                if worker.task is not None:
-                    worker.task.cancelled = True
-                    self._finalize_cancel_locked(worker.task, finalized)
-                    worker.task = None
-        self._fire(finalized)
-        self._wake()
-        self._thread.join(timeout=timeout)
-        for worker in self._workers:
-            worker.shutdown()
-        os.close(self._wake_r)
-        os.close(self._wake_w)
-
-    # -- scheduler internals (lock held where suffixed _locked) -----------
-
-    def _wake(self) -> None:
-        try:
-            os.write(self._wake_w, b"w")
-        except (BlockingIOError, OSError):
-            pass  # buffer full (wake already pending) or closed
-
-    def _fire(self, finalized: List[PoolJob]) -> None:
-        """Run completion callbacks outside the lock; never let one
-        kill the scheduler."""
-        for job in finalized:
-            for callback in job._on_done:
-                try:
-                    callback(job)
-                except Exception:  # noqa: BLE001 — callbacks are foreign
-                    traceback.print_exc()
-
-    def _complete_locked(self, job: PoolJob,
-                         finalized: List[PoolJob]) -> None:
-        self._jobs.pop(job.invocation_id, None)
-        job._task = None
-        job._event.set()
-        finalized.append(job)
-
-    def _finalize_cancel_locked(self, task: _Task,
-                                finalized: List[PoolJob]) -> None:
-        job = task.job
-        assert job is not None
-        record = job.record
-        record.status = "cancelled"
-        record.attempts = task.attempts
-        record.elapsed = task.elapsed
-        record.error = record.error or "cancelled before completion"
-        job.exception = ExperimentError(
-            task.experiment_id, max(1, task.attempts), "Cancelled",
-            "invocation cancelled before completion")
-        self._complete_locked(job, finalized)
-
-    def _finalize_success_locked(self, task: _Task, result: Any,
-                                 finalized: List[PoolJob]) -> None:
-        job = task.job
-        assert job is not None
-        record = job.record
-        record.status = "ok" if task.attempts == 1 else "retried"
-        record.result = result
-        record.elapsed = task.elapsed
-        record.attempts = task.attempts
-        record.error = None
-        self._complete_locked(job, finalized)
-
-    def _requeue_or_fail_locked(self, task: _Task, status: str,
-                                error: str, exception: ExperimentError,
-                                finalized: List[PoolJob]) -> None:
-        job = task.job
-        assert job is not None
-        record = job.record
-        record.attempts = task.attempts
-        record.elapsed = task.elapsed
-        record.error = error
-        if task.cancelled:
-            self._finalize_cancel_locked(task, finalized)
-        elif task.attempts <= task.retries:
-            task.not_before = time.monotonic() + backoff_delay(
-                task.experiment_id, task.attempts, task.retry_delay)
-            self._pending.append(task)
-        else:
-            record.status = status
-            job.exception = exception
-            self._complete_locked(job, finalized)
-
-    def _assign_locked(self, now: float) -> None:
-        for worker in self._workers:
-            if worker.task is not None or not self._pending:
-                continue
-            runnable = None
-            for _ in range(len(self._pending)):
-                task = self._pending.popleft()
-                if task.not_before <= now:
-                    runnable = task
-                    break
-                self._pending.append(task)
-            if runnable is None:
-                break
-            runnable.attempts += 1
-            worker.assign(runnable, runnable.timeout)
-
-    def _respawn_locked(self, worker: "_Worker") -> None:
-        worker.kill()
-        self._workers[self._workers.index(worker)] = _Worker(self._ctx)
-
-    def _enact_cancellations_locked(self, finalized: List[PoolJob]) -> None:
-        for worker in list(self._workers):
-            task = worker.task
-            if task is None or not task.cancelled:
-                continue
-            worker.task = None
-            worker.deadline = None
-            self._respawn_locked(worker)
-            self._finalize_cancel_locked(task, finalized)
-
-    def _handle_reply_locked(self, conn, finalized: List[PoolJob]) -> None:
-        worker = next((w for w in self._workers if w.conn is conn), None)
-        if worker is None or worker.task is None:
-            return
-        task = worker.task
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            # Worker died without replying: the pool's broken-process
-            # failure mode.  Respawn the slot and retry just this task;
-            # survivors are unaffected.
-            exitcode = worker.process.exitcode
-            self._respawn_locked(worker)
-            self._requeue_or_fail_locked(
-                task, "failed",
-                f"worker crashed (exit code {exitcode}) while "
-                f"running {task.experiment_id!r}",
-                WorkerCrashError(task.experiment_id, task.attempts,
-                                 exitcode),
-                finalized)
-            return
-        kind, _index, elapsed, payload = message
-        task.elapsed += elapsed
-        worker.task = None
-        worker.deadline = None
-        if task.cancelled:
-            # The reply raced the cancellation: honour the cancel.
-            self._finalize_cancel_locked(task, finalized)
-        elif kind == "ok":
-            self._finalize_success_locked(task, payload, finalized)
-        else:
-            self._requeue_or_fail_locked(
-                task, "failed", payload["traceback"],
-                ExperimentError(task.experiment_id, task.attempts,
-                                payload["type"], payload["message"],
-                                payload["traceback"]),
-                finalized)
-
-    def _enforce_deadlines_locked(self, finalized: List[PoolJob]) -> None:
-        now = time.monotonic()
-        for worker in list(self._workers):
-            if worker.task is None or worker.deadline is None \
-                    or worker.deadline > now:
-                continue
-            task = worker.task
-            task.elapsed += task.timeout or 0.0
-            worker.task = None
-            self._respawn_locked(worker)
-            self._requeue_or_fail_locked(
-                task, "timeout",
-                f"timed out after {task.timeout:g}s (attempt "
-                f"{task.attempts})",
-                ExperimentTimeoutError(task.experiment_id, task.attempts,
-                                       task.timeout or 0.0),
-                finalized)
-
-    def _loop(self) -> None:
-        while True:
-            finalized: List[PoolJob] = []
-            with self._lock:
-                if self._closed:
-                    break
-                self._enact_cancellations_locked(finalized)
-                now = time.monotonic()
-                self._assign_locked(now)
-                busy = [w for w in self._workers if w.task is not None]
-                # Wait for the earliest of: a reply, a deadline, a
-                # pending task leaving backoff while a slot sits idle,
-                # or an external wake (submit / cancel / shutdown).
-                wait_for = None
-                deadlines = [w.deadline for w in busy
-                             if w.deadline is not None]
-                if deadlines:
-                    wait_for = max(0.0, min(deadlines) - now)
-                if self._pending and len(busy) < len(self._workers):
-                    next_ready = min(t.not_before for t in self._pending)
-                    until_ready = max(0.0, next_ready - now)
-                    wait_for = until_ready if wait_for is None \
-                        else min(wait_for, until_ready)
-                conns = [w.conn for w in busy] + [self._wake_r]
-            self._fire(finalized)
-            try:
-                ready = mp_connection.wait(conns, timeout=wait_for)
-            except OSError:  # a conn died mid-wait; next pass recovers
-                ready = []
-            if self._wake_r in ready:
-                try:
-                    os.read(self._wake_r, 4096)
-                except OSError:
-                    pass
-            finalized = []
-            with self._lock:
-                if self._closed:
-                    break
-                for conn in ready:
-                    if conn is self._wake_r:
-                        continue
-                    self._handle_reply_locked(conn, finalized)
-                self._enforce_deadlines_locked(finalized)
-                self._enact_cancellations_locked(finalized)
-            self._fire(finalized)
-
-
-class _ShardGroup:
-    """Aggregation state of one invocation fanned out across shards."""
-
-    def __init__(self, task: _Task, record: RunRecord,
-                 count: int) -> None:
-        self.task = task
-        self.record = record
-        self.count = count
-        self.partials: List[Optional[ExperimentResult]] = [None] * count
-        self.job_ids: List[int] = []
-        self.done = 0
-        self.elapsed = 0.0
-        self.attempts = 0
-        self.failed = False
-
-
 def _shard_fanout(experiment_id: str, jobs: int) -> int:
     """Fan-out width for one invocation (1 = run unsharded).
 
@@ -868,6 +453,16 @@ def _shard_fanout(experiment_id: str, jobs: int) -> int:
     return max(1, min(jobs, units))
 
 
+def _next_runnable(pending: Deque[_Task], now: float) -> Optional[_Task]:
+    """Pop the first pending task out of retry backoff (or None)."""
+    for _ in range(len(pending)):
+        task = pending.popleft()
+        if task.not_before <= now:
+            return task
+        pending.append(task)
+    return None
+
+
 def _run_pool(tasks: Deque[_Task], records: List[RunRecord], jobs: int,
               timeout: Optional[float], retries: int, keep_going: bool,
               retry_delay: float,
@@ -875,10 +470,16 @@ def _run_pool(tasks: Deque[_Task], records: List[RunRecord], jobs: int,
     """Kill-capable worker-pool execution with crash recovery.
 
     Shardable experiments (see ``registry.SHARDABLE``) fan out across
-    the slots as independent shard jobs — each with the full retry/
+    the slots as independent shard tasks — each with the full retry/
     timeout policy — and merge back into one record once every shard
     succeeds, so ``-j N`` scales inside a single long experiment rather
-    than stopping at experiment granularity.
+    than stopping at experiment granularity.  The first failed shard
+    kills its siblings at once.
+
+    One loop on the calling thread owns the slots.  Each pass waits for
+    a reply, a deadline or the end of a retry backoff, then hands every
+    free slot its next runnable task *before* it merges or checkpoints
+    what completed, so a slow merge never idles a slot.
     """
     from repro.experiments import registry
 
@@ -896,80 +497,182 @@ def _run_pool(tasks: Deque[_Task], records: List[RunRecord], jobs: int,
         fanouts = {index: 1 for index in fanouts}
     if slots > 1:
         _prewarm_calibration()
-    pool = ResilientPool(slots)
-    completions: "queue_module.Queue[PoolJob]" = queue_module.Queue()
-    #: shard-job invocation id -> (group, shard index).
-    groups: Dict[int, Tuple[_ShardGroup, int]] = {}
-    # Indivisible invocations (fan-out 1) are submitted first, longest
+    # Indivisible invocations (fan-out 1) are queued first, longest
     # first (``registry.LONG_RUNNING``, then request order): they cannot
-    # be split, so they start at once while the shard jobs — divisible
+    # be split, so they start at once while the shard tasks — divisible
     # work — backfill whichever slot frees up.  Records, merges and
     # report order stay in request order (by record index).
     ordered = sorted(tasks, key=lambda task: (
         fanouts[task.index] > 1,
         task.experiment_id not in registry.LONG_RUNNING))
-    try:
-        submitted = 0
-        for task in ordered:
-            count = fanouts[task.index]
-            if count <= 1:
-                pool.submit(task.experiment_id, task.scale,
-                            timeout=timeout, retries=retries,
-                            retry_delay=retry_delay, shard=task.shard,
-                            record=records[task.index],
-                            on_done=completions.put)
-                submitted += 1
+    pending: Deque[_Task] = deque()
+    for task in ordered:
+        count = fanouts[task.index]
+        if count <= 1:
+            pending.append(task)
+            continue
+        group = _ShardGroup(records[task.index], task.scale, count)
+        pending.extend(
+            _Task(task.index, task.experiment_id, task.scale,
+                  shard=f"{shard_index}/{count}", group=group,
+                  shard_index=shard_index)
+            for shard_index in range(count))
+
+    ctx = _fork_context()
+    workers: List[Optional[_Worker]] = [None] * slots
+
+    def assign() -> None:
+        now = time.monotonic()
+        for slot, worker in enumerate(workers):
+            if worker is not None and worker.task is not None:
                 continue
-            group = _ShardGroup(task, records[task.index], count)
-            for shard_index in range(count):
-                job = pool.submit(task.experiment_id, task.scale,
-                                  timeout=timeout, retries=retries,
-                                  retry_delay=retry_delay,
-                                  shard=f"{shard_index}/{count}",
-                                  on_done=completions.put)
-                groups[job.invocation_id] = (group, shard_index)
-                group.job_ids.append(job.invocation_id)
-            submitted += count
-        for _ in range(submitted):
-            job = completions.get()
-            entry = groups.get(job.invocation_id)
-            if entry is None:
-                record = job.record
-                if record.succeeded:
-                    checkpoint(record)
-                elif not keep_going:
-                    raise job.exception or ExperimentError(
-                        record.experiment_id, record.attempts)
+            task = _next_runnable(pending, now) if pending else None
+            if task is None:
+                return
+            if worker is None:
+                worker = workers[slot] = _Worker(ctx)
+            worker.assign(task, timeout)
+
+    def retire(slot: int) -> None:
+        workers[slot].kill()
+        workers[slot] = None  # respawned when the slot is next needed
+
+    def wait_for_attempts() -> List[tuple]:
+        """Block until attempts end; one ``(task, result, status,
+        error, exception)`` per ended attempt (``result`` None on
+        failure)."""
+        now = time.monotonic()
+        busy = [worker for worker in workers
+                if worker is not None and worker.task is not None]
+        # Wait for the earliest of: a reply, a deadline, or a pending
+        # task leaving backoff while a slot sits idle.
+        wait_for = None
+        deadlines = [worker.deadline for worker in busy
+                     if worker.deadline is not None]
+        if deadlines:
+            wait_for = max(0.0, min(deadlines) - now)
+        if pending and len(busy) < slots:
+            until_ready = max(0.0, min(t.not_before for t in pending) - now)
+            wait_for = until_ready if wait_for is None \
+                else min(wait_for, until_ready)
+        if busy:
+            ready = mp_connection.wait([worker.conn for worker in busy],
+                                       timeout=wait_for)
+        else:
+            time.sleep(wait_for or 0.0)
+            ready = []
+        ended: List[tuple] = []
+        for worker in busy:
+            if worker.conn not in ready:
                 continue
-            group, shard_index = entry
-            shard_record = job.record
-            # The invocation's wall time is its slowest shard; its
-            # attempt count the worst shard's (so "retried" surfaces).
-            group.elapsed = max(group.elapsed, shard_record.elapsed)
-            group.attempts = max(group.attempts, shard_record.attempts)
-            if group.failed:
-                continue  # sibling of an already-failed fan-out
-            if shard_record.succeeded:
-                group.partials[shard_index] = shard_record.result
-                group.done += 1
-                if group.done == group.count:
-                    merged = registry.merge_shard_results(
-                        group.task.experiment_id, group.partials,
-                        group.task.scale)
-                    _record_success(group.record, merged, group.elapsed,
-                                    max(1, group.attempts), checkpoint)
+            task = worker.task
+            try:
+                kind, elapsed, payload = worker.conn.recv()
+            except (EOFError, OSError):
+                # Worker died without replying: the pool's broken-
+                # process failure mode.  Respawn the slot and retry
+                # just this task; survivors are unaffected.  The exit
+                # code is known only once the kill has reaped it.
+                retire(workers.index(worker))
+                exitcode = worker.process.exitcode
+                ended.append((
+                    task, None, "failed",
+                    f"worker crashed (exit code {exitcode}) while "
+                    f"running {task.experiment_id!r}",
+                    WorkerCrashError(task.experiment_id, task.attempts,
+                                     exitcode)))
+                continue
+            task.elapsed += elapsed
+            worker.task = None
+            worker.deadline = None
+            if kind == "ok":
+                ended.append((task, payload, "ok", None, None))
             else:
-                group.failed = True
-                for invocation_id in group.job_ids:
-                    if invocation_id != job.invocation_id:
-                        pool.cancel(invocation_id)
-                record = group.record
-                record.status = shard_record.status
-                record.attempts = max(1, group.attempts)
-                record.elapsed = group.elapsed
-                record.error = shard_record.error
-                if not keep_going:
-                    raise job.exception or ExperimentError(
-                        record.experiment_id, record.attempts)
+                ended.append((
+                    task, None, "failed", payload["traceback"],
+                    ExperimentError(task.experiment_id, task.attempts,
+                                    payload["type"], payload["message"],
+                                    payload["traceback"])))
+        now = time.monotonic()
+        for slot, worker in enumerate(workers):
+            if worker is None or worker.task is None \
+                    or worker.deadline is None or worker.deadline > now:
+                continue
+            task = worker.task
+            task.elapsed += timeout or 0.0
+            retire(slot)
+            ended.append((
+                task, None, "timeout",
+                f"timed out after {timeout:g}s (attempt {task.attempts})",
+                ExperimentTimeoutError(task.experiment_id, task.attempts,
+                                       timeout or 0.0)))
+        return ended
+
+    def drop_siblings(group: _ShardGroup) -> None:
+        """Kill a failed fan-out's queued and running shards at once."""
+        for task in [task for task in pending if task.group is group]:
+            pending.remove(task)
+        for slot, worker in enumerate(workers):
+            if worker is not None and worker.task is not None \
+                    and worker.task.group is group:
+                retire(slot)
+
+    def settle(task: _Task, result: Optional[ExperimentResult],
+               status: str, error: Optional[str],
+               exception: Optional[ExperimentError]) -> None:
+        group = task.group
+        if group is not None and group.failed:
+            return  # sibling of an already-failed fan-out
+        if result is None and task.attempts <= retries:
+            task.not_before = time.monotonic() + backoff_delay(
+                task.experiment_id, task.attempts, retry_delay)
+            pending.append(task)
+            return
+        if group is None:
+            record = records[task.index]
+            if result is not None:
+                _record_success(record, result, task.elapsed,
+                                task.attempts, checkpoint)
+                return
+            record.attempts = task.attempts
+            record.elapsed = task.elapsed
+            _final_failure(record, status, error, keep_going, exception)
+            return
+        # The invocation's wall time is its slowest shard; its attempt
+        # count the worst shard's (so "retried" surfaces).
+        group.elapsed = max(group.elapsed, task.elapsed)
+        group.attempts = max(group.attempts, task.attempts)
+        if result is not None:
+            group.partials[task.shard_index] = result
+            group.done += 1
+            if group.done == group.count:
+                merged = registry.merge_shard_results(
+                    task.experiment_id, group.partials, group.scale)
+                _record_success(group.record, merged, group.elapsed,
+                                max(1, group.attempts), checkpoint)
+            return
+        group.failed = True
+        drop_siblings(group)
+        record = group.record
+        record.attempts = max(1, group.attempts)
+        record.elapsed = group.elapsed
+        _final_failure(record, status, error, keep_going, exception)
+
+    try:
+        while pending or any(worker is not None and worker.task is not None
+                             for worker in workers):
+            assign()
+            ended = wait_for_attempts()
+            assign()  # free slots first: a merge must not idle a slot
+            for outcome in ended:
+                settle(*outcome)
     finally:
-        pool.shutdown()
+        # Idle workers exit cleanly; busy ones (a fail-fast raise) are
+        # killed, so no worker outlives the run.
+        for worker in workers:
+            if worker is None:
+                continue
+            if worker.task is None:
+                worker.shutdown()
+            else:
+                worker.kill()

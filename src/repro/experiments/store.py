@@ -7,19 +7,16 @@ fingerprint (which folds in
 constant) and the *effective* fault plan.  :func:`result_key` hashes
 exactly those, so any input that could change a report changes its
 key, and a stored result is bit-identical to a fresh run under the same
-inputs.  Two consumers share the key and the store:
+inputs.  The resilient runner's ``--run-dir``/``--resume``
+(:func:`repro.experiments.runner.run_resilient`) keys its checkpoints
+this way, so a resume is a lookup that can never mix two sweeps,
+scales or shards.
 
-- the resilient runner's ``--run-dir``/``--resume``
-  (:func:`repro.experiments.runner.run_resilient`): a resume is a
-  lookup, so it can never mix two sweeps, scales or shards;
-- the experiment service (:mod:`repro.service`): its request
-  coalescing key and its persistent cache under
-  :func:`repro.chips.cache.cache_dir`.
-
-The effective plan is the caller's plan, else the process's active
-plan (:func:`repro.faults.active_plan`), with the worker-only fields
-``crash_once`` and ``stall_experiments`` reset to their defaults: they
-decide which attempts fail, not what a successful report contains.
+The effective plan is the process's active plan
+(:func:`repro.faults.active_plan`, which batch workers inherit at
+fork) with the worker-only fields ``crash_once`` and
+``stall_experiments`` reset to their defaults: they decide which
+attempts fail, not what a successful report contains.
 
 Entries are pickles written with :func:`atomic_write` (the one
 temp-file-plus-``os.replace`` writer of the repository), so concurrent
@@ -29,7 +26,6 @@ reads as a miss.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import json
@@ -37,11 +33,11 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional
+from typing import Optional
 
 from repro.experiments.base import ExperimentResult
 from repro.experiments.sharding import ShardSpec
-from repro.faults.plan import FaultPlan, active_plan
+from repro.faults.plan import active_plan
 
 
 def atomic_write(path: os.PathLike, data: bytes) -> None:
@@ -68,15 +64,12 @@ def atomic_write(path: os.PathLike, data: bytes) -> None:
         raise
 
 
-def result_key(experiment_id: str, scale: float, shard: Optional[str],
-               plan: Optional[FaultPlan],
-               extra: Optional[Mapping[str, Any]] = None) -> str:
+def result_key(experiment_id: str, scale: float,
+               shard: Optional[str]) -> str:
     """Stable content hash identifying one experiment result.
 
-    ``shard`` is an ``"i/n"`` string or ``None``; ``plan`` the
-    invocation's own fault plan, or ``None`` to run under the active
-    one.  ``extra`` is further JSON-serializable caller context (the
-    service's inline-program digest).
+    ``shard`` is an ``"i/n"`` string or ``None``; the fault plan is the
+    effective active one.
     """
     from repro.chips.cache import calibration_fingerprint
     from repro.chips.profiles import CHIP_SPECS
@@ -84,8 +77,7 @@ def result_key(experiment_id: str, scale: float, shard: Optional[str],
     from repro.dram.geometry import DEFAULT_GEOMETRY
 
     spec = ShardSpec.parse(shard)
-    if plan is None:
-        plan = active_plan()
+    plan = active_plan()
     if plan is not None:  # the effective plan: no worker-only fields
         plan = dataclasses.replace(plan, crash_once=(),
                                    stall_experiments={})
@@ -97,7 +89,6 @@ def result_key(experiment_id: str, scale: float, shard: Optional[str],
         "batch": batch_enabled(),
         "chips": [calibration_fingerprint(chip, DEFAULT_GEOMETRY)
                   for chip in CHIP_SPECS],
-        "extra": dict(extra or {}),
     }
     canonical = json.dumps(fingerprint, sort_keys=True,
                            separators=(",", ":"))
@@ -132,16 +123,3 @@ class ResultStore:
         """
         atomic_write(self._path(key), pickle.dumps(
             result, protocol=pickle.HIGHEST_PROTOCOL))
-
-    def usage(self) -> Dict[str, int]:
-        """``{"entries": n, "bytes": b}`` over the stored results.
-
-        Entries are never evicted, so this is how far the store has
-        grown; an entry removed while being counted is skipped.
-        """
-        entries = size = 0
-        for path in self.root.glob("expres-*.pkl"):
-            with contextlib.suppress(OSError):
-                size += path.stat().st_size
-                entries += 1
-        return {"entries": entries, "bytes": size}

@@ -362,8 +362,8 @@ class FaultPlan:
         Every rejection is a :class:`~repro.errors.FaultPlanError`
         naming the offending key *path* (``stall_experiments.fig05``,
         ``crash_once[2]``) and, for unknown fields, the full list of
-        valid keys — a chaos spec typo'd in ``HBMSIM_FAULTS`` or a
-        service request should explain itself, not stack-trace.
+        valid keys — a chaos spec typo'd in ``HBMSIM_FAULTS`` should
+        explain itself, not stack-trace.
         """
         known = [spec.name for spec in fields(cls)]
         unknown = sorted(set(payload) - set(known))

@@ -8,9 +8,8 @@ seeded per-cell thresholds):
   :class:`~repro.lint.stream.TimingChecker` (incremental per-bank /
   per-pseudo-channel state, P001–P006 emitted command by command) that
   every protocol verdict in the repo comes from: the offline batch
-  verifier drives it with loop extrapolation, the interpreter's
-  ``HBMSIM_LINT=online`` gate feeds it live command streams, and the
-  service admission gate feeds it with early exit,
+  verifier drives it with loop extrapolation, and the interpreter's
+  ``HBMSIM_LINT=online`` gate feeds it live command streams,
 - :mod:`repro.lint.protocol` — the offline driver: statically verifies
   a whole SoftBender :class:`~repro.bender.program.TestProgram` against
   the JESD235-style timing rules in :mod:`repro.dram.timing` before

@@ -28,10 +28,7 @@ Everything else in the lint layer is a *driver* over this core:
   flattened stream (property-tested),
 - the interpreter's ``HBMSIM_LINT=online`` gate feeds the checker the
   commands it actually executes (:meth:`repro.bender.interpreter.
-  Interpreter.run_checked`),
-- the service admission gate feeds instructions one at a time and stops
-  at the first blocking finding
-  (:meth:`repro.service.admission.AdmissionGate`).
+  Interpreter.run_checked`).
 
 The rule semantics (and the byte-exact finding messages) are documented
 in :mod:`repro.lint.protocol`; this module is the single implementation
@@ -390,8 +387,8 @@ class StreamingVerifier:
     :meth:`finish` yields exactly the findings, command count and clock
     of :func:`repro.lint.protocol.verify_program` — the batch verifier
     *is* this driver run to completion (a hypothesis property holds the
-    two bit-equal).  Incremental consumers (the service admission gate)
-    instead stop at the first blocking finding.
+    two bit-equal).  An incremental consumer can instead stop at the
+    first blocking finding :meth:`feed` returns.
     """
 
     def __init__(self, name: str,

@@ -82,7 +82,7 @@ def test_reads_under_concurrent_writer_never_crash(cache_dir):
 
 
 # ----------------------------------------------------------------------
-# Whole-experiment result store (run dirs and the service cache)
+# Whole-experiment result store (run dirs)
 # ----------------------------------------------------------------------
 
 def _sample_result(text: str = "report"):
@@ -91,10 +91,17 @@ def _sample_result(text: str = "report"):
                             text=text, data={"hc_first": [1, 2, 3]})
 
 
-def _key(**changes):
-    inputs = dict(experiment_id="fig05", scale=0.25, shard=None, plan=None)
+def _key(plan=None, **changes):
+    """The key of fig05 at 0.25 (with ``changes``) under ``plan``."""
+    inputs = dict(experiment_id="fig05", scale=0.25, shard=None)
     inputs.update(changes)
-    return result_key(**inputs)
+    if plan is None:
+        return result_key(**inputs)
+    install_plan(plan)
+    try:
+        return result_key(**inputs)
+    finally:
+        clear_plan()
 
 
 def _result_writer_loop(root, key: str, iterations: int) -> None:
@@ -122,7 +129,6 @@ class TestExperimentResultCache:
         assert _key(shard="0/2") != base
         assert _key(shard="0/2") == _key(shard=" 0/2")  # canonical label
         assert _key(plan=FaultPlan(seed=3)) != base
-        assert _key(extra={"program_sha": "ab"}) != base
 
     def test_key_ignores_worker_only_plan_fields(self, cache_dir):
         plain = _key(plan=FaultPlan(seed=7))
@@ -132,12 +138,11 @@ class TestExperimentResultCache:
         assert _key(plan=FaultPlan(seed=7, read_flip_rate=0.001)) != plain
 
     def test_key_falls_back_to_the_active_plan(self, cache_dir):
+        """The key always names the plan the process runs under."""
         base = _key()
         install_plan(FaultPlan(seed=3, read_flip_rate=0.9))
         try:
             assert _key() != base
-            assert _key() == _key(plan=FaultPlan(seed=3,
-                                                 read_flip_rate=0.9))
         finally:
             clear_plan()
         assert _key() == base
@@ -168,12 +173,9 @@ class TestExperimentResultCache:
 
     def test_disabled_cache_stores_and_loads_nothing(self, cache_dir,
                                                      monkeypatch):
-        """``HBMSIM_NO_CACHE`` turns the service's cache off; an
+        """``HBMSIM_NO_CACHE`` turns the calibration cache off; an
         explicit store (a ``--run-dir``) ignores it."""
-        from repro.service.core import ExperimentService
-
         monkeypatch.setenv("HBMSIM_NO_CACHE", "1")
-        assert ExperimentService()._results is None
         store = ResultStore(cache_dir)
         store.store(_key(), _sample_result())
         assert store.load(_key()) is not None

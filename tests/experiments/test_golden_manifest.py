@@ -1,0 +1,95 @@
+"""The golden manifest: every registry id's report pinned at one scale.
+
+``golden_manifest.json`` records, for each id at :data:`SCALE`, the
+sha256 of the report text and of its canonicalized ``data`` (see
+:func:`canonical`).  Any change that moves a report, or a raw number a
+report is built from, fails here with the id that moved.  An
+intentional change lands as a re-pin: regenerate the file and review
+which ids it says changed::
+
+    PYTHONPATH=src python -m tests.experiments.test_golden_manifest
+"""
+
+import hashlib
+import json
+from pathlib import Path
+from typing import Any, Dict
+
+import numpy as np
+import pytest
+
+from repro.experiments import registry
+
+MANIFEST = Path(__file__).with_name("golden_manifest.json")
+SCALE = 0.25
+
+
+def canonical(value: Any) -> Any:
+    """A JSON-serializable form of ``value`` that is equal exactly when
+    the data is: dicts become key-sorted ``[key, value]`` pairs (keys
+    of any type), arrays their dtype, shape and the sha256 of their
+    bytes, numpy scalars their dtype and value.  Lists and tuples are
+    both sequences.  Any other type raises, so nothing is hashed by a
+    ``repr`` that could hide a change."""
+    if isinstance(value, dict):
+        pairs = [[canonical(key), canonical(item)]
+                 for key, item in value.items()]
+        return {"dict": sorted(pairs, key=lambda pair: json.dumps(pair[0]))}
+    if isinstance(value, (list, tuple)):
+        return [canonical(item) for item in value]
+    if isinstance(value, np.ndarray):
+        data = np.ascontiguousarray(value).tobytes()
+        return {"ndarray": [value.dtype.str, list(value.shape),
+                            hashlib.sha256(data).hexdigest()]}
+    if isinstance(value, np.generic):
+        return {"scalar": [value.dtype.str, canonical(value.item())]}
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    raise TypeError(f"no canonical form for {type(value).__name__}")
+
+
+def digests(experiment_id: str) -> Dict[str, str]:
+    """The manifest entry of one id: report-text and data sha256."""
+    result = registry.run_experiment(experiment_id, SCALE)
+    data = json.dumps(canonical(result.data), sort_keys=True,
+                      separators=(",", ":"))
+    return {"text": hashlib.sha256(result.text.encode()).hexdigest(),
+            "data": hashlib.sha256(data.encode()).hexdigest()}
+
+
+def _pinned() -> Dict[str, Dict[str, str]]:
+    if not MANIFEST.exists():
+        return {}
+    manifest = json.loads(MANIFEST.read_text())
+    assert manifest["scale"] == SCALE
+    return manifest["experiments"]
+
+
+@pytest.mark.parametrize("experiment_id", sorted(
+    set(registry.known_ids()) | set(_pinned())))
+def test_manifest_pins_report(experiment_id):
+    pinned = _pinned()
+    assert experiment_id in pinned, "id missing from the manifest"
+    assert experiment_id in registry.known_ids(), "pinned id not in registry"
+    assert digests(experiment_id) == pinned[experiment_id]
+
+
+def regenerate() -> None:
+    """Rewrite the manifest from a fresh run; print the ids that moved."""
+    previous = _pinned()
+    current = {experiment_id: digests(experiment_id)
+               for experiment_id in registry.known_ids()}
+    for experiment_id in sorted(set(previous) | set(current)):
+        old, new = previous.get(experiment_id), current.get(experiment_id)
+        if old != new:
+            fields = sorted(key for key in ("text", "data")
+                            if (old or {}).get(key) != (new or {}).get(key))
+            print(f"changed: {experiment_id} ({', '.join(fields)})")
+    MANIFEST.write_text(json.dumps(
+        {"scale": SCALE, "experiments": current},
+        indent=2, sort_keys=True) + "\n")
+    print(f"wrote {MANIFEST.name}: {len(current)} ids")
+
+
+if __name__ == "__main__":
+    regenerate()

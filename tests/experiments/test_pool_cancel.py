@@ -1,16 +1,20 @@
-"""ResilientPool submission/cancellation tests (satellite: the pool's
-``cancel()`` must release the slot immediately by killing the worker,
-not wait out a timeout)."""
+"""A failed shard fan-out kills its siblings at once.
+
+When one shard of a fanned-out experiment fails for good, the pool loop
+kills the sibling shards still queued or running instead of waiting for
+them: a keep-going run returns the ``failed`` record, and a fail-fast
+run raises, in seconds rather than after a hung sibling's sleep.
+"""
 
 import multiprocessing
 import time
 
 import pytest
 
-from repro.errors import HbmSimError, UnknownExperimentError
-from repro.experiments import registry
+from repro.errors import ExperimentError
+from repro.experiments import registry, runner
 from repro.experiments.base import ExperimentResult
-from repro.experiments.runner import ResilientPool
+from repro.experiments.runner import run_resilient
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -18,120 +22,59 @@ needs_fork = pytest.mark.skipif(
 
 pytestmark = needs_fork
 
+#: How long the hung sibling shard sleeps if nothing kills it.
+HANG_S = 60.0
+#: A run that waited for the sibling would take ``HANG_S``.
+PROMPT_S = 10.0
 
-def _pool_quick(scale: float) -> ExperimentResult:
-    return ExperimentResult(experiment_id="pool-quick",
-                            title="pool-quick", text="ran pool-quick")
+
+class _FailingFanout:
+    """A shardable experiment: shard 0 raises, shard 1 hangs."""
+
+    @staticmethod
+    def shard_units() -> int:
+        return 2
+
+    @staticmethod
+    def run_shard(scale: float, spec) -> ExperimentResult:
+        if spec.index == 0:
+            raise RuntimeError("shard 0 failed")
+        time.sleep(HANG_S)
+        return ExperimentResult(experiment_id="fanout-fail",
+                                title="fanout-fail", text="late shard")
+
+    @staticmethod
+    def merge_shards(partials, scale: float) -> ExperimentResult:
+        raise AssertionError("a failed fan-out must never merge")
 
 
-def _pool_hang(scale: float) -> ExperimentResult:
-    time.sleep(60.0)
-    return ExperimentResult(experiment_id="pool-hang",
-                            title="pool-hang", text="ran pool-hang")
+def _unsharded(scale: float) -> ExperimentResult:
+    raise AssertionError("jobs=2 must fan the experiment out")
 
 
 @pytest.fixture()
-def pool_registry(monkeypatch):
-    monkeypatch.setitem(registry.EXPERIMENTS, "pool-quick", _pool_quick)
-    monkeypatch.setitem(registry.EXPERIMENTS, "pool-hang", _pool_hang)
+def failing_fanout(monkeypatch):
+    monkeypatch.setitem(registry.EXPERIMENTS, "fanout-fail", _unsharded)
+    monkeypatch.setitem(registry.SHARDABLE, "fanout-fail", _FailingFanout)
+    monkeypatch.setattr(runner, "_available_cores", lambda: 2)
 
 
-@pytest.fixture()
-def pool(pool_registry):
-    pool = ResilientPool(slots=1)
-    yield pool
-    pool.shutdown()
-
-
-class TestSubmit:
-    def test_submit_returns_a_waitable_job(self, pool):
-        job = pool.submit("pool-quick")
-        record = job.wait(timeout=30.0)
-        assert job.done()
-        assert record.status == "ok"
-        assert record.result.text == "ran pool-quick"
-
-    def test_submit_validates_arguments(self, pool):
-        with pytest.raises(UnknownExperimentError):
-            pool.submit("no-such-experiment")
-        with pytest.raises(ValueError):
-            pool.submit("pool-quick", retries=-1)
-        with pytest.raises(ValueError):
-            pool.submit("pool-quick", timeout=0)
-
-    def test_wait_timeout_raises(self, pool):
-        job = pool.submit("pool-hang")
-        with pytest.raises(TimeoutError):
-            job.wait(timeout=0.2)
-        assert pool.cancel(job.invocation_id)
-
-    def test_completion_callback_fires(self, pool):
-        seen = []
-        job = pool.submit("pool-quick", on_done=seen.append)
-        job.wait(timeout=30.0)
-        assert seen == [job]
-
-
-class TestCancel:
-    def test_cancel_running_releases_the_slot_immediately(self, pool):
-        """The slot must be usable right away — not after pool-hang's
-        60 s sleep — because cancel kills the worker process."""
-        hung = pool.submit("pool-hang")
-        deadline = time.monotonic() + 10.0
-        while hung.record.status == "pending" \
-                and not hung.done() and time.monotonic() < deadline:
-            if pool.cancel(hung.invocation_id):
-                break
-            time.sleep(0.01)
-        assert pool.cancel(hung.invocation_id) or hung.done()
-        record = hung.wait(timeout=10.0)
-        assert record.status == "cancelled"
-        assert hung.exception is not None
-
+class TestFailedFanout:
+    def test_keep_going_returns_failed_record_promptly(self,
+                                                       failing_fanout):
         started = time.monotonic()
-        follow = pool.submit("pool-quick")
-        assert follow.wait(timeout=30.0).status == "ok"
-        assert time.monotonic() - started < 30.0
+        records = run_resilient(["fanout-fail"], jobs=2, keep_going=True)
+        assert time.monotonic() - started < PROMPT_S
+        assert records[0].status == "failed"
+        assert records[0].result is None
+        assert "shard 0 failed" in records[0].error
+        assert multiprocessing.active_children() == []
 
-    def test_cancel_pending_never_occupies_a_worker(self, pool):
-        hung = pool.submit("pool-hang")
-        queued = pool.submit("pool-quick")
-        assert pool.cancel(queued.invocation_id)
-        record = queued.wait(timeout=5.0)
-        assert record.status == "cancelled"
-        assert record.attempts == 0
-        pool.cancel(hung.invocation_id)
-
-    def test_cancel_unknown_or_finished_returns_false(self, pool):
-        job = pool.submit("pool-quick")
-        job.wait(timeout=30.0)
-        assert not pool.cancel(job.invocation_id)
-        assert not pool.cancel(12345)
-
-    def test_cancel_wins_a_race_with_completion(self, pool):
-        """Once cancel() returns True the record terminates
-        'cancelled', even if the worker's reply was already in the
-        pipe."""
-        for _ in range(5):
-            job = pool.submit("pool-quick")
-            if pool.cancel(job.invocation_id):
-                assert job.wait(timeout=10.0).status == "cancelled"
-            else:
-                assert job.wait(timeout=10.0).status == "ok"
-
-
-class TestShutdown:
-    def test_shutdown_finalizes_unfinished_jobs(self, pool_registry):
-        pool = ResilientPool(slots=1)
-        hung = pool.submit("pool-hang")
-        queued = pool.submit("pool-quick")
-        pool.shutdown()
-        assert hung.wait(timeout=1.0).status == "cancelled"
-        assert queued.wait(timeout=1.0).status == "cancelled"
-
-    def test_submit_after_shutdown_rejected(self, pool_registry):
-        pool = ResilientPool(slots=1)
-        pool.shutdown()
-        with pytest.raises(HbmSimError):
-            pool.submit("pool-quick")
-        pool.shutdown()  # idempotent
+    def test_fail_fast_raises_promptly(self, failing_fanout):
+        started = time.monotonic()
+        with pytest.raises(ExperimentError) as excinfo:
+            run_resilient(["fanout-fail"], jobs=2)
+        assert time.monotonic() - started < PROMPT_S
+        assert excinfo.value.experiment_id == "fanout-fail"
+        assert excinfo.value.cause_message == "shard 0 failed"
+        assert multiprocessing.active_children() == []

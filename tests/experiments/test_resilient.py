@@ -156,6 +156,7 @@ class TestPoolPath:
                                 keep_going=True)
         assert records[0].status == "failed"
         assert "worker" in records[0].error.lower()
+        assert "exit code 97" in records[0].error  # chaos-crash's code
 
     def test_timeout_kills_hung_experiment(self, chaos_registry):
         records = run_resilient(["chaos-sleep", "chaos-ok"], jobs=2,

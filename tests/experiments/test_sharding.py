@@ -4,20 +4,19 @@ The full-geometry contract (ISSUE 8, extended by ISSUE 10 to the whole
 row-sweep family): a shardable experiment's sweep splits into
 contiguous unit ranges — (channel, pseudo channel) pairs, channels, or
 bank combos — whose merged result is byte-identical to the unsharded
-run — under the CLI ``--shard i/n`` flag, the service ``shard`` field,
-and the pool's transparent ``-j N`` fan-out alike.
+run — under the CLI ``--shard i/n`` flag and the pool's transparent
+``-j N`` fan-out alike.
 """
 
 from unittest import mock
 
 import pytest
 
-from repro.errors import AdmissionError, HbmSimError, ShardSpecError
+from repro.errors import HbmSimError, ShardSpecError
 from repro.experiments import fig05_hcfirst_chips, registry, runner
 from repro.experiments.__main__ import main
 from repro.experiments.registry import run_timed
 from repro.experiments.sharding import ShardSpec, shard_labels
-from repro.service.admission import AdmissionGate
 
 SCALE = 0.02
 
@@ -158,15 +157,16 @@ class TestPoolFanout:
     @staticmethod
     def _pooled_submits(ids, jobs=2):
         """Run ``ids`` through the pool; return the run and the
-        (experiment id, shard) of every ``ResilientPool.submit``."""
-        submit = runner.ResilientPool.submit
+        (experiment id, shard) of every task the loop hands a worker,
+        in hand-out order (no retries, so that is the queue order)."""
+        assign = runner._Worker.assign
         with mock.patch.object(runner, "_available_cores",
                                return_value=jobs), \
-                mock.patch.object(runner.ResilientPool, "submit",
+                mock.patch.object(runner._Worker, "assign",
                                   autospec=True,
-                                  side_effect=submit) as spy:
+                                  side_effect=assign) as spy:
             results, records = run_timed(ids, SCALE, jobs=jobs)
-        calls = [(call.args[1], call.kwargs.get("shard"))
+        calls = [(call.args[1].experiment_id, call.args[1].shard)
                  for call in spy.call_args_list]
         return results, records, calls
 
@@ -206,43 +206,3 @@ class TestPoolFanout:
         __, __, calls = self._pooled_submits(["fig07", "fig05"])
         assert calls == [("fig07", "0/2"), ("fig07", "1/2"),
                          ("fig05", "0/2"), ("fig05", "1/2")]
-
-    def test_submit_validates_shard_strings(self):
-        pool = runner.ResilientPool(slots=1)
-        try:
-            with pytest.raises(ValueError):
-                pool.submit("fig05", SCALE, shard="9/4")
-        finally:
-            pool.shutdown()
-
-
-class TestServiceShardAdmission:
-    def test_execution_shard_admits_for_shardable(self):
-        request = AdmissionGate().admit(
-            {"experiment_id": "fig05", "scale": SCALE, "shard": "0/8"})
-        assert request.shard == "0/8"
-
-    def test_non_shard_label_rejected(self):
-        with pytest.raises(AdmissionError) as excinfo:
-            AdmissionGate().admit(
-                {"experiment_id": "fig03", "scale": SCALE, "shard": "ch0"})
-        assert excinfo.value.field == "shard"
-
-    def test_malformed_execution_shard_rejected(self):
-        with pytest.raises(AdmissionError) as excinfo:
-            AdmissionGate().admit(
-                {"experiment_id": "fig05", "shard": "5/2"})
-        assert excinfo.value.field == "shard"
-
-    def test_execution_shard_on_non_shardable_rejected(self):
-        with pytest.raises(AdmissionError) as excinfo:
-            AdmissionGate().admit(
-                {"experiment_id": "fig03", "shard": "0/8"})
-        assert excinfo.value.field == "shard"
-
-    def test_shard_requests_never_coalesce_across_slices(self):
-        keys = {AdmissionGate().admit(
-                    {"experiment_id": "fig05", "scale": SCALE,
-                     "shard": label}).coalescing_key()
-                for label in shard_labels(4)}
-        assert len(keys) == 4
