@@ -2,10 +2,12 @@
 
 In the paper's setup a host machine executes test programs on the FPGA
 board over PCIe (Fig. 2).  :class:`BenderSession` plays that role: it owns
-one simulated HBM2 stack, runs programs through the interpreter, exposes
-the chip's reverse-engineered row mapping to routines that need physical
-adjacency, and enforces the paper's methodology guard — experiments that
-must stay within the 32 ms refresh window (Section 3.1) can assert it.
+one simulated HBM2 stack, runs programs on the compiled executor or the
+scalar interpreter, exposes the chip's reverse-engineered row mapping to
+routines that need physical adjacency, and enforces the paper's
+methodology guard — experiments that must stay within the 32 ms refresh
+window (Section 3.1) can assert it.  :meth:`BenderSession.batching_active`
+is the one gate for measurement surfaces that skip the command stream.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ import numpy as np
 
 from repro.bender.interpreter import ExecutionResult, Interpreter
 from repro.bender.program import TestProgram
-from repro.dram.batch import (RowBatchProfile, batch_enabled,
-                              engine_supported)
+from repro.dram.batch import batch_enabled
 from repro.dram.device import HBM2Stack
 from repro.dram.geometry import RowAddress
 from repro.dram.row_mapping import RowMapping
@@ -127,30 +128,17 @@ class BenderSession:
         """Read a row addressed physically (mapping applied)."""
         return self.device.read_row(self.logical_of_physical(physical))
 
-    # -- batched row-population measurement -------------------------------
+    # -- engine choice ----------------------------------------------------
 
     def batching_active(self) -> bool:
-        """Whether batched measurement may replace the scalar path here.
+        """Whether a measurement surface may replace the command path.
 
-        False when the ``HBMSIM_BATCH`` escape hatch disables it or the
-        device is a subclass the closed-form engine cannot model.  The
-        callers (the HC_first row search, the TRR-bypass attack) still
-        take their per-row path on a ``FaultyStack``-wrapped device:
-        under a fault plan, programs batch in the compiled executor,
-        whose ``compile.dirty_window_mask`` replays only fault-hit
-        windows per-command.  TRR-enabled devices batch fine: the
-        engine mirrors the activation stream into the TRR sampler.
+        True only when the ``HBMSIM_BATCH`` escape hatch leaves batching
+        on and the device is a plain :class:`HBM2Stack`, TRR-enabled or
+        not.  A :class:`~repro.faults.injector.FaultyStack` fails the
+        gate: a replay that issues no commands cannot tick the fault
+        layer's command counter.  So does any subclass, which could
+        override the command semantics the replay reproduces.  The
+        TRR-bypass attack asks this before taking its epoch replay.
         """
-        return batch_enabled() and engine_supported(self.device)
-
-    def profile_rows(self, addresses, pattern,
-                     radius: int = 8) -> RowBatchProfile:
-        """Batched fault-physics profile of physical ``addresses``.
-
-        The returned :class:`~repro.dram.batch.RowBatchProfile` evaluates
-        hammer schedules against the whole batch without issuing
-        commands.  Callers must check :meth:`batching_active` first; the
-        profile constructor rejects unsupported devices.
-        """
-        return RowBatchProfile(self.device, addresses, pattern,
-                               radius=radius)
+        return batch_enabled() and type(self.device) is HBM2Stack

@@ -11,18 +11,14 @@ exploiting that bitflip count is monotone in hammer count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 from repro.bender.host import BenderSession
 from repro.bender.routines.hammer import double_sided_hammer
 from repro.bender.routines.rowinit import initialize_window
 from repro.core import metrics
 from repro.core.patterns import DataPattern
-from repro.dram.batch import RowBatchProfile
 from repro.dram.geometry import RowAddress
-from repro.faults.injector import FaultyStack
 
 
 @dataclass(frozen=True)
@@ -89,51 +85,6 @@ def search_hc_first(session: BenderSession,
     return HcFirstResult(victim_physical, pattern.name, t_on, high, probes)
 
 
-def _batched_search(profile: RowBatchProfile, n: int,
-                    t_on: Optional[float], start: int, max_hammers: int,
-                    tolerance: float
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fault-free vectorized ramp + bisection over all ``n`` rows.
-
-    Visits the exact per-row probe sequence of :func:`search_hc_first`,
-    evaluated one batched :meth:`RowBatchProfile.hammer` per level.
-    Returns ``(found, high, probes)``.
-    """
-    low = np.zeros(n, dtype=np.int64)
-    high = np.zeros(n, dtype=np.int64)
-    found = np.zeros(n, dtype=bool)
-    probes = np.zeros(n, dtype=np.int64)
-    count = np.full(n, start, dtype=np.int64)
-    ramping = np.ones(n, dtype=bool)
-    while True:
-        active = np.flatnonzero(ramping & (count <= max_hammers))
-        if active.size == 0:
-            break
-        flips = profile.hammer(count[active], t_on, subset=active).bitflips
-        probes[active] += 1
-        hit = flips > 0
-        hit_rows = active[hit]
-        high[hit_rows] = count[hit_rows]
-        found[hit_rows] = True
-        ramping[hit_rows] = False
-        miss_rows = active[~hit]
-        low[miss_rows] = count[miss_rows]
-        count[miss_rows] *= 2
-    while True:
-        # Same stop rule as the scalar search: int() truncation included.
-        slack = np.maximum(1, (tolerance * high).astype(np.int64))
-        active = np.flatnonzero(found & (high - low > slack))
-        if active.size == 0:
-            break
-        mid = (low[active] + high[active]) // 2
-        flips = profile.hammer(mid, t_on, subset=active).bitflips
-        probes[active] += 1
-        hit = flips > 0
-        high[active[hit]] = mid[hit]
-        low[active[~hit]] = mid[~hit]
-    return found, high, probes
-
-
 def search_hc_first_rows(session: BenderSession,
                          victims: Sequence[RowAddress],
                          pattern: DataPattern,
@@ -141,37 +92,15 @@ def search_hc_first_rows(session: BenderSession,
                          start: int = 4096,
                          max_hammers: int = 1_500_000,
                          tolerance: float = 0.01) -> List[HcFirstResult]:
-    """HC_first search over many rows, bisecting all simultaneously.
+    """:func:`search_hc_first` on each victim, in order.
 
-    Per-row results are identical to calling :func:`search_hc_first` on
-    each victim — the ramp and bisection visit the same per-row probe
-    sequence, evaluated one batched :meth:`RowBatchProfile.hammer` per
-    level instead of one command sequence per probe.
-
-    Runs the scalar loop when the session cannot batch (``HBMSIM_BATCH=0``
-    or an unsupported device subclass) and under a device-fault plan:
-    there each probe issues its commands only after the previous probe's
-    verdict, so the command counters a fault draws at are known only as
-    the search runs, and the per-row search is the one way to fire the
-    plan's faults where the scalar run fires them.
+    The name stays only because the benchmark's span tracer resolves it
+    when it installs; a caller can loop over :func:`search_hc_first`
+    just as well.
     """
-    victims = list(victims)
-    if start < 1:
-        raise ValueError("start must be at least 1")
-    if not victims:
-        return []
-    if not session.batching_active() \
-            or isinstance(session.device, FaultyStack):
-        return [search_hc_first(session, victim, pattern, t_on, start,
-                                max_hammers, tolerance)
-                for victim in victims]
-    profile = session.profile_rows(victims, pattern)
-    found, high, probes = _batched_search(
-        profile, len(victims), t_on, start, max_hammers, tolerance)
-    return [HcFirstResult(victim, pattern.name, t_on,
-                          int(high[index]) if found[index] else None,
-                          int(probes[index]))
-            for index, victim in enumerate(victims)]
+    return [search_hc_first(session, victim, pattern, t_on, start,
+                            max_hammers, tolerance)
+            for victim in victims]
 
 
 @dataclass(frozen=True)

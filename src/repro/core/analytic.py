@@ -23,8 +23,7 @@ from repro.chips.vectorized import (PopulationBatch, population_combos,
                                     population_grid)
 from repro.core import metrics
 from repro.core.patterns import ALL_PATTERNS
-from repro.dram.cells import (allocate_cells, cells_chunk_elems,
-                              chunk_combo_blocks)
+from repro.dram.cells import cells_chunk_elems, chunk_combo_blocks
 
 #: One (channel, pseudo_channel, bank) coordinate of a study sweep.
 Combo = Tuple[int, int, int]
@@ -142,7 +141,7 @@ def combo_ber_matrix(chip: ChipProfile, combos: Sequence[Combo],
     all-at-once :func:`combo_population` evaluation at any chunk size.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    matrix = allocate_cells((len(combos), rows.size), float)
+    matrix = np.empty((len(combos), rows.size), dtype=float)
     for start, stop in _combo_chunks(len(combos), rows.size):
         batch = combo_population(chip, list(combos[start:stop]), rows,
                                  pattern)
@@ -186,15 +185,14 @@ def wcdp_hc_first_multi(chip: ChipProfile, combos: Sequence[Combo],
     elementwise with per-combo seed-chain prefixes, so a chunk is the
     same bits as the matching slice of an all-at-once batch (asserted in
     ``tests/core/test_chunked_population.py``); only the assembled
-    output arrays (placed by :func:`repro.dram.cells.allocate_cells`,
-    optionally memory-mapped) span the full population.
+    output arrays span the full population.
     """
     rows = np.asarray(rows)
     amp = amplification(chip, t_on)
     shape = (len(combos), rows.size)
-    per_pattern = {pattern.name: allocate_cells(shape, float)
+    per_pattern = {pattern.name: np.empty(shape, dtype=float)
                    for pattern in ALL_PATTERNS}
-    wcdp = allocate_cells(shape, float)
+    wcdp = np.empty(shape, dtype=float)
     for start, stop in _combo_chunks(len(combos), rows.size):
         chunk_combos = list(combos[start:stop])
         running: Optional[np.ndarray] = None
@@ -241,7 +239,7 @@ def wcdp_ber_multi(chip: ChipProfile, combos: Sequence[Combo],
     eff = effective_hammers(chip, hammer_count, t_on)
     amp = amplification(chip, t_on)
     names = [pattern.name for pattern in ALL_PATTERNS]
-    probabilities = {name: allocate_cells(shape, float) for name in names}
+    probabilities = {name: np.empty(shape, dtype=float) for name in names}
     first_seeds = {name: np.empty(len(combos), dtype=np.uint64)
                    for name in names}
     wcdp_index = np.empty(shape, dtype=np.int64)

@@ -161,11 +161,11 @@ def run_attack_epochs(session: BenderSession,
     the command engine's float adds in order, so the returned bitflip
     count is bit-identical to the scalar path.
 
-    Like the batch engine, this is a *measurement surface*: it reads the
-    device's clock, rolling-refresh pointer and TRR sampler but mutates
-    none of them.  Use a fresh session per attack configuration (the
-    experiments do) — back-to-back attacks on one session would see the
-    scalar path's state evolution, which this replay does not apply.
+    This is a *measurement surface*: it reads the device's clock,
+    rolling-refresh pointer and TRR sampler but mutates none of them.
+    Use a fresh session per attack configuration (the experiments do) —
+    back-to-back attacks on one session would see the scalar path's
+    state evolution, which this replay does not apply.
     """
     device = session.device
     geometry = device.geometry
@@ -290,19 +290,16 @@ def run_attack(session: BenderSession,
     """Execute the bypass attack on the fastest bit-identical path.
 
     Uses the victim-only epoch-level replay when the session may batch
-    and no fault plan wraps the device (the replay is a measurement
-    surface — it cannot tick the fault layer's command counter).  Under
-    a fault plan or ``HBMSIM_BATCH=0`` it runs the command-accurate
+    (:meth:`~repro.bender.host.BenderSession.batching_active`: a plain
+    stack, with or without TRR).  Under a fault plan, on a device
+    subclass or with ``HBMSIM_BATCH=0`` it runs the command-accurate
     :func:`run_attack_exact`; its loop-structured program compiles to
     epoch segments on the batched executor, so even chaos-mode runs skip
     per-command dispatch on fault-free windows.  All paths return the
     same bitflip count; only the exact path mutates the device, so
     callers comparing engines must use fresh sessions.
     """
-    from repro.faults.injector import FaultyStack
-
-    if session.batching_active() \
-            and not isinstance(session.device, FaultyStack):
+    if session.batching_active():
         return run_attack_epochs(session, victim_physical, config, pattern)
     return run_attack_exact(session, victim_physical, config, pattern)
 

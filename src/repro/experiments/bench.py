@@ -56,7 +56,7 @@ a glance and the perf gate can match on it.  Runs of schemas 1-4 remain
 valid history: every stored entry is a ``{"seconds": ...}`` mapping
 (the schema-1 runs in the committed history were converted from plain
 floats in place), and the keys later schemas added are optional to
-readers (see :func:`experiment_seconds`, :func:`phase_seconds`, and
+readers (see :func:`experiment_seconds` and
 :func:`repro.experiments.perf_gate.find_run`).
 """
 
@@ -202,19 +202,6 @@ def experiment_seconds(entry: dict) -> float:
     """Seconds of one per-experiment bench entry (``{"seconds": ...,
     "phases": {...}}``)."""
     return float(entry.get("seconds", 0.0))
-
-
-def phase_seconds(entry: dict, phase: str) -> Optional[float]:
-    """Seconds one entry spent in ``phase``, or ``None`` if unrecorded.
-
-    Entries may lack the phase (schema 1 recorded no phases, and
-    ``compile`` arrived with schema 4).  Gates must treat ``None`` as
-    "cannot judge", not 0.0.
-    """
-    phases = entry.get("phases")
-    if not isinstance(phases, dict) or phase not in phases:
-        return None
-    return float(phases[phase])
 
 
 def _as_entries(timings_or_records) -> Dict[str, dict]:

@@ -30,8 +30,8 @@ def run(scale: float = 1.0) -> ExperimentResult:
         device = chip.make_device()
         device.set_temperature(temperature)
         session = BenderSession(device, mapping=chip.row_mapping())
-        # One-victim batch: rides the engine fault-free; under a fault
-        # plan the row runs the scalar per-probe search.
+        # The per-row ramp-then-bisect search, one probe at a time, with
+        # or without a fault plan.
         result = search_hc_first_rows(session, [VICTIM], CHECKERED0,
                                       tolerance=0.01)[0]
         hc_series[temperature] = result.hc_first

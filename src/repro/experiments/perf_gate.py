@@ -16,8 +16,7 @@ chaos plans, which is what a 2x threshold can police without flaking on
 shared CI hardware.  ``--faults on`` gates chaos-mode (fault-plan)
 runs instead — the teeth behind the fault-path batching: its
 ``--min-batch-speedup`` collapses if fault windows ever fall back to
-per-command dispatch wholesale.  ``--phase compile`` (any recorded
-phase name) gates that phase's seconds rather than the entry total.
+per-command dispatch wholesale.
 
 Two further checks, both against the measured file only:
 
@@ -27,7 +26,7 @@ catches accidental whole-population materialization, not incremental
 growth.  ``--min-batch-speedup`` requires the newest batched
 (``batch: true``) run to be at least that many times faster than the
 newest scalar (``batch: false``) run of the same experiment — the CI
-teeth behind the batch engine's TRR support: if the epoch replay ever
+teeth behind the epoch engine's TRR support: if the epoch replay ever
 falls back to the scalar path, the speedup collapses and the gate
 trips.
 
@@ -51,15 +50,14 @@ import json
 import sys
 from typing import Optional, Tuple
 
-from repro.experiments.bench import experiment_seconds, phase_seconds
+from repro.experiments.bench import experiment_seconds
 
 
 def find_run(payload: dict, experiment_id: str, scale: float,
              jobs: int, cache: Optional[str],
              batch: Optional[bool] = None,
-             faults: Optional[bool] = False,
-             phase: Optional[str] = None) -> Tuple[Optional[float],
-                                                   Optional[dict]]:
+             faults: Optional[bool] = False) -> Tuple[Optional[float],
+                                                      Optional[dict]]:
     """Newest (seconds, run) matching the criteria, or ``(None, None)``.
 
     ``batch=True/False`` restricts to runs recorded with that engine
@@ -68,9 +66,7 @@ def find_run(payload: dict, experiment_id: str, scale: float,
     chaos-mode (schema 4 ``faults: true``) runs never match unless
     explicitly requested, so fault-enabled speedup measurements cannot
     pollute fault-free baselines; pre-schema-4 history carries no key
-    and matches ``False``.  ``phase`` reads one phase's seconds
-    (e.g. ``"compile"``) instead of the entry total; runs whose entry
-    lacks the phase are skipped.
+    and matches ``False``.
     """
     for run in reversed(payload.get("runs", [])):
         if run.get("scale") != scale or run.get("jobs") != jobs:
@@ -84,11 +80,6 @@ def find_run(payload: dict, experiment_id: str, scale: float,
         entry = run.get("experiments", {}).get(experiment_id)
         if entry is None:
             continue
-        if phase is not None:
-            seconds = phase_seconds(entry, phase)
-            if seconds is None:
-                continue
-            return seconds, run
         return experiment_seconds(entry), run
     return None, None
 
@@ -133,10 +124,6 @@ def main(argv=None) -> int:
                              "compares fault-enabled runs only (the "
                              "chaos speedup gate), 'any' disables the "
                              "filter")
-    parser.add_argument("--phase", default=None, metavar="NAME",
-                        help="gate one recorded phase's seconds (e.g. "
-                             "'compile') instead of the entry total; "
-                             "runs lacking the phase are skipped")
     parser.add_argument("--factor", type=float, default=2.0,
                         help="fail when measured > factor * baseline")
     parser.add_argument("--max-rss-mb", type=float, default=6144.0,
@@ -186,14 +173,13 @@ def main(argv=None) -> int:
 
     baseline, baseline_run = find_run(baseline_payload, args.experiment,
                                       args.scale, args.jobs, cache, batch,
-                                      faults, args.phase)
+                                      faults)
     measured, measured_run = find_run(measured_payload, args.experiment,
                                       args.scale, args.jobs, cache, batch,
-                                      faults, args.phase)
+                                      faults)
     criteria = (f"{args.experiment} @ scale {args.scale}, "
                 f"jobs={args.jobs}, cache={cache or 'any'}, "
-                f"batch={args.batch}, faults={args.faults}"
-                + (f", phase={args.phase}" if args.phase else ""))
+                f"batch={args.batch}, faults={args.faults}")
     if baseline is None:
         print(f"perf-gate: no baseline run matches {criteria} in "
               f"{args.baseline!r}", file=sys.stderr)

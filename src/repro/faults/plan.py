@@ -352,9 +352,6 @@ class FaultPlan:
             payload[spec.name] = value
         return payload
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "FaultPlan":
         """Parse and validate a plan payload.

@@ -5,7 +5,10 @@ import pytest
 
 from repro.bender.host import BenderSession, RefreshWindowExceeded
 from repro.bender.program import TestProgram
+from repro.dram.batch import batch_enabled
+from repro.dram.device import HBM2Stack
 from repro.dram.geometry import RowAddress
+from repro.faults import FaultPlan, FaultyStack, clear_plan, install_plan
 
 ADDR = RowAddress(0, 0, 0, 100)
 
@@ -58,6 +61,65 @@ class TestRefreshWindowGuard:
     def test_unstarted_window_raises(self, plain_session):
         with pytest.raises(RuntimeError):
             plain_session.assert_within_refresh_window()
+
+
+class TestEngineGate:
+    """``batching_active``: the one gate for replays that skip the
+    command stream, and the ``HBMSIM_BATCH`` knob under it."""
+
+    def test_plain_stack_batches_with_or_without_trr(self, session,
+                                                     plain_session):
+        assert session.device.trr_config.enabled
+        assert not plain_session.device.trr_config.enabled
+        assert session.batching_active()
+        assert plain_session.batching_active()
+
+    def test_faulty_stack_rejected(self, plain_device):
+        wrapped = FaultyStack(plain_device, FaultPlan(seed=7))
+        assert not BenderSession(wrapped).batching_active()
+
+    def test_subclass_rejected_bare_or_wrapped(self):
+        class Oddball(HBM2Stack):
+            pass
+
+        odd = Oddball()
+        assert not BenderSession(odd).batching_active()
+        wrapped = FaultyStack(odd, FaultPlan(seed=7))
+        assert not BenderSession(wrapped).batching_active()
+
+    def test_installed_plan_turns_gate_off(self, chip0):
+        install_plan(FaultPlan(seed=7, drop_rate=0.01))
+        try:
+            faulted = BenderSession(chip0.make_device(),
+                                    mapping=chip0.row_mapping())
+            assert isinstance(faulted.device, FaultyStack)
+            assert not faulted.batching_active()
+        finally:
+            clear_plan()
+        assert BenderSession(chip0.make_device()).batching_active()
+
+    def test_env_escape_hatch(self, session, monkeypatch):
+        for value in ("0", "false", "no", "off"):
+            monkeypatch.setenv("HBMSIM_BATCH", value)
+            assert not batch_enabled()
+            assert not session.batching_active()
+        monkeypatch.setenv("HBMSIM_BATCH", "1")
+        assert batch_enabled()
+        assert session.batching_active()
+
+    def test_env_unrecognized_warns_and_enables(self, monkeypatch):
+        import warnings
+
+        from repro.dram import batch as batch_module
+
+        monkeypatch.setenv("HBMSIM_BATCH", "bogus-value")
+        monkeypatch.setattr(batch_module, "_WARNED_VALUES", set())
+        with pytest.warns(RuntimeWarning, match="HBMSIM_BATCH"):
+            assert batch_enabled()
+        # Warned once per distinct value, not per call.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert batch_enabled()
 
 
 class TestMappingHelpers:

@@ -2,11 +2,10 @@
 
 The full-geometry contract (``repro.dram.cells``): every population
 kernel is elementwise with per-combo seed-chain prefixes, so evaluating
-a sweep in whole-combo chunks — at *any* ``HBMSIM_CELLS_CHUNK`` bound,
-spilled to an mmap working set or not — produces the same bytes as one
-monolithic batch.  These tests pin that equivalence with hypothesis
-over random sweep shapes and chunk bounds, plus the strict-parse
-behaviour of both knobs.
+a sweep in whole-combo chunks — at *any* ``HBMSIM_CELLS_CHUNK`` bound —
+produces the same bytes as one monolithic batch.  These tests pin that
+equivalence with hypothesis over random sweep shapes and chunk bounds,
+plus the knob's strict-parse behaviour.
 """
 
 import os
@@ -21,11 +20,8 @@ from hypothesis import strategies as st
 from repro.chips.profiles import make_chip
 from repro.core import analytic
 from repro.dram import cells
-from repro.dram.batch import RowBatchProfile
-from repro.dram.cells import (DEFAULT_CHUNK_ELEMS, allocate_cells,
-                              cells_chunk_elems, cells_mmap_enabled,
+from repro.dram.cells import (DEFAULT_CHUNK_ELEMS, cells_chunk_elems,
                               chunk_combo_blocks)
-from repro.dram.geometry import RowAddress
 
 CHIP = make_chip(0)
 #: A 6-combo sweep slice (two channels x three banks) of modest rows —
@@ -51,20 +47,6 @@ def chunk_env(value):
             os.environ.pop(cells._CHUNK_ENV, None)
         else:
             os.environ[cells._CHUNK_ENV] = saved
-
-
-@contextmanager
-def mmap_env(value):
-    """Temporarily pin ``HBMSIM_CELLS_MMAP``."""
-    saved = os.environ.get(cells._MMAP_ENV)
-    try:
-        os.environ[cells._MMAP_ENV] = value
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop(cells._MMAP_ENV, None)
-        else:
-            os.environ[cells._MMAP_ENV] = saved
 
 
 class TestChunkComboBlocks:
@@ -124,46 +106,6 @@ class TestChunkKnob:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert cells_chunk_elems() == DEFAULT_CHUNK_ELEMS
-
-
-class TestMmapKnob:
-    @pytest.fixture(autouse=True)
-    def _fresh_warn_state(self, monkeypatch):
-        monkeypatch.setattr(cells, "_WARNED_VALUES", set())
-
-    @pytest.mark.parametrize("value", ["1", "true", "YES", " on "])
-    def test_on_values(self, value):
-        with mmap_env(value):
-            assert cells_mmap_enabled()
-
-    @pytest.mark.parametrize("value", ["0", "false", "No", "off", ""])
-    def test_off_values(self, value):
-        with mmap_env(value):
-            assert not cells_mmap_enabled()
-
-    def test_unrecognized_warns_once_and_stays_off(self):
-        with mmap_env("mmap-please"):
-            with pytest.warns(RuntimeWarning, match="mmap-please"):
-                assert not cells_mmap_enabled()
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert not cells_mmap_enabled()
-
-
-class TestAllocateCells:
-    def test_anonymous_by_default(self):
-        with mmap_env("0"):
-            array = allocate_cells((4, 8), float)
-        assert type(array) is np.ndarray
-        assert array.shape == (4, 8) and array.dtype == np.float64
-
-    def test_mmap_spill_round_trips(self):
-        with mmap_env("1"):
-            array = allocate_cells((16, 32), float)
-        assert isinstance(array, np.memmap)
-        values = np.arange(16 * 32, dtype=float).reshape(16, 32)
-        array[:] = values
-        assert np.array_equal(np.asarray(array), values)
 
 
 def _clear_population_caches():
@@ -234,43 +176,3 @@ class TestChunkedEquivalence:
                                                 "Checkered0", 300_000.0)
         assert np.array_equal(np.asarray(chunked),
                               np.asarray(whole[3]))
-
-    def test_mmap_spill_is_bit_identical(self, whole):
-        with chunk_env(1024), mmap_env("1"):
-            _clear_population_caches()
-            hc = analytic.wcdp_hc_first_multi(CHIP, COMBOS, ROWS)
-        for name, expected in whole[0].items():
-            assert np.array_equal(np.asarray(hc[name]),
-                                  np.asarray(expected)), name
-
-
-class TestBatchHammerChunking:
-    """RowBatchProfile.hammer streams the threshold comparison."""
-
-    @pytest.fixture(scope="class")
-    def profile(self):
-        chip = make_chip(1)  # TRR-free: the engine accepts it
-        device = chip.make_device()
-        from repro.core.patterns import CHECKERED0
-        victims = [RowAddress(0, 0, bank, row)
-                   for bank in (0, 3) for row in (100, 5000, 16383)]
-        return RowBatchProfile(device, victims, CHECKERED0)
-
-    @given(chunk=st.integers(1, 4 * 8192))
-    @settings(max_examples=8, deadline=None)
-    def test_hammer_chunk_invariant(self, profile, chunk):
-        with chunk_env(10**9):
-            whole = profile.hammer(600_000)
-        with chunk_env(chunk):
-            chunked = profile.hammer(600_000)
-        assert np.array_equal(chunked.images, whole.images)
-        assert np.array_equal(chunked.committed, whole.committed)
-        assert np.array_equal(chunked.bitflips, whole.bitflips)
-
-    def test_subset_chunk_invariant(self, profile):
-        subset = np.array([4, 1, 3])
-        with chunk_env(10**9):
-            whole = profile.hammer(450_000, subset=subset)
-        with chunk_env(1):
-            chunked = profile.hammer(450_000, subset=subset)
-        assert np.array_equal(chunked.images, whole.images)

@@ -240,3 +240,35 @@ class TestEpochAttackEquivalence:
         session = fresh_session(chip0)
         run_attack(session, victim, config)
         assert session.device.now_ns > now_before  # scalar path taken
+
+    def test_dispatcher_follows_session_gate(self, chip0, monkeypatch):
+        """A plain stack, with or without TRR, replays epochs; a
+        FaultyStack or a device subclass runs the exact attack."""
+        from repro.bender.host import BenderSession
+        from repro.chips.profiles import make_chip
+        from repro.core import trr_bypass
+        from repro.dram.device import HBM2Stack
+        from repro.faults import FaultPlan, FaultyStack
+
+        monkeypatch.delenv("HBMSIM_BATCH", raising=False)
+        taken = []
+        monkeypatch.setattr(trr_bypass, "run_attack_epochs",
+                            lambda *args: taken.append("epochs"))
+        monkeypatch.setattr(trr_bypass, "run_attack_exact",
+                            lambda *args: taken.append("exact"))
+
+        class Oddball(HBM2Stack):
+            pass
+
+        mapping = chip0.row_mapping()
+        sessions = [
+            fresh_session(chip0),
+            fresh_session(make_chip(1)),  # a TRR-free chip
+            BenderSession(FaultyStack(chip0.make_device(),
+                                      FaultPlan(seed=7)), mapping=mapping),
+            BenderSession(Oddball(), mapping=mapping),
+        ]
+        config = AttackConfig(dummy_rows=4, aggressor_acts=34, windows=40)
+        for session in sessions:
+            run_attack(session, RowAddress(0, 0, 0, 5000), config)
+        assert taken == ["epochs", "epochs", "exact", "exact"]

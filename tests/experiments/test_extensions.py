@@ -41,7 +41,7 @@ class TestTemperatureExtension:
         assert retention[102.0] > retention[82.0]
 
     def test_report_digest(self, result):
-        """Full report pin at scale 0.2 (batch row profiling path)."""
+        """Full report pin at scale 0.2 (per-row HC_first search)."""
         assert hashlib.sha256(result.text.encode()).hexdigest() == (
             "f255ccfc71c9be79ea2720b62eab5b7a0750447bf15a725170c4e196c8c69bd2")
 

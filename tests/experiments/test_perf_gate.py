@@ -220,35 +220,6 @@ class TestFaultsFilter:
                      "--min-batch-speedup", "5.0"]) == 1
 
 
-class TestPhaseGate:
-    def test_phase_seconds_gate(self, tmp_path):
-        """--phase compile gates the compiler's recorded seconds."""
-        baseline = tmp_path / "baseline.json"
-        measured = tmp_path / "measured.json"
-
-        def entry(total, compile_s):
-            run = run_entry(total)
-            run["experiments"]["fig05"]["phases"] = {
-                "compile": compile_s, "execute": total - compile_s}
-            return run
-
-        write_bench(baseline, [entry(1.0, 0.02)])
-        write_bench(measured, [entry(1.0, 0.03)])
-        args = ["--baseline", str(baseline), "--measured", str(measured),
-                "--phase", "compile"]
-        assert main(args) == 0          # 0.03 <= 2 * 0.02
-        assert main(args + ["--factor", "1.2"]) == 1
-
-    def test_runs_without_phase_are_skipped(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        measured = tmp_path / "measured.json"
-        write_bench(baseline, [run_entry(1.0)])
-        write_bench(measured, [run_entry(1.0)])
-        assert main(["--baseline", str(baseline),
-                     "--measured", str(measured),
-                     "--phase", "compile"]) == 2
-
-
 class TestRssFactorGate:
     def files(self, tmp_path, baseline_rss, measured_rss):
         baseline = tmp_path / "baseline.json"

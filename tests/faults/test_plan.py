@@ -1,5 +1,7 @@
 """Tests for FaultPlan configuration, env parsing, and activation."""
 
+import json
+
 import pytest
 
 from repro.errors import FaultPlanError, HbmSimError
@@ -25,7 +27,7 @@ class TestFaultPlan:
                          act_jitter_rate=0.1, act_jitter_ns=25.0,
                          crash_once=("fig05",),
                          stall_experiments={"fig07": 2.5})
-        assert FaultPlan.from_json(plan.to_json()) == plan
+        assert FaultPlan.from_json(json.dumps(plan.to_dict())) == plan
 
     @pytest.mark.parametrize("field,value", [
         ("read_flip_rate", 1.5), ("drop_rate", -0.1),
