@@ -21,7 +21,6 @@ per-call distribution dispatch overhead.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,7 +33,6 @@ from repro.chips.profiles import (_PATTERN_BER, _SIGMA_HC_COUPLING,
 from repro.dram.cell_model import (DEFAULT_MU_STRONG, DEFAULT_SIGMA_STRONG,
                                    DEFAULT_SIGMA_WEAK,
                                    order_stats_from_draws)
-from repro.dram.cells import cells_chunk_elems
 from repro.dram.seeding import (fold_seed_states, normals_from_states,
                                 seed_array_mixed, uniforms_from_seeds,
                                 uniforms_from_states)
@@ -461,33 +459,12 @@ def population_batch(chip: ChipProfile, channels, pseudo_channels, banks,
         **arrays)
 
 
-#: Memo of pattern-independent combo bases (see :class:`_PopulationBase`)
-#: — a WCDP sweep builds one batch per data pattern over the same
-#: coordinates, and the base is the expensive half.  Bounded FIFO, both
-#: by entry count and by total retained *elements* (a fixed multiple of
-#: the ``HBMSIM_CELLS_CHUNK`` working-set bound): chunk-streamed sweeps
-#: insert bank-sized bases that all fit, while an oversized direct batch
-#: passes through without pinning whole-device arrays in the memo.
-_COMBO_BASE_CACHE: "OrderedDict[tuple, _PopulationBase]" = OrderedDict()
-_COMBO_BASE_CACHE_LIMIT = 6
-#: Element budget as a multiple of the chunk bound: enough for every
-#: chunk of one WCDP round trip to stay warm across its four patterns.
-_COMBO_BASE_CACHE_CHUNKS = 8
-
-
-def _base_elems(base: _PopulationBase) -> int:
-    """Retained per-element array length of one cached base."""
-    return int(np.size(base.pos_ber))
-
-
-def _trim_base_cache() -> None:
-    """Evict oldest bases beyond the entry and element budgets."""
-    budget = _COMBO_BASE_CACHE_CHUNKS * cells_chunk_elems()
-    while len(_COMBO_BASE_CACHE) > _COMBO_BASE_CACHE_LIMIT or (
-            len(_COMBO_BASE_CACHE) > 1
-            and sum(_base_elems(base)
-                    for base in _COMBO_BASE_CACHE.values()) > budget):
-        _COMBO_BASE_CACHE.popitem(last=False)
+#: The last combo base built (see :class:`_PopulationBase`), keyed by chip
+#: and coordinates.  The WCDP chunk loops ask for one chunk's base once
+#: per data pattern, back to back, so one slot is all the reuse there
+#: is; it is emptied before the next base is built, so at most one
+#: chunk's base outlives a call.
+_BASE_SLOT: "dict[tuple, _PopulationBase]" = {}
 
 
 def population_combos(chip: ChipProfile, combo_channels, combo_pseudo_channels,
@@ -500,7 +477,9 @@ def population_combos(chip: ChipProfile, combo_channels, combo_pseudo_channels,
     ``scalar_faithful=False``, matching the grid kernels).  The block
     structure lets the seed chains fold their coordinate prefix once per
     combo instead of once per element (see :class:`_BlockChains`), which
-    is where large multi-bank sweeps spend most of their time.
+    is where large multi-bank sweeps spend most of their time.  Back to
+    back calls over the same coordinates share one pattern-independent
+    base (:data:`_BASE_SLOT`).
     """
     combo_channels, combo_pseudo_channels, combo_banks = (
         np.asarray(value, dtype=np.int64)
@@ -513,18 +492,16 @@ def population_combos(chip: ChipProfile, combo_channels, combo_pseudo_channels,
     key = (chip.spec.index, chip.spec.seed, combo_channels.tobytes(),
            combo_pseudo_channels.tobytes(), combo_banks.tobytes(),
            rows.tobytes())
-    base = _COMBO_BASE_CACHE.get(key)
+    base = _BASE_SLOT.get(key)
     if base is None:
+        _BASE_SLOT.clear()
         chains = _BlockChains(chip.spec.seed, combo_channels,
                               combo_pseudo_channels, combo_banks,
                               tiled_rows, rows.size)
         base = _PopulationBase(chip, channels, pseudo_channels, banks,
                                tiled_rows, scalar_faithful=False,
                                chains=chains)
-        _COMBO_BASE_CACHE[key] = base
-        _trim_base_cache()
-    else:
-        _COMBO_BASE_CACHE.move_to_end(key)
+        _BASE_SLOT[key] = base
     arrays = _population_arrays(chip, channels, pseudo_channels, banks,
                                 tiled_rows, pattern, scalar_faithful=False,
                                 defer_strong=True, base=base)

@@ -16,8 +16,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from collections import OrderedDict
-
 from repro.chips.profiles import ChipProfile
 from repro.chips.vectorized import (PopulationBatch, population_combos,
                                     population_grid)
@@ -67,30 +65,6 @@ def wcdp_ber(chip: ChipProfile, channel: int, pseudo_channel: int,
     return {name: values[0] for name, values in multi.items()}
 
 
-#: Memo of recent combo batches.  The WCDP helpers evaluate HC_first and
-#: BER over the *same* combos x rows cross-product, one batch per
-#: pattern; caching the immutable batches halves the kernel work of a
-#: combined study.  Bounded FIFO — a handful of (combos, rows, pattern)
-#: keys covers every repeated lookup within one experiment — and, like
-#: the base cache in :mod:`repro.chips.vectorized`, bounded in total
-#: retained *elements* by a multiple of the ``HBMSIM_CELLS_CHUNK``
-#: working-set target, so chunk-streamed sweeps never pin whole-device
-#: populations in the memo.
-_COMBO_CACHE: "OrderedDict[tuple, PopulationBatch]" = OrderedDict()
-_COMBO_CACHE_LIMIT = 12
-_COMBO_CACHE_CHUNKS = 16
-
-
-def _trim_combo_cache() -> None:
-    """Evict oldest batches beyond the entry and element budgets."""
-    budget = _COMBO_CACHE_CHUNKS * cells_chunk_elems()
-    while len(_COMBO_CACHE) > _COMBO_CACHE_LIMIT or (
-            len(_COMBO_CACHE) > 1
-            and sum(len(batch) for batch in _COMBO_CACHE.values())
-            > budget):
-        _COMBO_CACHE.popitem(last=False)
-
-
 def combo_population(chip: ChipProfile, combos: Sequence[Combo],
                      rows: np.ndarray, pattern: str) -> PopulationBatch:
     """One population batch covering ``combos`` x ``rows``.
@@ -99,29 +73,21 @@ def combo_population(chip: ChipProfile, combos: Sequence[Combo],
     row ``rows[r]`` of ``combos[c]`` — so reshaping any per-element
     result to ``(len(combos), len(rows))`` recovers one
     :func:`population_grid` result per combo, bit-identically (the
-    batched and grid kernels share ``_population_arrays``).  Results are
-    memoized (treat the returned batch as read-only).  Each distinct
-    combo is address-checked before the first evaluation, so a bad
-    coordinate names itself (``channel 9 out of range [0, 8)``).
+    batched and grid kernels share ``_population_arrays``).  Every call
+    builds a fresh batch; the pattern-independent half is shared with
+    the previous call over the same coordinates (see
+    :func:`population_combos`), so treat the batch as read-only.  Each
+    distinct combo is address-checked first, so a bad coordinate names
+    itself (``channel 9 out of range [0, 8)``).
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    key = (chip.spec.index, chip.spec.seed, tuple(combos),
-           rows.tobytes(), pattern)
-    batch = _COMBO_CACHE.get(key)
-    if batch is not None:
-        _COMBO_CACHE.move_to_end(key)
-        return batch
     for channel, pseudo_channel, bank in dict.fromkeys(combos):
         chip.geometry.check_address(channel, pseudo_channel, bank, 0)
-    batch = population_combos(
+    return population_combos(
         chip,
         [channel for channel, __, __ in combos],
         [pseudo_channel for __, pseudo_channel, __ in combos],
         [bank for __, __, bank in combos],
         rows, pattern)
-    _COMBO_CACHE[key] = batch
-    _trim_combo_cache()
-    return batch
 
 
 def _combo_chunks(n_combos: int, rows_size: int) -> List[Tuple[int, int]]:

@@ -2,8 +2,9 @@
 
 Three invariants pin the one chunk-streamed kernel:
 
-- :func:`population_combos` (the block-chained, base-cached kernel) is
-  bit-identical to per-combo :func:`population_grid` results,
+- :func:`population_combos` (the block-chained kernel with its one
+  base slot) is bit-identical to per-combo :func:`population_grid`
+  results,
 - the WCDP helpers (``*_multi`` and their one-combo forms) equal a
   test-local reference built from per-bank :func:`population_grid`
   measurements, at one chunk and at many,
@@ -37,14 +38,9 @@ def chip():
     return make_chip(2)
 
 
-def clear_caches():
-    analytic._COMBO_CACHE.clear()
-    vectorized._COMBO_BASE_CACHE.clear()
-
-
 class TestPopulationCombos:
     def test_matches_per_combo_grids(self, chip):
-        clear_caches()
+        vectorized._BASE_SLOT.clear()
         batch = population_combos(
             chip,
             [channel for channel, __, __ in COMBOS],
@@ -62,7 +58,7 @@ class TestPopulationCombos:
             assert np.array_equal(getattr(batch, field), stacked), field
 
     def test_measurements_match_per_combo(self, chip):
-        clear_caches()
+        vectorized._BASE_SLOT.clear()
         batch = combo_population(chip, COMBOS, ROWS, PATTERN)
         shape = (len(COMBOS), ROWS.size)
         hc = batch.hc_first(1.25).reshape(shape)
@@ -77,11 +73,11 @@ class TestPopulationCombos:
     def test_cached_base_is_bit_identical(self, chip):
         """A second pattern reuses the pattern-independent base; results
         must equal a from-scratch computation."""
-        clear_caches()
+        vectorized._BASE_SLOT.clear()
         combo_population(chip, COMBOS, ROWS, "Checkered0")
         warm = combo_population(chip, COMBOS, ROWS, "RowStripe0")
         warm.ber(1.0e5)
-        clear_caches()
+        vectorized._BASE_SLOT.clear()
         cold = combo_population(chip, COMBOS, ROWS, "RowStripe0")
         cold.ber(1.0e5)
         for field in ("f_weak", "mu_weak", "sigma_weak", "mu_strong",
@@ -89,10 +85,16 @@ class TestPopulationCombos:
             assert np.array_equal(getattr(warm, field),
                                   getattr(cold, field)), field
 
-    def test_combo_cache_returns_memo(self, chip):
-        clear_caches()
+    def test_every_call_builds_a_fresh_batch(self, chip):
+        """No batch memo: a repeated call returns a new, equal batch."""
+        vectorized._BASE_SLOT.clear()
         first = combo_population(chip, COMBOS, ROWS, PATTERN)
-        assert combo_population(chip, COMBOS, ROWS, PATTERN) is first
+        again = combo_population(chip, COMBOS, ROWS, PATTERN)
+        assert again is not first
+        for field in ("f_weak", "mu_weak", "sigma_weak", "n_weak",
+                      "profile_seeds"):
+            assert np.array_equal(getattr(again, field),
+                                  getattr(first, field)), field
 
 
 NAMES = [pattern.name for pattern in ALL_PATTERNS]
@@ -129,7 +131,7 @@ def chunk_bounds(monkeypatch):
             monkeypatch.delenv("HBMSIM_CELLS_CHUNK", raising=False)
         else:
             monkeypatch.setenv("HBMSIM_CELLS_CHUNK", str(bound))
-        clear_caches()
+        vectorized._BASE_SLOT.clear()
         yield bound
 
 
@@ -174,7 +176,7 @@ class TestWcdpMulti:
                         name
 
     def test_one_combo_forms(self, chip):
-        clear_caches()
+        vectorized._BASE_SLOT.clear()
         combo = COMBOS[1]
         hc = wcdp_hc_first(chip, *combo, ROWS)
         for name, values in reference_hc_first(chip, combo, ROWS).items():
@@ -216,7 +218,7 @@ class TestAddressCheck:
                                   "row"])
     def test_out_of_range_raises(self, chip, entry, combo, rows,
                                  message):
-        clear_caches()
+        vectorized._BASE_SLOT.clear()
         with pytest.raises(ValueError, match=message):
             ENTRY_POINTS[entry](chip, combo, rows)
 

@@ -5,10 +5,14 @@ kernel is elementwise with per-combo seed-chain prefixes, so evaluating
 a sweep in whole-combo chunks — at *any* ``HBMSIM_CELLS_CHUNK`` bound —
 produces the same bytes as one monolithic batch.  These tests pin that
 equivalence with hypothesis over random sweep shapes and chunk bounds,
-plus the knob's strict-parse behaviour.
+plus the knob's strict-parse behaviour.  The chunk loops share one
+pattern-independent base per chunk through ``vectorized._BASE_SLOT``,
+and nothing more outlives a call: both are pinned here too.
 """
 
+import gc
 import os
+import tracemalloc
 import warnings
 from contextlib import contextmanager
 
@@ -17,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chips import vectorized
 from repro.chips.profiles import make_chip
 from repro.core import analytic
 from repro.dram import cells
@@ -108,19 +113,13 @@ class TestChunkKnob:
                 assert cells_chunk_elems() == DEFAULT_CHUNK_ELEMS
 
 
-def _clear_population_caches():
-    analytic._COMBO_CACHE.clear()
-    from repro.chips import vectorized
-    vectorized._COMBO_BASE_CACHE.clear()
-
-
 class TestChunkedEquivalence:
     """Chunked == monolithic, bit for bit, for every streamed engine."""
 
     @pytest.fixture(scope="class")
     def whole(self):
         with chunk_env(10**9):
-            _clear_population_caches()
+            vectorized._BASE_SLOT.clear()
             hc = analytic.wcdp_hc_first_multi(CHIP, COMBOS, ROWS)
             ber = analytic.wcdp_ber_multi(CHIP, COMBOS, ROWS,
                                           sampled=False)
@@ -129,14 +128,14 @@ class TestChunkedEquivalence:
                 rng=np.random.default_rng(1234))
             matrix = analytic.combo_ber_matrix(CHIP, COMBOS, ROWS,
                                                "Checkered0", 300_000.0)
-        _clear_population_caches()
+        vectorized._BASE_SLOT.clear()
         return hc, ber, sampled, matrix
 
     @given(chunk=st.integers(1, 2 * len(ROWS) * len(COMBOS)))
     @settings(max_examples=12, deadline=None)
     def test_wcdp_hc_first_multi(self, whole, chunk):
         with chunk_env(chunk):
-            _clear_population_caches()
+            vectorized._BASE_SLOT.clear()
             chunked = analytic.wcdp_hc_first_multi(CHIP, COMBOS, ROWS)
         for name, expected in whole[0].items():
             assert np.array_equal(np.asarray(chunked[name]),
@@ -146,7 +145,7 @@ class TestChunkedEquivalence:
     @settings(max_examples=8, deadline=None)
     def test_wcdp_ber_multi_closed_form(self, whole, chunk):
         with chunk_env(chunk):
-            _clear_population_caches()
+            vectorized._BASE_SLOT.clear()
             chunked = analytic.wcdp_ber_multi(CHIP, COMBOS, ROWS,
                                               sampled=False)
         for name, expected in whole[1].items():
@@ -160,7 +159,7 @@ class TestChunkedEquivalence:
         # (combo-major, pattern-minor) regardless of chunking, so a
         # seeded study draws the same variates at any chunk size.
         with chunk_env(chunk):
-            _clear_population_caches()
+            vectorized._BASE_SLOT.clear()
             chunked = analytic.wcdp_ber_multi(
                 CHIP, COMBOS, ROWS, rng=np.random.default_rng(1234))
         for name, expected in whole[2].items():
@@ -171,8 +170,67 @@ class TestChunkedEquivalence:
     @settings(max_examples=8, deadline=None)
     def test_combo_ber_matrix(self, whole, chunk):
         with chunk_env(chunk):
-            _clear_population_caches()
+            vectorized._BASE_SLOT.clear()
             chunked = analytic.combo_ber_matrix(CHIP, COMBOS, ROWS,
                                                 "Checkered0", 300_000.0)
         assert np.array_equal(np.asarray(chunked),
                               np.asarray(whole[3]))
+
+
+def _retained(call) -> int:
+    """Traced bytes still allocated after ``call()`` returns and its
+    result is dropped: what module state kept hold of."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestBaseSlot:
+    """One base per chunk is built, and only the last one is kept."""
+
+    #: Rows enough that one chunk's base (~200 KiB) dwarfs the
+    #: interpreter's own allocation noise.
+    ROWS = analytic.stratified_rows(CHIP.geometry.rows, 1024)
+    #: Two combos a chunk: COMBOS splits into three chunks.
+    CHUNK = 2 * ROWS.size
+
+    @pytest.mark.parametrize("multi", [analytic.wcdp_hc_first_multi,
+                                       analytic.wcdp_ber_multi])
+    def test_one_base_per_chunk(self, monkeypatch, multi):
+        built = []
+        init = vectorized._PopulationBase.__init__
+
+        def counting(base, *args, **kwargs):
+            built.append(1)
+            init(base, *args, **kwargs)
+
+        monkeypatch.setattr(vectorized._PopulationBase, "__init__",
+                            counting)
+        with chunk_env(self.CHUNK):
+            chunks = len(analytic._combo_chunks(len(COMBOS),
+                                                self.ROWS.size))
+            vectorized._BASE_SLOT.clear()
+            multi(CHIP, COMBOS, self.ROWS)
+        assert chunks >= 3
+        # Four patterns per chunk, one base: not one per (chunk, pattern).
+        assert len(built) == chunks
+
+    def test_module_state_keeps_at_most_one_base(self):
+        last = COMBOS[-2:]
+        with chunk_env(self.CHUNK):
+            analytic.wcdp_ber_multi(CHIP, COMBOS, self.ROWS)  # warm-up
+            vectorized._BASE_SLOT.clear()
+            one_base = _retained(lambda: analytic.combo_population(
+                CHIP, last, self.ROWS, "Checkered0").ber(1.0e5))
+            vectorized._BASE_SLOT.clear()
+            swept = _retained(lambda: analytic.wcdp_ber_multi(
+                CHIP, COMBOS, self.ROWS))
+        assert len(vectorized._BASE_SLOT) == 1
+        assert one_base > 100_000
+        assert swept <= one_base + 16_384, (swept, one_base)

@@ -5,7 +5,10 @@ sha256 of the report text and of its canonicalized ``data`` (see
 :func:`canonical`).  Any change that moves a report, or a raw number a
 report is built from, fails here with the id that moved.  An
 intentional change lands as a re-pin: regenerate the file and review
-which ids it says changed::
+which ids it says changed (the pins are of the default configuration;
+:func:`test_manifest_pins_hold_across_configs` checks that the
+chunk-streamed sweeps keep them under another chunk bound and through
+the pool's shard fan-out and merge)::
 
     PYTHONPATH=src python -m tests.experiments.test_golden_manifest
 """
@@ -13,7 +16,7 @@ which ids it says changed::
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 import numpy as np
 import pytest
@@ -50,7 +53,11 @@ def canonical(value: Any) -> Any:
 
 def digests(experiment_id: str) -> Dict[str, str]:
     """The manifest entry of one id: report-text and data sha256."""
-    result = registry.run_experiment(experiment_id, SCALE)
+    return result_digests(registry.run_experiment(experiment_id, SCALE))
+
+
+def result_digests(result) -> Dict[str, str]:
+    """Report-text and data sha256 of one experiment result."""
     data = json.dumps(canonical(result.data), sort_keys=True,
                       separators=(",", ":"))
     return {"text": hashlib.sha256(result.text.encode()).hexdigest(),
@@ -72,6 +79,32 @@ def test_manifest_pins_report(experiment_id):
     assert experiment_id in pinned, "id missing from the manifest"
     assert experiment_id in registry.known_ids(), "pinned id not in registry"
     assert digests(experiment_id) == pinned[experiment_id]
+
+
+#: The chunk-streamed population sweeps, which a chunk bound and the
+#: pool's shard fan-out and merge must leave byte-identical.
+STREAMED = ("fig04", "fig05", "fig06", "fig07")
+
+
+def _chunked(monkeypatch) -> List:
+    monkeypatch.setenv("HBMSIM_CELLS_CHUNK", "700")
+    return [registry.run_experiment(experiment_id, SCALE)
+            for experiment_id in STREAMED]
+
+
+def _pooled(monkeypatch) -> List:
+    return registry.run_timed(STREAMED, SCALE, jobs=2)[0]
+
+
+@pytest.mark.parametrize("run", [_chunked, _pooled],
+                         ids=["cells-chunk-700", "jobs-2"])
+def test_manifest_pins_hold_across_configs(run, monkeypatch):
+    pinned = _pinned()
+    results = run(monkeypatch)
+    assert [result.experiment_id for result in results] == list(STREAMED)
+    for result in results:
+        assert result_digests(result) == pinned[result.experiment_id], \
+            result.experiment_id
 
 
 def regenerate() -> None:
