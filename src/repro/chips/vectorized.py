@@ -1,19 +1,22 @@
-"""Vectorized cell-population grids for whole-bank sweeps.
+"""Vectorized cell populations for whole-bank sweeps.
 
 The spatial-variation experiments touch up to ~10^5 rows per chip; looping
 :meth:`ChipProfile.cell_population` row by row would dominate experiment
-time.  :func:`population_grid` computes the identical quantities for an
-array of rows in one shot — the seeding helpers replay the exact
-splitmix64 chains of the scalar path, so the grid is bit-identical to the
-per-row API (asserted in tests).
+time.  :class:`PopulationBatch` computes the same quantities for an array
+of row addresses in one shot; the seeding helpers replay the exact
+splitmix64 chains of the scalar path.  Two constructors build it:
 
-:func:`population_batch` generalizes the grid to arbitrary coordinate
-batches where channel, pseudo channel, bank, *and* row all vary per
-element; the chip calibration (:meth:`ChipProfile._refine_f_weak`) runs
-its whole Monte-Carlo sample through one batch instead of thousands of
-scalar :meth:`cell_population` calls.
+- :func:`population_combos` (and its one-bank form
+  :func:`population_grid`) covers the cross-product of (channel, pseudo
+  channel, bank) combos and rows, with numpy's fast power kernels: equal
+  to the per-row API within ~1 ulp (asserted in tests).  Every sweep
+  runs through it.
+- :func:`population_batch` takes arbitrary coordinate arrays and is
+  bit-identical to the per-row API; the chip calibration
+  (:meth:`ChipProfile._refine_f_weak`) and the disturbance floor tables
+  rely on that.
 
-Both paths use :func:`scipy.special.ndtr`/:func:`~scipy.special.ndtri`
+Both use :func:`scipy.special.ndtr`/:func:`~scipy.special.ndtri`
 directly — bit-identical to ``scipy.stats.norm.cdf``/``ppf`` without the
 per-call distribution dispatch overhead.
 """
@@ -21,7 +24,6 @@ per-call distribution dispatch overhead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -137,24 +139,22 @@ class _BlockChains(_FlatChains):
 
 
 class _PopulationBase:
-    """Pattern-independent intermediates of :func:`_population_arrays`.
+    """Pattern-independent intermediates of a :class:`PopulationBatch`.
 
     The spatial tables, subarray position factors, and the
     0xBE/0x4C/0x57/0xFB draw chains fold no pattern component, so one
     base serves every data pattern of a WCDP sweep bit-identically; only
     the pattern tail (affinity, pattern factors, profile seeds) differs.
     The cached products keep the scalar path's left-to-right association
-    so downstream rounding is unchanged.
+    so downstream rounding is unchanged.  Coordinates are equal-shape
+    int64 arrays and ``chains`` folds the same coordinates.
     """
 
     def __init__(self, chip: ChipProfile, channels, pseudo_channels,
-                 banks, rows, scalar_faithful: bool = False,
-                 chains: Optional[_FlatChains] = None):
+                 banks, rows, scalar_faithful: bool,
+                 chains: _FlatChains):
         geometry = chip.geometry
         spec = chip.spec
-        channels, pseudo_channels, banks, rows = (
-            np.asarray(value, dtype=np.int64)
-            for value in (channels, pseudo_channels, banks, rows))
         for value, limit, label in (
                 (channels, geometry.channels, "channel"),
                 (pseudo_channels, geometry.pseudo_channels,
@@ -163,17 +163,9 @@ class _PopulationBase:
                 (rows, geometry.rows, "row")):
             if value.size and (value.min() < 0 or value.max() >= limit):
                 raise ValueError(f"{label} index out of range")
-        if chains is None:
-            # 0-d coordinates (the fixed-bank grid case) fold through
-            # the scalar-prefix fast path of the mixed seeding helpers —
-            # pure-Python splitmix64 on ints instead of one array kernel
-            # per component.
-            coords = tuple(int(value) if value.ndim == 0 else value
-                           for value in (channels, pseudo_channels,
-                                         banks, rows))
-            chains = _FlatChains(spec.seed, coords)
         self.chains = chains
         self.channels = channels
+        self.rows = rows
         self.scalar_faithful = scalar_faithful
 
         layout = geometry.subarrays
@@ -224,102 +216,79 @@ class _PopulationBase:
         return self._strong
 
 
-def _population_arrays(chip: ChipProfile, channels, pseudo_channels, banks,
-                       rows, pattern: str,
-                       scalar_faithful: bool = False,
-                       chains: Optional[_FlatChains] = None,
-                       defer_strong: bool = False,
-                       base: Optional[_PopulationBase] = None) -> dict:
-    """Shared vectorized mirror of :meth:`ChipProfile.cell_population`.
+class PopulationBatch:
+    """Cell-population parameters for a batch of row addresses.
 
-    All coordinate arguments broadcast against each other.  With
-    ``scalar_faithful=True`` every intermediate replays the scalar
+    The vectorized mirror of :meth:`ChipProfile.cell_population`: the
+    pattern tail over a :class:`_PopulationBase`.  With a
+    ``scalar_faithful`` base every intermediate replays the scalar
     path's exact operation order and rounding (see :func:`_pow`), so the
-    returned arrays are bit-identical to per-address
-    :meth:`ChipProfile.cell_population` calls; the default keeps the
-    historical grid kernels (equal to within ~1 ulp).  A precomputed
-    ``base`` (same coordinates, same ``scalar_faithful``) skips the
-    pattern-independent work.
+    parameter arrays are bit-identical to per-address
+    :meth:`~ChipProfile.cell_population` calls; otherwise they equal
+    them to within ~1 ulp.  The strong-population parameters
+    (``mu_strong``, ``flippable``) are drawn on first read: HC_first
+    sweeps never evaluate the mixture, and skipping those two chains
+    saves about a quarter of the chain work.  The measurement methods
+    expect 1-D parameter arrays and are elementwise, so a batch over
+    several banks returns exactly the concatenation of the per-bank
+    results (asserted in ``tests/core/test_batch_equivalence.py``).
     """
-    geometry = chip.geometry
-    if base is None:
-        base = _PopulationBase(chip, channels, pseudo_channels, banks,
-                               rows, scalar_faithful, chains)
-    chains = base.chains
-    patt_ber = _PATTERN_BER.get(pattern, 1.0)
-    patt_hc = chip.pattern_hc_table(pattern)[base.channels]
 
-    pattern_id = _pattern_id(pattern)
-    affinity = _pow(10.0, 0.06 * chains.normal(0xAF, pattern_id),
-                    scalar_faithful)
+    sigma_strong = DEFAULT_SIGMA_STRONG
 
-    ber_spatial = base.spatial_prefix * patt_ber * base.row_ber_noise
-    ber_total = ber_spatial * base.pos_ber
-    f_cap = min(2.4 * chip.base_f_weak, 0.08)
-    f_weak = np.clip(chip.base_f_weak * ber_total, 2.0e-3, f_cap)
-    hc_target = (base.hc_prefix * patt_hc
-                 * base.row_hc_noise * affinity
-                 * _pow(ber_spatial, -0.15, scalar_faithful))
-    n_weak = np.maximum(
-        1, np.rint(f_weak * geometry.row_bits).astype(np.int64))
-    f_spatial = np.clip(chip.base_f_weak * ber_spatial, 2.0e-3, f_cap)
-    n_spatial = np.maximum(
-        1, np.rint(f_spatial * geometry.row_bits).astype(np.int64))
-    u_min = 1.0 - _pow(0.5, 1.0 / n_spatial, scalar_faithful)
-    ratio = n_spatial / max(1, chip.n_weak_reference)
-    hc_relative = hc_target / (base.hc_denominator_prefix * patt_hc)
-    shrink = np.clip(_pow(ratio, _SIGMA_N_COUPLING, scalar_faithful)
-                     * _pow(hc_relative, -_SIGMA_HC_COUPLING,
-                            scalar_faithful),
-                     *_SIGMA_WEAK_CLAMP)
-    sigma_weak = DEFAULT_SIGMA_WEAK * shrink
-    mu_weak = (_log10(hc_target, scalar_faithful)
-               - sigma_weak * ndtri(u_min))
+    def __init__(self, chip: ChipProfile, base: _PopulationBase,
+                 pattern: str):
+        faithful = base.scalar_faithful
+        chains = base.chains
+        patt_ber = _PATTERN_BER.get(pattern, 1.0)
+        patt_hc = chip.pattern_hc_table(pattern)[base.channels]
 
-    if defer_strong:
-        # HC_first sweeps never evaluate the strong-population mixture;
-        # deferring its two draws skips ~a quarter of the chain work.
-        mu_strong = flippable = None
-        strong_thunk = base.strong
-    else:
-        mu_strong, flippable = base.strong()
-        strong_thunk = None
+        pattern_id = _pattern_id(pattern)
+        affinity = _pow(10.0, 0.06 * chains.normal(0xAF, pattern_id),
+                        faithful)
 
-    profile_seeds = chains.states(0xD0, pattern_id)
+        ber_spatial = base.spatial_prefix * patt_ber * base.row_ber_noise
+        ber_total = ber_spatial * base.pos_ber
+        f_cap = min(2.4 * chip.base_f_weak, 0.08)
+        f_weak = np.clip(chip.base_f_weak * ber_total, 2.0e-3, f_cap)
+        hc_target = (base.hc_prefix * patt_hc
+                     * base.row_hc_noise * affinity
+                     * _pow(ber_spatial, -0.15, faithful))
+        row_bits = chip.geometry.row_bits
+        n_weak = np.maximum(1, np.rint(f_weak * row_bits).astype(np.int64))
+        f_spatial = np.clip(chip.base_f_weak * ber_spatial, 2.0e-3, f_cap)
+        n_spatial = np.maximum(
+            1, np.rint(f_spatial * row_bits).astype(np.int64))
+        u_min = 1.0 - _pow(0.5, 1.0 / n_spatial, faithful)
+        ratio = n_spatial / max(1, chip.n_weak_reference)
+        hc_relative = hc_target / (base.hc_denominator_prefix * patt_hc)
+        shrink = np.clip(_pow(ratio, _SIGMA_N_COUPLING, faithful)
+                         * _pow(hc_relative, -_SIGMA_HC_COUPLING, faithful),
+                         *_SIGMA_WEAK_CLAMP)
+        # Per-row weak-population spread (above-typical rows are
+        # tighter; see ``profiles._sigma_weak_for``).
+        self.sigma_weak = DEFAULT_SIGMA_WEAK * shrink
+        self.mu_weak = (_log10(hc_target, faithful)
+                        - self.sigma_weak * ndtri(u_min))
+        self.f_weak = f_weak
+        self.n_weak = n_weak
+        self.profile_seeds = chains.states(0xD0, pattern_id)
+        self.rows = base.rows
+        self._base = base
 
-    return {
-        "f_weak": f_weak,
-        "mu_weak": mu_weak,
-        "sigma_weak": sigma_weak,
-        "mu_strong": mu_strong,
-        "flippable": flippable,
-        "n_weak": n_weak,
-        "profile_seeds": profile_seeds,
-        "strong_thunk": strong_thunk,
-    }
+    @property
+    def mu_strong(self) -> np.ndarray:
+        return self._base.strong()[0]
 
-
-class _PopulationMeasurements:
-    """Measurement surface shared by the grid and batch populations.
-
-    Every method evaluates per-element quantities from the population
-    parameter arrays (``f_weak`` .. ``profile_seeds``); the two concrete
-    classes only differ in how the coordinates are laid out.  Because
-    both feed the same kernels with bit-identical parameter arrays (see
-    :func:`_population_arrays`), a batch covering the coordinate
-    cross-product of several grids returns exactly the concatenation of
-    the per-grid results — the invariant the batched experiment path
-    relies on (asserted in ``tests/core/test_batch_equivalence.py``).
-    """
+    @property
+    def flippable(self) -> np.ndarray:
+        return self._base.strong()[1]
 
     def __len__(self) -> int:
         return int(self.rows.size)
 
     def ber(self, effective_hammers: float) -> np.ndarray:
         """Closed-form per-element BER at one effective hammer count."""
-        if self.mu_strong is None:
-            self.mu_strong, self.flippable = self.strong_thunk()
-            self.strong_thunk = None
         return _mixture_ber(self.f_weak, self.mu_weak, self.sigma_weak,
                             self.mu_strong, self.sigma_strong,
                             self.flippable, effective_hammers)
@@ -353,110 +322,30 @@ class _PopulationMeasurements:
         return self.hc_nth(1, amplification)[:, 0]
 
 
-@dataclass
-class PopulationGrid(_PopulationMeasurements):
-    """Cell-population parameters for an array of rows in one bank."""
-
-    chip_index: int
-    channel: int
-    pseudo_channel: int
-    bank: int
-    pattern: str
-    rows: np.ndarray
-    f_weak: np.ndarray
-    mu_weak: np.ndarray
-    mu_strong: np.ndarray
-    flippable: np.ndarray
-    n_weak: np.ndarray
-    profile_seeds: np.ndarray
-    #: Per-row weak-population spread (above-typical rows are tighter;
-    #: see ``profiles._sigma_weak_for``).
-    sigma_weak: np.ndarray = None
-    sigma_strong: float = DEFAULT_SIGMA_STRONG
-    #: Deferred strong-population draws (set when ``mu_strong`` is None;
-    #: :meth:`_PopulationMeasurements.ber` materializes on first use).
-    strong_thunk: Optional[object] = None
-
-    def __post_init__(self) -> None:
-        if self.sigma_weak is None:
-            self.sigma_weak = np.full_like(self.mu_weak,
-                                           DEFAULT_SIGMA_WEAK)
-
-
-@dataclass
-class PopulationBatch(_PopulationMeasurements):
-    """Cell-population parameters for an arbitrary coordinate batch.
-
-    Unlike :class:`PopulationGrid` (one bank, varying rows), every
-    coordinate varies per element.  Used by the chip calibration, the
-    batched experiment path (:mod:`repro.core.analytic`'s multi-bank
-    helpers), and any sweep crossing bank boundaries.  The measurement
-    methods (:meth:`hc_first` & co.) expect 1-D parameter arrays.
-    """
-
-    chip_index: int
-    pattern: str
-    channels: np.ndarray
-    pseudo_channels: np.ndarray
-    banks: np.ndarray
-    rows: np.ndarray
-    f_weak: np.ndarray
-    mu_weak: np.ndarray
-    sigma_weak: np.ndarray
-    mu_strong: np.ndarray
-    flippable: np.ndarray
-    n_weak: np.ndarray
-    profile_seeds: np.ndarray
-    sigma_strong: float = DEFAULT_SIGMA_STRONG
-    #: Deferred strong-population draws (set when ``mu_strong`` is None;
-    #: :meth:`_PopulationMeasurements.ber` materializes on first use).
-    strong_thunk: Optional[object] = None
-
-
 def population_grid(chip: ChipProfile, channel: int, pseudo_channel: int,
                     bank: int, rows: np.ndarray,
-                    pattern: str) -> PopulationGrid:
-    """Vectorized mirror of :meth:`ChipProfile.cell_population`."""
-    geometry = chip.geometry
-    rows = np.asarray(rows, dtype=np.int64)
-    geometry.check_address(channel, pseudo_channel, bank, 0)
-    arrays = _population_arrays(chip, channel, pseudo_channel, bank, rows,
-                                pattern)
-    return PopulationGrid(
-        chip_index=chip.spec.index,
-        channel=channel,
-        pseudo_channel=pseudo_channel,
-        bank=bank,
-        pattern=pattern,
-        rows=rows,
-        **arrays)
+                    pattern: str) -> PopulationBatch:
+    """One-bank :func:`population_combos` over ``rows``."""
+    chip.geometry.check_address(channel, pseudo_channel, bank, 0)
+    return population_combos(chip, [channel], [pseudo_channel], [bank],
+                             rows, pattern)
 
 
 def population_batch(chip: ChipProfile, channels, pseudo_channels, banks,
-                     rows, pattern: str,
-                     scalar_faithful: bool = True) -> PopulationBatch:
+                     rows, pattern: str) -> PopulationBatch:
     """Vectorized :meth:`ChipProfile.cell_population` over coordinate
     arrays (broadcast against each other).
 
-    By default the batch is bit-identical to per-address
-    :meth:`~ChipProfile.cell_population` calls (see :func:`_pow`);
-    ``scalar_faithful=False`` trades that for numpy's fast power kernel
-    (equal to within ~1 ulp).
+    Bit-identical to per-address :meth:`~ChipProfile.cell_population`
+    calls (see :func:`_pow`): the chip calibration and the disturbance
+    floor tables rely on it.
     """
-    channels, pseudo_channels, banks, rows = np.broadcast_arrays(
+    coords = tuple(np.broadcast_arrays(
         *(np.asarray(value, dtype=np.int64)
-          for value in (channels, pseudo_channels, banks, rows)))
-    arrays = _population_arrays(chip, channels, pseudo_channels, banks,
-                                rows, pattern,
-                                scalar_faithful=scalar_faithful)
-    return PopulationBatch(
-        chip_index=chip.spec.index,
-        pattern=pattern,
-        channels=channels,
-        pseudo_channels=pseudo_channels,
-        banks=banks,
-        rows=rows,
-        **arrays)
+          for value in (channels, pseudo_channels, banks, rows))))
+    base = _PopulationBase(chip, *coords, scalar_faithful=True,
+                           chains=_FlatChains(chip.spec.seed, coords))
+    return PopulationBatch(chip, base, pattern)
 
 
 #: The last combo base built (see :class:`_PopulationBase`), keyed by chip
@@ -472,44 +361,32 @@ def population_combos(chip: ChipProfile, combo_channels, combo_pseudo_channels,
     """Batch covering the cross-product of (ch, pc, bank) combos and rows.
 
     Laid out rows-fastest — element ``c * len(rows) + r`` is row
-    ``rows[r]`` of combo ``c`` — and bit-identical to
-    :func:`population_batch` over the expanded coordinate arrays (with
-    ``scalar_faithful=False``, matching the grid kernels).  The block
-    structure lets the seed chains fold their coordinate prefix once per
-    combo instead of once per element (see :class:`_BlockChains`), which
-    is where large multi-bank sweeps spend most of their time.  Back to
-    back calls over the same coordinates share one pattern-independent
-    base (:data:`_BASE_SLOT`).
+    ``rows[r]`` of combo ``c`` — with numpy's fast power kernels (equal
+    to :func:`population_batch` over the expanded coordinates within
+    ~1 ulp).  The block structure lets the seed chains fold their
+    coordinate prefix once per combo instead of once per element (see
+    :class:`_BlockChains`), which is where large multi-bank sweeps spend
+    most of their time.  Back to back calls over the same coordinates
+    share one pattern-independent base (:data:`_BASE_SLOT`).
     """
     combo_channels, combo_pseudo_channels, combo_banks = (
         np.asarray(value, dtype=np.int64)
         for value in (combo_channels, combo_pseudo_channels, combo_banks))
     rows = np.asarray(rows, dtype=np.int64)
-    channels = np.repeat(combo_channels, rows.size)
-    pseudo_channels = np.repeat(combo_pseudo_channels, rows.size)
-    banks = np.repeat(combo_banks, rows.size)
-    tiled_rows = np.tile(rows, combo_channels.size)
     key = (chip.spec.index, chip.spec.seed, combo_channels.tobytes(),
            combo_pseudo_channels.tobytes(), combo_banks.tobytes(),
            rows.tobytes())
     base = _BASE_SLOT.get(key)
     if base is None:
         _BASE_SLOT.clear()
+        tiled_rows = np.tile(rows, combo_channels.size)
         chains = _BlockChains(chip.spec.seed, combo_channels,
                               combo_pseudo_channels, combo_banks,
                               tiled_rows, rows.size)
-        base = _PopulationBase(chip, channels, pseudo_channels, banks,
-                               tiled_rows, scalar_faithful=False,
-                               chains=chains)
+        base = _PopulationBase(
+            chip, np.repeat(combo_channels, rows.size),
+            np.repeat(combo_pseudo_channels, rows.size),
+            np.repeat(combo_banks, rows.size), tiled_rows,
+            scalar_faithful=False, chains=chains)
         _BASE_SLOT[key] = base
-    arrays = _population_arrays(chip, channels, pseudo_channels, banks,
-                                tiled_rows, pattern, scalar_faithful=False,
-                                defer_strong=True, base=base)
-    return PopulationBatch(
-        chip_index=chip.spec.index,
-        pattern=pattern,
-        channels=channels,
-        pseudo_channels=pseudo_channels,
-        banks=banks,
-        rows=tiled_rows,
-        **arrays)
+    return PopulationBatch(chip, base, pattern)

@@ -41,8 +41,6 @@ _LAZY = {
     "channel_ber_study": ("repro.core.spatial", "channel_ber_study"),
     "channel_hcfirst_study": ("repro.core.spatial",
                               "channel_hcfirst_study"),
-    "chip_ber_study": ("repro.core.spatial", "chip_ber_study"),
-    "chip_hcfirst_study": ("repro.core.spatial", "chip_hcfirst_study"),
     "die_pairs": ("repro.core.spatial", "die_pairs"),
     "row_ber_profile": ("repro.core.spatial", "row_ber_profile"),
     "HcNthStudy": ("repro.core.hcnth", "HcNthStudy"),

@@ -5,7 +5,7 @@ up to hundreds of thousands of (row, pattern) combinations.  Driving the
 command-level device for each would be faithful but wasteful: the device
 itself computes flips from the same closed-form cell populations.  This
 module evaluates those quantities directly from a chip profile via the
-vectorized grids — bit-consistent with the device engine (tests assert
+vectorized populations — bit-consistent with the device engine (tests assert
 it) — and owns the mapping from experiment parameters (hammer count,
 t_AggON, sidedness) to effective disturbance.
 """
@@ -17,8 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.chips.profiles import ChipProfile
-from repro.chips.vectorized import (PopulationBatch, population_combos,
-                                    population_grid)
+from repro.chips.vectorized import PopulationBatch, population_combos
 from repro.core import metrics
 from repro.core.patterns import ALL_PATTERNS
 from repro.dram.cells import cells_chunk_elems, chunk_combo_blocks
@@ -71,9 +70,9 @@ def combo_population(chip: ChipProfile, combos: Sequence[Combo],
 
     The batch is laid out rows-fastest — element ``c * len(rows) + r`` is
     row ``rows[r]`` of ``combos[c]`` — so reshaping any per-element
-    result to ``(len(combos), len(rows))`` recovers one
-    :func:`population_grid` result per combo, bit-identically (the
-    batched and grid kernels share ``_population_arrays``).  Every call
+    result to ``(len(combos), len(rows))`` gives one row of results per
+    combo, each bit-identical to a one-combo call (every kernel is
+    elementwise with per-combo seed-chain prefixes).  Every call
     builds a fresh batch; the pattern-independent half is shared with
     the previous call over the same coordinates (see
     :func:`population_combos`), so treat the batch as read-only.  Each
@@ -120,11 +119,11 @@ def combo_first_seeds(chip: ChipProfile, combos: Sequence[Combo],
                       rows: np.ndarray, pattern: str) -> np.ndarray:
     """Each combo's first-row profile seed as a ``(C,)`` uint64 array.
 
-    ``first_seeds[c]`` equals ``population_grid(chip, *combos[c], rows,
-    pattern).profile_seeds.reshape(-1)[0]`` — the seed
-    :meth:`~repro.chips.vectorized._PopulationMeasurements.sampled_ber`
-    derives its default generator from — so batched samplers can
-    replicate per-grid unit-local noise without building the grids.
+    ``first_seeds[c]`` equals ``combo_population(chip, [combos[c]], rows,
+    pattern).profile_seeds[0]`` — the seed
+    :meth:`~repro.chips.vectorized.PopulationBatch.sampled_ber` derives
+    its default generator from — so batched samplers can replicate
+    per-combo unit-local noise without building one batch per combo.
     Chunk-streamed under the ``HBMSIM_CELLS_CHUNK`` working-set bound.
     """
     rows = np.asarray(rows, dtype=np.int64)
@@ -240,14 +239,6 @@ def wcdp_ber_multi(chip: ChipProfile, combos: Sequence[Combo],
         wcdp[mask] = bers[name][mask]
     bers["WCDP"] = wcdp
     return bers
-
-
-def sample_rows(total_rows: int, count: int,
-                rng: np.random.Generator) -> np.ndarray:
-    """Uniform row sample without replacement, sorted."""
-    if count >= total_rows:
-        return np.arange(total_rows)
-    return np.sort(rng.choice(total_rows, size=count, replace=False))
 
 
 def stratified_rows(total_rows: int, count: int) -> np.ndarray:

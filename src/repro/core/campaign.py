@@ -111,7 +111,7 @@ def characterize_chip(chip: ChipProfile,
     report.subarray_resilience = float(resilient_mean / normal_mean)
     rows = analytic.stratified_rows(chip.geometry.rows,
                                     scaled(384, scale, 32))
-    grid = analytic.population_grid(chip, 0, 0, 0, rows, "Checkered0")
+    grid = analytic.combo_population(chip, [(0, 0, 0)], rows, "Checkered0")
     for t_on in ROWPRESS_HCFIRST_T_ONS:
         amplification = chip.disturbance.amplification(t_on)
         report.rowpress_hc[t_on] = float(

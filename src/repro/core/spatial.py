@@ -78,6 +78,14 @@ class DistributionSummary:
 # Across chips (Figs. 4 and 5)
 # ----------------------------------------------------------------------
 
+def _chip_summaries(flats: Dict[str, Dict[str, np.ndarray]]
+                    ) -> Dict[str, Dict[str, DistributionSummary]]:
+    """Chip label -> pattern -> summary of that chip's flat."""
+    return {label: {name: DistributionSummary.of(flat[name])
+                    for name in PATTERN_COLUMNS}
+            for label, flat in flats.items()}
+
+
 @dataclass
 class ChipBerStudy:
     """Fig. 4: BER distribution across rows, per chip and pattern."""
@@ -85,6 +93,13 @@ class ChipBerStudy:
     hammer_count: int
     #: chip label -> pattern -> distribution across tested rows.
     summaries: Dict[str, Dict[str, DistributionSummary]]
+
+    @classmethod
+    def from_flats(cls, flats: Dict[str, Dict[str, np.ndarray]],
+                   hammer_count: int = metrics.BER_TEST_HAMMERS
+                   ) -> "ChipBerStudy":
+        """Summarize :func:`chip_ber_flats` output."""
+        return cls(hammer_count, _chip_summaries(flats))
 
     def chip_mean(self, label: str, pattern: str = "WCDP") -> float:
         """Chip-level mean BER for one pattern."""
@@ -134,30 +149,17 @@ def chip_ber_flats(chips: Sequence[ChipProfile],
     return flats
 
 
-def chip_ber_study(chips: Sequence[ChipProfile],
-                   rows_per_channel: int = 16384,
-                   hammer_count: int = metrics.BER_TEST_HAMMERS,
-                   bank: int = 0, pseudo_channel: int = 0,
-                   sampled: bool = True) -> ChipBerStudy:
-    """Run the Fig. 4 study (Table 2: all rows, 1 bank, 1 PC, 8 channels).
-
-    ``sampled=False`` removes the finite-row binomial noise — useful for
-    spread statistics at reduced population scales.  Sampling noise is
-    unit-local per channel (see :func:`chip_ber_flats`).
-    """
-    flats = chip_ber_flats(chips, rows_per_channel, hammer_count, bank,
-                           pseudo_channel, sampled)
-    return ChipBerStudy(hammer_count, {
-        label: {name: DistributionSummary.of(flat[name])
-                for name in PATTERN_COLUMNS}
-        for label, flat in flats.items()})
-
-
 @dataclass
 class ChipHcFirstStudy:
     """Fig. 5: HC_first distribution across rows, per chip and pattern."""
 
     summaries: Dict[str, Dict[str, DistributionSummary]]
+
+    @classmethod
+    def from_flats(cls, flats: Dict[str, Dict[str, np.ndarray]]
+                   ) -> "ChipHcFirstStudy":
+        """Summarize per-chip :func:`hcfirst_flat` output."""
+        return cls(_chip_summaries(flats))
 
     def chip_minimum(self, label: str, pattern: str = "WCDP") -> float:
         """The chip's minimum HC_first (Obsv. 4/5)."""
@@ -188,29 +190,14 @@ def hcfirst_flat(chip: ChipProfile, rows_per_bank: int,
     units = spatial_units(chip.geometry.channels, pseudo_channels)
     if unit_range is not None:
         start, stop = unit_range
-        if not 0 <= start < stop <= len(units):
+        if not 0 <= start <= stop <= len(units):
             raise ValueError(
-                f"unit range {unit_range} outside [0, {len(units)})")
+                f"unit range {unit_range} outside [0, {len(units)}]")
         units = units[start:stop]
     hc = analytic.wcdp_hc_first_multi(chip, unit_combos(units, banks),
                                       rows)
     return {name: np.asarray(hc[name]).reshape(-1)
             for name in PATTERN_COLUMNS}
-
-
-def chip_hcfirst_study(chips: Sequence[ChipProfile],
-                       rows_per_bank: int = 3072,
-                       banks: Tuple[int, ...] = (0, 5, 11),
-                       pseudo_channels: Tuple[int, ...] = (0, 1)
-                       ) -> ChipHcFirstStudy:
-    """Run the Fig. 5 study (Table 2: 3072 rows x 3 banks x 2 PCs x 8 ch)."""
-    summaries: Dict[str, Dict[str, DistributionSummary]] = {}
-    for chip in chips:
-        flat = hcfirst_flat(chip, rows_per_bank, banks, pseudo_channels)
-        summaries[chip.label] = {
-            name: DistributionSummary.of(flat[name])
-            for name in PATTERN_COLUMNS}
-    return ChipHcFirstStudy(summaries)
 
 
 # ----------------------------------------------------------------------
@@ -246,8 +233,9 @@ def channel_ber_study(chip: ChipProfile, rows_per_channel: int = 16384,
                       hammer_count: int = metrics.BER_TEST_HAMMERS,
                       bank: int = 0, pseudo_channel: int = 0,
                       sampled: bool = True) -> ChannelStudy:
-    """Run the Fig. 6 study for one chip (see ``chip_ber_study`` for
-    the ``sampled`` flag; sampling noise is unit-local per channel)."""
+    """Run the Fig. 6 study for one chip (``sampled=False`` removes the
+    finite-row binomial noise; sampling noise is unit-local per channel,
+    see :func:`chip_ber_flats`)."""
     flats = chip_ber_flats([chip], rows_per_channel, hammer_count, bank,
                            pseudo_channel, sampled)
     return ChannelStudy(chip.label, "ber", channel_ber_summaries(

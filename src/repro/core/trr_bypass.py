@@ -376,8 +376,8 @@ def bypass_study(chip: ChipProfile,
     if rows is None:
         rows = analytic.stratified_rows(chip.geometry.rows, 2048)
     study = BypassStudy(chip.label, pattern.name)
-    grid = analytic.population_grid(chip, channel, pseudo_channel, bank,
-                                    np.asarray(rows), pattern.name)
+    grid = analytic.combo_population(
+        chip, [(channel, pseudo_channel, bank)], rows, pattern.name)
     for dummies in dummy_counts:
         for acts in aggressor_acts:
             config = AttackConfig(dummy_rows=dummies, aggressor_acts=acts)

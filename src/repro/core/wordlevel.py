@@ -130,9 +130,9 @@ def word_level_study(chip: ChipProfile,
         buckets = {1: 0, 2: 0, 3: 0}
         max_flips = 0
         for channel in range(geometry.channels):
-            grid = analytic.population_grid(chip, channel, pseudo_channel,
-                                            bank, rows, pattern)
-            ber = grid.ber(eff)
+            ber = analytic.combo_population(
+                chip, [(channel, pseudo_channel, bank)], rows,
+                pattern).ber(eff)
             flips = rng.binomial(geometry.row_bits, ber)
             histogram = _distribute_flips(flips, words_per_row, rng)
             for count, words in histogram.items():

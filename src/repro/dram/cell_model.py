@@ -202,28 +202,6 @@ class CellPopulation:
         z = ndtri(target_ber / self.f_weak)
         return 10.0 ** (self.mu_weak + self.sigma_weak * z)
 
-    def threshold_quantile(self, q: float) -> float:
-        """Weak-population threshold quantile (baseline hammer units)."""
-        if not 0.0 < q < 1.0:
-            raise ValueError("quantile must be in (0, 1)")
-        return 10.0 ** (self.mu_weak + self.sigma_weak * ndtri(q))
-
-    def min_threshold_quantile(self, row_bits: int, q: float = 0.5) -> float:
-        """Quantile of the row's *minimum* cell threshold.
-
-        The minimum of ``n`` weak cells has CDF ``1 - (1 - F)**n``; this
-        returns its ``q`` quantile, the typical HC_first of the row in
-        baseline units.
-        """
-        n = self.weak_cell_count(row_bits)
-        u = 1.0 - (1.0 - q) ** (1.0 / n)
-        return self.threshold_quantile(u)
-
-    def sample_min_threshold(self, row_bits: int,
-                             rng: np.random.Generator) -> float:
-        """Sample the row's minimum cell threshold (baseline units)."""
-        return self.sample_smallest_thresholds(row_bits, 1, rng)[0]
-
     def sample_smallest_thresholds(self, row_bits: int, k: int,
                                    rng: np.random.Generator) -> np.ndarray:
         """Sample the ``k`` smallest cell thresholds of a row.

@@ -22,9 +22,7 @@ import numpy as np
 
 from repro.analysis.reporting import percent, render_table
 from repro.chips.profiles import all_chips
-from repro.core.spatial import (PATTERN_COLUMNS, ChipBerStudy,
-                                DistributionSummary, chip_ber_flats)
-from repro.core import metrics
+from repro.core.spatial import PATTERN_COLUMNS, ChipBerStudy, chip_ber_flats
 from repro.dram.geometry import DEFAULT_GEOMETRY
 from repro.experiments.base import ExperimentResult, scaled
 from repro.experiments.sharding import ShardSpec, SweepExperiment
@@ -49,10 +47,7 @@ def _render(flats: Dict[str, Dict[str, np.ndarray]],
             scale: float) -> ExperimentResult:
     """Build the full Fig. 4 report from per-chip flat measurements."""
     chips = all_chips()
-    study = ChipBerStudy(metrics.BER_TEST_HAMMERS, {
-        label: {name: DistributionSummary.of(flat[name])
-                for name in PATTERN_COLUMNS}
-        for label, flat in flats.items()})
+    study = ChipBerStudy.from_flats(flats)
     rows = []
     data: Dict[str, Any] = {}
     for label, by_pattern in study.summaries.items():

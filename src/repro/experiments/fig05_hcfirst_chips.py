@@ -25,7 +25,7 @@ import numpy as np
 from repro.analysis.reporting import render_table
 from repro.chips.profiles import all_chips
 from repro.core.spatial import (PATTERN_COLUMNS, ChipHcFirstStudy,
-                                DistributionSummary, hcfirst_flat)
+                                hcfirst_flat)
 from repro.dram.geometry import DEFAULT_GEOMETRY
 from repro.experiments.base import ExperimentResult, scaled
 from repro.experiments.sharding import ShardSpec, SweepExperiment
@@ -51,18 +51,9 @@ def chip_flats(scale: float,
                ) -> Dict[str, Dict[str, np.ndarray]]:
     """Chip label -> pattern -> flat HC_first over a unit range."""
     rows_per_bank = scaled(3072, scale, 64)
-    flats: Dict[str, Dict[str, np.ndarray]] = {}
-    for chip in all_chips():
-        if unit_range is not None and unit_range[0] == unit_range[1]:
-            # A shard beyond the unit count: contributes nothing, and
-            # concatenates away in the merge.
-            flats[chip.label] = {name: np.empty(0)
-                                 for name in PATTERN_COLUMNS}
-        else:
-            flats[chip.label] = hcfirst_flat(
-                chip, rows_per_bank, SWEEP_BANKS, SWEEP_PSEUDO_CHANNELS,
-                unit_range)
-    return flats
+    return {chip.label: hcfirst_flat(chip, rows_per_bank, SWEEP_BANKS,
+                                     SWEEP_PSEUDO_CHANNELS, unit_range)
+            for chip in all_chips()}
 
 
 def combine_flats(payloads: Sequence[Dict[str, Dict[str, np.ndarray]]]
@@ -98,10 +89,7 @@ def merge_flats(partials: Sequence[ExperimentResult]
 def _render(flats: Dict[str, Dict[str, np.ndarray]],
             scale: float) -> ExperimentResult:
     """Build the full Fig. 5 report from per-chip flat measurements."""
-    study = ChipHcFirstStudy({
-        label: {name: DistributionSummary.of(flat[name])
-                for name in PATTERN_COLUMNS}
-        for label, flat in flats.items()})
+    study = ChipHcFirstStudy.from_flats(flats)
     rows = []
     data = {}
     for label, by_pattern in study.summaries.items():

@@ -25,9 +25,7 @@ import numpy as np
 
 from repro.analysis.reporting import percent, render_table
 from repro.chips.profiles import all_chips
-from repro.core import metrics
-from repro.core.spatial import (PATTERN_COLUMNS, ChannelStudy,
-                                ChipBerStudy, DistributionSummary,
+from repro.core.spatial import (ChannelStudy, ChipBerStudy,
                                 channel_ber_summaries, chip_ber_flats,
                                 die_pairs)
 from repro.dram.geometry import DEFAULT_GEOMETRY
@@ -72,10 +70,7 @@ def _render(flats: Dict[str, Dict[str, np.ndarray]],
         }
         channel_spreads[chip.label] = data[chip.label][
             "checkered0_channel_spread"]
-    chip_study = ChipBerStudy(metrics.BER_TEST_HAMMERS, {
-        label: {name: DistributionSummary.of(flat[name])
-                for name in PATTERN_COLUMNS}
-        for label, flat in flats.items()})
+    chip_study = ChipBerStudy.from_flats(flats)
     chip_spread = chip_study.mean_spread("Checkered0")
     data["chip_level_spread_checkered0"] = chip_spread
     chip0 = data["Chip 0"]["wcdp_channel_means"]

@@ -87,11 +87,6 @@ class TestRowSelection:
         rows = analytic.stratified_rows(100, 1000)
         assert np.array_equal(rows, np.arange(100))
 
-    def test_sample_rows_unique_sorted(self, rng):
-        rows = analytic.sample_rows(16384, 100, rng)
-        assert np.all(np.diff(rows) > 0)
-        assert rows.size == 100
-
     def test_segment_rows(self):
         assert np.array_equal(analytic.segment_rows(16384, "first", 3),
                               np.array([0, 1, 2]))

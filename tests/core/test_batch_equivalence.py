@@ -3,11 +3,11 @@
 Three invariants pin the one chunk-streamed kernel:
 
 - :func:`population_combos` (the block-chained kernel with its one
-  base slot) is bit-identical to per-combo :func:`population_grid`
-  results,
-- the WCDP helpers (``*_multi`` and their one-combo forms) equal a
-  test-local reference built from per-bank :func:`population_grid`
-  measurements, at one chunk and at many,
+  base slot) is bit-identical to a test-local reference that folds
+  every seed chain over the expanded coordinate arrays
+  (:class:`~repro.chips.vectorized._FlatChains`),
+- the WCDP helpers (``*_multi`` and their one-combo forms) equal
+  per-combo measurements of that reference, at one chunk and at many,
 - the closed-form experiment reports keep their pinned sha256 digests
   at scale 0.02 (at 0.25 every id is pinned by the golden manifest,
   ``tests/experiments/golden_manifest.json``).
@@ -20,7 +20,8 @@ import pytest
 
 from repro.chips import vectorized
 from repro.chips.profiles import make_chip
-from repro.chips.vectorized import population_combos, population_grid
+from repro.chips.vectorized import (PopulationBatch, _FlatChains,
+                                    _PopulationBase, population_combos)
 from repro.core import analytic
 from repro.core.analytic import (combo_ber_matrix, combo_population,
                                  wcdp_ber, wcdp_ber_multi, wcdp_hc_first,
@@ -38,8 +39,26 @@ def chip():
     return make_chip(2)
 
 
+FIELDS = ("f_weak", "mu_weak", "sigma_weak", "mu_strong", "flippable",
+          "n_weak", "profile_seeds")
+
+
+def reference_population(chip, combos, rows, pattern):
+    """``combos`` x ``rows`` (rows-fastest) with flat seed chains.
+
+    Folds every chain over the expanded coordinate arrays, element by
+    element, instead of once per combo as :class:`_BlockChains` does.
+    """
+    coords = tuple(np.repeat(np.array(column, dtype=np.int64), rows.size)
+                   for column in zip(*combos))
+    coords += (np.tile(rows.astype(np.int64), len(combos)),)
+    base = _PopulationBase(chip, *coords, scalar_faithful=False,
+                           chains=_FlatChains(chip.spec.seed, coords))
+    return PopulationBatch(chip, base, pattern)
+
+
 class TestPopulationCombos:
-    def test_matches_per_combo_grids(self, chip):
+    def test_matches_flat_chain_reference(self, chip):
         vectorized._BASE_SLOT.clear()
         batch = population_combos(
             chip,
@@ -47,15 +66,10 @@ class TestPopulationCombos:
             [pc for __, pc, __ in COMBOS],
             [bank for __, __, bank in COMBOS],
             ROWS, PATTERN)
-        grids = [population_grid(chip, channel, pc, bank, ROWS, PATTERN)
-                 for channel, pc, bank in COMBOS]
-        # The batch materializes its deferred strong draws on first use.
-        batch.ber(1.0e5)
-        for field in ("f_weak", "mu_weak", "sigma_weak", "mu_strong",
-                      "flippable", "n_weak", "profile_seeds"):
-            stacked = np.concatenate(
-                [np.atleast_1d(getattr(grid, field)) for grid in grids])
-            assert np.array_equal(getattr(batch, field), stacked), field
+        reference = reference_population(chip, COMBOS, ROWS, PATTERN)
+        for field in FIELDS:
+            assert np.array_equal(getattr(batch, field),
+                                  getattr(reference, field)), field
 
     def test_measurements_match_per_combo(self, chip):
         vectorized._BASE_SLOT.clear()
@@ -64,11 +78,11 @@ class TestPopulationCombos:
         hc = batch.hc_first(1.25).reshape(shape)
         ber = batch.ber(2.0e5).reshape(shape)
         nth = batch.hc_nth(3, 1.25).reshape(shape + (3,))
-        for index, (channel, pc, bank) in enumerate(COMBOS):
-            grid = population_grid(chip, channel, pc, bank, ROWS, PATTERN)
-            assert np.array_equal(hc[index], grid.hc_first(1.25))
-            assert np.array_equal(ber[index], grid.ber(2.0e5))
-            assert np.array_equal(nth[index], grid.hc_nth(3, 1.25))
+        for index, combo in enumerate(COMBOS):
+            one = reference_population(chip, [combo], ROWS, PATTERN)
+            assert np.array_equal(hc[index], one.hc_first(1.25))
+            assert np.array_equal(ber[index], one.ber(2.0e5))
+            assert np.array_equal(nth[index], one.hc_nth(3, 1.25))
 
     def test_cached_base_is_bit_identical(self, chip):
         """A second pattern reuses the pattern-independent base; results
@@ -76,12 +90,9 @@ class TestPopulationCombos:
         vectorized._BASE_SLOT.clear()
         combo_population(chip, COMBOS, ROWS, "Checkered0")
         warm = combo_population(chip, COMBOS, ROWS, "RowStripe0")
-        warm.ber(1.0e5)
         vectorized._BASE_SLOT.clear()
         cold = combo_population(chip, COMBOS, ROWS, "RowStripe0")
-        cold.ber(1.0e5)
-        for field in ("f_weak", "mu_weak", "sigma_weak", "mu_strong",
-                      "flippable", "n_weak", "profile_seeds"):
+        for field in FIELDS:
             assert np.array_equal(getattr(warm, field),
                                   getattr(cold, field)), field
 
@@ -102,20 +113,22 @@ HAMMERS = 300_000
 
 
 def reference_hc_first(chip, combo, rows):
-    """Per-grid HC_first per pattern plus the stacked WCDP minimum."""
-    per_pattern = {name: population_grid(chip, *combo, rows,
-                                         name).hc_first(1.0)
+    """Per-combo HC_first per pattern plus the stacked WCDP minimum."""
+    per_pattern = {name: reference_population(chip, [combo], rows,
+                                              name).hc_first(1.0)
                    for name in NAMES}
     per_pattern["WCDP"] = np.stack(list(per_pattern.values())).min(axis=0)
     return per_pattern
 
 
 def reference_ber(chip, combo, rows, sampled, rng):
-    """Per-grid BER per pattern; WCDP gathers the argmin-HC pattern."""
+    """Per-combo BER per pattern; WCDP gathers the argmin-HC pattern."""
     eff = analytic.effective_hammers(chip, HAMMERS)
-    grids = [population_grid(chip, *combo, rows, name) for name in NAMES]
-    bers = {name: grid.sampled_ber(eff, rng) if sampled else grid.ber(eff)
-            for name, grid in zip(NAMES, grids)}
+    batches = [reference_population(chip, [combo], rows, name)
+               for name in NAMES]
+    bers = {name: batch.sampled_ber(eff, rng) if sampled
+            else batch.ber(eff)
+            for name, batch in zip(NAMES, batches)}
     hc = reference_hc_first(chip, combo, rows)
     worst = np.argmin(np.stack([hc[name] for name in NAMES]), axis=0)
     stacked = np.stack([bers[name] for name in NAMES])
@@ -136,7 +149,7 @@ def chunk_bounds(monkeypatch):
 
 
 class TestWcdpMulti:
-    """The streamed kernels against the per-bank (scalar) reference."""
+    """The streamed kernels against the per-combo flat-chain reference."""
 
     def test_hc_first_multi_matches_scalar(self, chip, monkeypatch):
         for __ in chunk_bounds(monkeypatch):

@@ -13,26 +13,40 @@ def two_chips():
     return (make_chip(0), make_chip(5))
 
 
+def ber_study(chips, rows_per_channel):
+    """The Fig. 4 study: one bank, one PC, every channel."""
+    return spatial.ChipBerStudy.from_flats(
+        spatial.chip_ber_flats(chips, rows_per_channel=rows_per_channel))
+
+
+def hcfirst_study(chips, rows_per_bank):
+    """The Fig. 5 study: banks 0/5/11 of both PCs in every channel."""
+    return spatial.ChipHcFirstStudy.from_flats(
+        {chip.label: spatial.hcfirst_flat(chip, rows_per_bank, (0, 5, 11),
+                                          (0, 1))
+         for chip in chips})
+
+
 class TestChipBerStudy:
     def test_structure(self, two_chips):
-        study = spatial.chip_ber_study(two_chips, rows_per_channel=64)
+        study = ber_study(two_chips, 64)
         assert set(study.summaries) == {"Chip 0", "Chip 5"}
         for by_pattern in study.summaries.values():
             assert set(by_pattern) == set(spatial.PATTERN_COLUMNS)
 
     def test_obsv1_bitflips_everywhere(self, two_chips):
         """Obsv. 1: RowHammer bitflips in all tested rows of all chips."""
-        study = spatial.chip_ber_study(two_chips, rows_per_channel=64)
+        study = ber_study(two_chips, 64)
         for by_pattern in study.summaries.values():
             assert by_pattern["WCDP"].minimum > 0
 
     def test_obsv2_chip0_worse_than_chip5(self, two_chips):
-        study = spatial.chip_ber_study(two_chips, rows_per_channel=128)
+        study = ber_study(two_chips, 128)
         assert study.chip_mean("Chip 0", "Checkered0") > \
             study.chip_mean("Chip 5", "Checkered0")
 
     def test_obsv3_checkered_beats_rowstripe(self, two_chips):
-        study = spatial.chip_ber_study(two_chips, rows_per_channel=128)
+        study = ber_study(two_chips, 128)
         for label in ("Chip 0", "Chip 5"):
             checkered = study.summaries[label]["Checkered0"].mean
             rowstripe = study.summaries[label]["Rowstripe0"].mean
@@ -41,7 +55,7 @@ class TestChipBerStudy:
     def test_wcdp_tracks_worst_patterns(self, two_chips):
         """WCDP (the min-HC_first pattern per row) has mean BER close to
         or above any single pattern's mean."""
-        study = spatial.chip_ber_study(two_chips, rows_per_channel=64)
+        study = ber_study(two_chips, 64)
         for by_pattern in study.summaries.values():
             for name in ("Rowstripe0", "Checkered0"):
                 assert by_pattern["WCDP"].mean >= by_pattern[name].mean \
@@ -50,13 +64,13 @@ class TestChipBerStudy:
 
 class TestChipHcFirstStudy:
     def test_minima_in_paper_ballpark(self, two_chips):
-        study = spatial.chip_hcfirst_study(two_chips, rows_per_bank=256)
+        study = hcfirst_study(two_chips, 256)
         for label in ("Chip 0", "Chip 5"):
             minimum = study.chip_minimum(label)
             assert 10_000 < minimum < 80_000
 
     def test_wcdp_minimum_not_above_patterns(self, two_chips):
-        study = spatial.chip_hcfirst_study(two_chips, rows_per_bank=128)
+        study = hcfirst_study(two_chips, 128)
         for by_pattern in study.summaries.values():
             for name in ("Rowstripe0", "Checkered1"):
                 assert by_pattern["WCDP"].minimum <= \

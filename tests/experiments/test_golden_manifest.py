@@ -81,9 +81,9 @@ def test_manifest_pins_report(experiment_id):
     assert digests(experiment_id) == pinned[experiment_id]
 
 
-#: The chunk-streamed population sweeps, which a chunk bound and the
-#: pool's shard fan-out and merge must leave byte-identical.
-STREAMED = ("fig04", "fig05", "fig06", "fig07")
+#: The population sweeps (Figs. 4-15), which a chunk bound must leave
+#: byte-identical.
+STREAMED = tuple(f"fig{number:02d}" for number in range(4, 16))
 
 
 def _chunked(monkeypatch) -> List:
@@ -93,15 +93,21 @@ def _chunked(monkeypatch) -> List:
 
 
 def _pooled(monkeypatch) -> List:
-    return registry.run_timed(STREAMED, SCALE, jobs=2)[0]
+    return registry.run_timed(POOLED, SCALE, jobs=2)[0]
 
 
-@pytest.mark.parametrize("run", [_chunked, _pooled],
+#: The shardable sweeps, which the pool's shard fan-out and merge must
+#: leave byte-identical too.
+POOLED = tuple(sorted(registry.SHARDABLE))
+
+
+@pytest.mark.parametrize("run,ids", [(_chunked, STREAMED),
+                                     (_pooled, POOLED)],
                          ids=["cells-chunk-700", "jobs-2"])
-def test_manifest_pins_hold_across_configs(run, monkeypatch):
+def test_manifest_pins_hold_across_configs(run, ids, monkeypatch):
     pinned = _pinned()
     results = run(monkeypatch)
-    assert [result.experiment_id for result in results] == list(STREAMED)
+    assert [result.experiment_id for result in results] == list(ids)
     for result in results:
         assert result_digests(result) == pinned[result.experiment_id], \
             result.experiment_id
