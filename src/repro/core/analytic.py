@@ -105,14 +105,29 @@ def combo_ber_matrix(chip: ChipProfile, combos: Sequence[Combo],
     ``HBMSIM_CELLS_CHUNK`` working-set bound, bit-identical to one
     all-at-once :func:`combo_population` evaluation at any chunk size.
     """
+    return combo_ber_matrices(chip, combos, rows, [pattern],
+                              effective_hammers)[pattern]
+
+
+def combo_ber_matrices(chip: ChipProfile, combos: Sequence[Combo],
+                       rows: np.ndarray, patterns: Sequence[str],
+                       effective_hammers: float) -> Dict[str, np.ndarray]:
+    """:func:`combo_ber_matrix` of each pattern, pattern -> ``(C, R)``.
+
+    Chunks are the outer loop, so every pattern of a chunk shares one
+    pattern-independent population base (see
+    :func:`~repro.chips.vectorized.population_combos`).
+    """
     rows = np.asarray(rows, dtype=np.int64)
-    matrix = np.empty((len(combos), rows.size), dtype=float)
+    matrices = {pattern: np.empty((len(combos), rows.size), dtype=float)
+                for pattern in patterns}
     for start, stop in _combo_chunks(len(combos), rows.size):
-        batch = combo_population(chip, list(combos[start:stop]), rows,
-                                 pattern)
-        matrix[start:stop] = batch.ber(effective_hammers).reshape(
-            stop - start, rows.size)
-    return matrix
+        chunk = list(combos[start:stop])
+        for pattern in patterns:
+            batch = combo_population(chip, chunk, rows, pattern)
+            matrices[pattern][start:stop] = batch.ber(
+                effective_hammers).reshape(stop - start, rows.size)
+    return matrices
 
 
 def combo_first_seeds(chip: ChipProfile, combos: Sequence[Combo],

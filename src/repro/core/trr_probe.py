@@ -32,6 +32,7 @@ from repro.bender.routines.retention_profile import (RETENTION_STEP_NS,
                                                      profile_row_retention)
 from repro.core import metrics
 from repro.dram.geometry import RowAddress
+from repro.errors import ProbeError
 
 #: Side-channel rows must retain data for more than half their profiled
 #: retention time (so a mid-point refresh hides the bitflips): profiled
@@ -142,7 +143,7 @@ class TrrProbe:
                 victims=(self._addr(victims[0]), self._addr(victims[1])),
                 retention_ns=float(times[0]),
             )
-        raise LookupError("no usable side-channel row pair found")
+        raise ProbeError("no usable side-channel row pair found")
 
     # -- one probe cycle ----------------------------------------------------
 
@@ -197,7 +198,7 @@ class TrrProbe:
             if len(positives) >= 2:
                 break
         if len(positives) < 2:
-            raise LookupError(
+            raise ProbeError(
                 "no TRR victim refreshes observed; mechanism absent?")
         cadence = positives[1] - positives[0]
         phase = positives[0] % cadence

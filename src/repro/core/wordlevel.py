@@ -126,13 +126,13 @@ def word_level_study(chip: ChipProfile,
     total_words = int(rows.size * geometry.channels * words_per_row)
     study = WordLevelStudy(chip.label, hammer_count, total_words)
     eff = analytic.effective_hammers(chip, hammer_count)
+    combos = [(channel, pseudo_channel, bank)
+              for channel in range(geometry.channels)]
+    bers = analytic.combo_ber_matrices(chip, combos, rows, patterns, eff)
     for pattern in patterns:
         buckets = {1: 0, 2: 0, 3: 0}
         max_flips = 0
-        for channel in range(geometry.channels):
-            ber = analytic.combo_population(
-                chip, [(channel, pseudo_channel, bank)], rows,
-                pattern).ber(eff)
+        for ber in bers[pattern]:
             flips = rng.binomial(geometry.row_bits, ber)
             histogram = _distribute_flips(flips, words_per_row, rng)
             for count, words in histogram.items():

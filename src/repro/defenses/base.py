@@ -421,16 +421,19 @@ def replay_hammer_stream(stack, steps: Iterable[Sequence[Hammer]],
     :class:`HammerTable` all at once, any other stream once per distinct
     step object.  Per hammer:
 
-    - a counter the fault layer reports clean
-      (:meth:`~repro.faults.injector.FaultyStack.clean_hammer`) advances
-      the counter and applies the plan below the fault layer; the
-      defended device's ``apply_hammer`` still makes every controller
-      call (rollover, throttle, observe) in scalar order;
+    - a counter the fault layer takes as a clean HAMMER
+      (:meth:`~repro.faults.injector.FaultyStack.take_clean_hammer`,
+      one compare against its fault schedule) applies the plan below
+      the fault layer; the defended device's ``apply_hammer`` still
+      makes every controller call (rollover, throttle, observe) in
+      scalar order;
     - a fault-hit counter goes through ``FaultyStack.hammer``.
 
     A short catch-up issues its REFs one at a time: the device's own
     ``refresh`` (the rollover check plus ``HBM2Stack.refresh``) when the
-    REF counter is clean, ``FaultyStack.refresh`` when it is not.  A
+    fault layer takes the REF counter as clean
+    (:meth:`~repro.faults.injector.FaultyStack.take_clean_ref`),
+    ``FaultyStack.refresh`` when it is not.  A
     catch-up three tREFI or more behind (a RowPress step, a throttle
     delay) goes to :func:`catch_up_refreshes`, which bursts it.
     """
@@ -462,13 +465,11 @@ def replay_hammer_stream(stack, steps: Iterable[Sequence[Hammer]],
         else:
             tally.hammers += len(plans)
             for plan in plans:
-                if faulty is not None:
-                    if not faulty.clean_hammer():
-                        tally.scalar_hammers += 1
-                        faulty.hammer(plan.address, plan.count, plan.t_on)
-                        continue
-                    faulty.advance_counter(1)
-                inner.apply_hammer(plan)
+                if faulty is None or faulty.take_clean_hammer():
+                    inner.apply_hammer(plan)
+                else:
+                    tally.scalar_hammers += 1
+                    faulty.hammer(plan.address, plan.count, plan.t_on)
         if device.now_ns < next_ref_ns:
             continue
         before = next_ref_ns
@@ -478,14 +479,11 @@ def replay_hammer_stream(stack, steps: Iterable[Sequence[Hammer]],
             next_ref_ns = catch_up_refreshes(
                 stack, channel, pseudo_channel, next_ref_ns, t_refi)
         while device.now_ns >= next_ref_ns:
-            if faulty is not None:
-                if not faulty.clean_ref_prefix(1):
-                    tally.scalar_refs += 1
-                    faulty.refresh(channel, pseudo_channel)
-                    next_ref_ns += t_refi
-                    continue
-                faulty.advance_counter(1)
-            inner.refresh(channel, pseudo_channel)
+            if faulty is None or faulty.take_clean_ref():
+                inner.refresh(channel, pseudo_channel)
+            else:
+                tally.scalar_refs += 1
+                faulty.refresh(channel, pseudo_channel)
             next_ref_ns += t_refi
         tally.refs += round((next_ref_ns - before) / t_refi)
     return next_ref_ns

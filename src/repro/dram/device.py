@@ -64,6 +64,10 @@ TEMPERATURE_HC_SENSITIVITY = 0.0025
 #: Retention time halves roughly every 10 C (standard DRAM behaviour).
 RETENTION_DOUBLING_C = 10.0
 
+#: Entries :meth:`HBM2Stack._reach` keeps before it starts over: a PRE's
+#: on-time is any float, so the memo must not grow with the stream.
+_REACH_MEMO_SIZE = 256
+
 
 def classify_victim_pattern(data: np.ndarray) -> str:
     """Classify a row image into a canonical pattern name or ``custom``."""
@@ -252,6 +256,9 @@ class HBM2Stack:
         self._trace: Optional[Deque[TraceEntry]] = None
         self._zero_row = np.zeros(geometry.row_bytes, dtype=np.uint8)
         self._zero_row.flags.writeable = False
+        self._reach_memo: Dict[Tuple[int, float, float], Tuple[
+            Tuple[float, ...], Tuple[int, ...], Tuple[float, ...],
+            float]] = {}
         self._banks: Dict[Tuple[int, int, int], BankState] = {}
         self._rows: Dict[Tuple[int, int, int], Dict[int, _RowState]] = {}
         self._trr: Dict[Tuple[int, int], TrrEngine] = {}
@@ -850,10 +857,12 @@ class HBM2Stack:
 
     def _disturb_neighbors(self, physical: RowAddress, count: int,
                            t_on: float) -> None:
-        """Add ``count`` activations' disturbance (on-time ``t_on``) to
-        the neighbors of a physical row."""
-        offsets, units = self._subarray_reach(
-            physical.row, self._units_by_distance(count, t_on))
+        """Add ``count`` activations' disturbance (on-time ``t_on``, at
+        least tRAS) to the neighbors of a physical row."""
+        by_distance, offsets, units, __ = self._reach(count, t_on)
+        if physical.row in self.geometry.subarrays.clipped_rows(
+                len(by_distance) - 1):
+            offsets, units = self._subarray_reach(physical.row, by_distance)
         self._add_units(self._rows.setdefault(physical.bank_key, {}),
                         physical.row, offsets, units)
 
@@ -880,14 +889,26 @@ class HBM2Stack:
         row the blast radius reaches in full: the units by distance
         (:meth:`_units_by_distance`), the offsets ``-radius .. radius``
         and the units each receives (zeros omitted), and the duration
-        ``count * act_to_act(t_on)``."""
+        ``count * act_to_act(t_on)``.
+
+        Memoized per ``(count, t_on, temperature factor)``, in a memo
+        that starts over at :data:`_REACH_MEMO_SIZE` entries.
+        """
+        key = (count, t_on, self.temperature_disturbance_factor())
+        reach = self._reach_memo.get(key)
+        if reach is not None:
+            return reach
         by_distance = self._units_by_distance(count, t_on)
         radius = len(by_distance) - 1
         offsets = tuple(offset for offset in range(-radius, radius + 1)
                         if offset and by_distance[abs(offset)] > 0)
-        return (by_distance, offsets,
-                tuple(by_distance[abs(offset)] for offset in offsets),
-                count * self.timings.act_to_act(t_on))
+        reach = (by_distance, offsets,
+                 tuple(by_distance[abs(offset)] for offset in offsets),
+                 count * self.timings.act_to_act(t_on))
+        if len(self._reach_memo) >= _REACH_MEMO_SIZE:
+            self._reach_memo.clear()
+        self._reach_memo[key] = reach
+        return reach
 
     def _subarray_reach(self, row: int, by_distance: Tuple[float, ...]
                        ) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:

@@ -23,6 +23,9 @@ place every such class is defined:
   (:mod:`repro.experiments.runner`).  They carry the experiment id,
   the attempt count, and the captured traceback as plain strings so
   they pickle cleanly.
+- :class:`ProbeError` — the TRR probe (:mod:`repro.core.trr_probe`)
+  found no site or no victim refresh to measure, for example when
+  injected read faults corrupt every retention profile.
 - :class:`UnknownExperimentError` — an id not present in the registry;
   subclasses :class:`KeyError` for backward compatibility and carries
   close-match suggestions for the CLI's "did you mean" hint.
@@ -79,6 +82,15 @@ class PlatformFaultError(HbmSimError):
 
 class PlatformHangError(PlatformFaultError):
     """The simulated test platform stopped responding mid-experiment."""
+
+
+class ProbeError(HbmSimError, LookupError):
+    """A reverse-engineering probe found nothing to measure: no usable
+    side-channel row pair, or no TRR victim refresh to time.
+
+    Subclasses :class:`LookupError` so callers catching the probe's
+    original error keep working.
+    """
 
 
 class UnknownExperimentError(HbmSimError, KeyError):

@@ -30,8 +30,11 @@ from __future__ import annotations
 import hashlib
 import os
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from operator import attrgetter
+from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
+                    Tuple)
 
 import numpy as np
 
@@ -42,19 +45,78 @@ from repro.dram.seeding import generator_for, uniform_for
 from repro.errors import PlatformHangError
 from repro.faults.plan import (DROPPABLE, GHOSTABLE, TAG_DROP, TAG_GHOST,
                                TAG_HANG, TAG_JITTER, TAG_RDFLIP, TAG_STALL,
-                               TAG_STUCK, FaultPlan)
+                               TAG_STUCK, CommandFaults, FaultPlan)
 
 #: Exit code used when a worker-level crash fault kills the process.
 CRASH_EXIT_CODE = 97
 
-#: Command counters :meth:`FaultyStack.clean_ref_prefix` classifies at
-#: least at once (one vectorized pass serves many short catch-ups).
-_REF_LOOKAHEAD = 1024
+#: Width of the aligned counter windows a :class:`_Schedule` classifies:
+#: window ``k`` holds counters ``k*W + 1 .. (k+1)*W``.
+_WINDOW = 8192
 
-#: Width of the aligned counter blocks :meth:`FaultyStack._jitter_ns` and
-#: :meth:`FaultyStack.clean_hammer` classify at once: block ``k`` holds
-#: counters ``k*W + 1 .. (k+1)*W``.
-_JITTER_LOOKAHEAD = 1024
+#: The next faulted counter of a command class that never faults.
+_NEVER = 1 << 63
+
+
+class _Schedule:
+    """The faulted counters of one command class, ahead of the counter.
+
+    A fault draw is a pure function of the counter, so ``faulted`` (the
+    plan's fault rule over an index array, or ``None`` for a class that
+    cannot fault) classifies the class's counters window by window, each
+    window once.  Only the faulted counters are kept.
+
+    ``start`` is the counter of the last :meth:`settle` and ``next``
+    the first faulted counter from it on, or the first counter past the
+    classified windows: the counters ``start .. next - 1`` are clean,
+    so a reader at a counter in that run needs no more than a compare.
+    """
+
+    __slots__ = ("start", "next", "_faulted", "_ahead", "_through")
+
+    def __init__(self, faulted: Optional[Callable[[np.ndarray],
+                                                  np.ndarray]]) -> None:
+        self._faulted = faulted
+        self._ahead: Deque[int] = deque()
+        #: The last counter of the classified windows.
+        self._through = 0
+        self.start = 1
+        self.next = _NEVER if faulted is None else 1
+
+    def clean(self, index: int) -> bool:
+        """Whether counter ``index`` draws no fault of this class."""
+        return self.start <= index < self.next \
+            or index < self.settle(index, index)
+
+    def settle(self, index: int, stop: int) -> int:
+        """The first faulted counter at or after ``index``; a value past
+        ``stop`` means ``index .. stop`` are all clean.
+
+        Classifies the windows from the one holding ``index`` through
+        the one holding ``stop`` only when no faulted counter is already
+        known, and never a window twice; a window the counter jumped
+        past is never classified.  A counter before ``start`` (only a
+        caller that moves the counter back asks for one) starts the
+        schedule over.
+        """
+        if self._faulted is None:
+            return _NEVER
+        ahead = self._ahead
+        if index < self.start:
+            ahead.clear()
+            self._through = 0
+        self.start = index
+        while ahead and ahead[0] < index:
+            ahead.popleft()
+        if not ahead and self._through < stop:
+            first = max(self._through, (index - 1) // _WINDOW * _WINDOW)
+            last = -(-stop // _WINDOW) * _WINDOW
+            indices = np.arange(first + 1, last + 1, dtype=np.int64)
+            hits = indices[self._faulted(indices)]
+            ahead.extend(hits[hits >= index].tolist())
+            self._through = last
+        self.next = ahead[0] if ahead else self._through + 1
+        return self.next
 
 
 @dataclass(frozen=True)
@@ -90,16 +152,16 @@ class FaultyStack:
         self.plan = plan
         self.events: List[FaultEvent] = []
         self._counter = 0
-        #: Highest command counter known to carry no REF fault (see
-        #: :meth:`clean_ref_prefix`); lets a burst reuse the window its
-        #: caller just classified instead of drawing it twice.
-        self._clean_through = 0
-        #: Counters of the classified block that draw a jitter hit (see
-        #: :meth:`_jitter_ns`) and that would fault a HAMMER (see
-        #: :meth:`clean_hammer`); ``_block`` is the block's index.
-        self._block = -1
-        self._jitter_hits: FrozenSet[int] = frozenset()
-        self._hammer_faults: FrozenSet[int] = frozenset()
+        #: The fault schedule: a HAMMER's faults (:meth:`clean_hammer`),
+        #: a REF's (:meth:`clean_ref_prefix`) and an ACT or HAMMER's
+        #: jitter (:meth:`_jitter_ns`).
+        hammer_faults = plan.kind_faults("HAMMER")
+        self._hammers = self._schedule("HAMMER", CommandFaults.any,
+                                       hammer_faults)
+        self._refs = self._schedule("REF", CommandFaults.any,
+                                    plan.kind_faults("REF"))
+        self._jitters = self._schedule("HAMMER", attrgetter("jitter"),
+                                       "jitter" in hammer_faults)
         self._stuck_cache: Dict[Tuple[int, int, int, int],
                                 Optional[Tuple[np.ndarray, np.ndarray]]] = {}
 
@@ -152,37 +214,26 @@ class FaultyStack:
             return index, "ghost"
         return index, None
 
-    def _classify_block(self, index: int) -> None:
-        """Classify the aligned block of :data:`_JITTER_LOOKAHEAD`
-        counters holding ``index`` (a no-op if it already is).
-
-        Fault draws are a pure function of the counter, so the plan's
-        fault rule settles a whole block in one pass, read as HAMMERs
-        (the jitter draw is the same for an ACT).
-        """
-        block = (index - 1) // _JITTER_LOOKAHEAD
-        if block == self._block:
-            return
-        first = block * _JITTER_LOOKAHEAD + 1
-        indices = np.arange(first, first + _JITTER_LOOKAHEAD,
-                            dtype=np.int64)
-        faults = self.plan.command_faults("HAMMER", indices)
-        self._block = block
-        self._jitter_hits = frozenset(indices[faults.jitter].tolist())
-        self._hammer_faults = frozenset(indices[faults.any()].tolist())
+    def _schedule(self, kind: str,
+                  mask: Callable[[CommandFaults], np.ndarray],
+                  enabled: Any) -> _Schedule:
+        """A :class:`_Schedule` of the counters where ``mask`` of the
+        plan's fault rule for ``kind`` fires (never, unless
+        ``enabled``)."""
+        plan = self.plan
+        return _Schedule((lambda indices: mask(plan.command_faults(
+            kind, indices))) if enabled else None)
 
     def _jitter_ns(self, index: int, command: str) -> float:
         """Deterministic ACT-interval jitter (0.0 when the fault misses).
 
-        Only a counter its classified block marks as a hit takes the
-        scalar magnitude draw.
+        Only a counter the jitter schedule marks as a hit takes the
+        scalar magnitude draw (the draw is the same for an ACT as for
+        a HAMMER).
         """
+        if self._jitters.clean(index):
+            return 0.0
         plan = self.plan
-        if not plan.act_jitter_rate or not plan.act_jitter_ns:
-            return 0.0
-        self._classify_block(index)
-        if index not in self._jitter_hits:
-            return 0.0
         fraction = uniform_for(plan.seed, TAG_JITTER, index, 1)
         jitter = plan.act_jitter_ns * fraction
         self._log(index, "jitter", command, (int(round(jitter * 1000)),))
@@ -198,9 +249,16 @@ class FaultyStack:
         :func:`repro.defenses.base.replay_hammer_stream`).  Issues
         nothing.
         """
+        return self._hammers.clean(self._counter + 1)
+
+    def take_clean_hammer(self) -> bool:
+        """:meth:`clean_hammer`, and if so take its counter: the caller
+        then applies the HAMMER below this layer."""
         index = self._counter + 1
-        self._classify_block(index)
-        return index not in self._hammer_faults
+        if self._hammers.clean(index):
+            self._counter = index
+            return True
+        return False
 
     # -- intercepted command interface ------------------------------------
 
@@ -299,18 +357,20 @@ class FaultyStack:
         ``limit``.  Issues nothing.
         """
         counter = self._counter
-        if self._clean_through - counter >= limit:
-            return limit
-        # Classify at least a look-ahead window: REF-cleanliness is a
-        # pure function of the counter, so the verdict serves every
-        # later catch-up until the counter reaches the first fault.
-        window = max(limit, _REF_LOOKAHEAD)
-        indices = np.arange(counter + 1, counter + window + 1,
-                            dtype=np.int64)
-        hits = self.plan.command_faults("REF", indices).any()
-        clean = int(hits.argmax()) if hits.any() else window
-        self._clean_through = counter + clean
-        return min(clean, limit)
+        refs = self._refs
+        first = refs.next
+        if counter + 1 < refs.start or first <= counter + limit:
+            first = refs.settle(counter + 1, counter + limit)
+        return min(first - counter - 1, limit)
+
+    def take_clean_ref(self) -> bool:
+        """Whether the next REF draws no fault, and if so take its
+        counter: the caller then issues the REF below this layer."""
+        index = self._counter + 1
+        if self._refs.clean(index):
+            self._counter = index
+            return True
+        return False
 
     def write_row(self, address: RowAddress, data: np.ndarray) -> None:
         _, action = self._platform("WR")

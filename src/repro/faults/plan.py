@@ -177,6 +177,16 @@ class FaultPlan:
                     self.act_jitter_rate, self.stuck_row_rate,
                     self.stall_rate, self.hang_rate))
 
+    def kind_faults(self, kind: str) -> FrozenSet[str]:
+        """The faults a command of ``kind`` can draw under this plan:
+        the masks of :meth:`command_faults` that are not all False."""
+        return frozenset(name for name, enabled in (
+            ("stall", self.stall_rate), ("hang", self.hang_rate),
+            ("drop", kind in DROPPABLE and self.drop_rate),
+            ("ghost", kind in GHOSTABLE and self.ghost_rate),
+            ("jitter", kind in JITTERABLE and self.act_jitter_rate
+             and self.act_jitter_ns)) if enabled)
+
     def worker_faults_enabled(self) -> bool:
         """Whether any worker-level fault is configured."""
         return bool(self.crash_once or self.stall_experiments)

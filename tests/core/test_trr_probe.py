@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.trr_probe import TrrProbe
+from repro.errors import HbmSimError, ProbeError
 
 
 @pytest.fixture(scope="module")
@@ -69,5 +70,8 @@ class TestProbeMechanics:
                                 mapping=chip5.row_mapping())
         probe = TrrProbe(session)
         site = probe.find_probe_site()
-        with pytest.raises(LookupError):
+        with pytest.raises(ProbeError) as raised:
             probe.discover_cadence(site, max_period=20)
+        # Still what callers catching the original error expect.
+        assert isinstance(raised.value, LookupError)
+        assert isinstance(raised.value, HbmSimError)

@@ -137,6 +137,35 @@ class TestHistogram:
             study.histogram["Checkered0"][3]
 
 
+class TestPopulationBases:
+    def test_one_base_per_chunk(self, monkeypatch, study):
+        """Each chunk of channels builds one pattern-independent base
+        that all four patterns share, not one base per (pattern,
+        channel), and the chunking moves no count."""
+        from repro.chips import vectorized
+        from repro.chips.profiles import make_chip
+        from repro.core import analytic, metrics
+
+        chip = make_chip(4)
+        analytic.effective_hammers(chip, metrics.BER_TEST_HAMMERS)
+        built = []
+        init = vectorized._PopulationBase.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        vectorized._BASE_SLOT.clear()
+        # Four of the eight channels per chunk: two chunks.
+        monkeypatch.setenv("HBMSIM_CELLS_CHUNK", str(4 * 512))
+        monkeypatch.setattr(vectorized._PopulationBase, "__init__", spy)
+        chunked = word_level_study(chip, rows_per_channel=512)
+        vectorized._BASE_SLOT.clear()
+        assert len(built) == 2
+        assert chunked.histogram == study.histogram
+        assert chunked.max_flips == study.max_flips
+
+
 class TestSecdedOutcomes:
     def test_outcomes_sum(self, study):
         outcomes = secded_outcomes(study, "Checkered0", sample_size=200)

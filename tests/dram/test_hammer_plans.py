@@ -133,3 +133,49 @@ def test_invalid_entries_have_no_plan(address, count):
     assert tuple(plans[2]) == reference_plan(device, good, 2, None)
     with pytest.raises(ValueError):
         device.hammer_plan(address, count)
+
+
+def precharge_units(device, bank, row, open_ns):
+    """Open ``row`` of ``bank`` for ``open_ns``, close it, and return
+    the units the PRE gave each neighbor, by offset."""
+    device.activate(RowAddress(0, 0, bank, row))
+    device.wait(open_ns)
+    device.precharge(0, 0, bank)
+    return {other - row: state.acc_units
+            for other, state in device._rows[(0, 0, bank)].items()
+            if other != row}
+
+
+def expected_units(device, row, t_on):
+    plan = reference_plan(device, RowAddress(0, 0, 0, row), 1, t_on)
+    return dict(zip(plan[4], plan[5]))
+
+
+@pytest.mark.parametrize("open_ns", [35.1e3, 1234.5])
+def test_precharge_after_set_temperature_equals_fresh(open_ns):
+    """A PRE's reach is memoized per temperature factor: after
+    ``set_temperature`` it equals a device that was never warm."""
+    row = 5000
+    warm = make_device("IdentityMapping")
+    before = precharge_units(warm, 1, row, open_ns)
+    warm.set_temperature(70.0)
+    after = precharge_units(warm, 2, row, open_ns)
+    fresh = make_device("IdentityMapping")
+    fresh.set_temperature(70.0)
+    assert after == precharge_units(fresh, 2, row, open_ns)
+    assert after == expected_units(fresh, row, open_ns)
+    assert after != before
+
+
+def test_precharge_on_clipped_row_equals_fresh():
+    """A warm memo serves the full reach; a PRE on a row a subarray
+    boundary clips still disturbs only its own subarray."""
+    first = DEFAULT_GEOMETRY.subarrays.boundaries[1]
+    device = make_device("IdentityMapping")
+    precharge_units(device, 1, 5000, 35.1e3)
+    for bank, row in enumerate((first - 1, first), start=2):
+        units = precharge_units(device, bank, row, 35.1e3)
+        assert units == expected_units(device, row, 35.1e3)
+        fresh = make_device("IdentityMapping")
+        assert units == precharge_units(fresh, bank, row, 35.1e3)
+    assert set(units) == {1, 2}

@@ -12,6 +12,7 @@ it sizes from the scale is clamped to its minimum.
 
 import pytest
 
+from repro.errors import HbmSimError, ProbeError
 from repro.experiments.registry import run_experiment
 from repro.faults import FaultPlan, FaultyStack, clear_plan, install_plan
 
@@ -59,3 +60,18 @@ def test_heavy_read_flips_move_raw_measurements(monkeypatch, experiment_id,
     assert events, f"no fault reached {experiment_id}"
     assert {event.fault for event in events} == {"rd-flip"}
     assert faulted != clean
+
+
+def test_sec7_without_a_probe_site_raises_a_typed_error(monkeypatch):
+    """At 90% read flips no retention profile survives, so no probe
+    site does: sec7 fails with the simulator's own error type, which
+    callers of the original ``LookupError`` still catch."""
+    monkeypatch.delenv("HBMSIM_FAULTS", raising=False)
+    install_plan(FaultPlan(seed=7, read_flip_rate=0.9))
+    try:
+        with pytest.raises(ProbeError, match="side-channel") as raised:
+            run_experiment("sec7", 0.01)
+    finally:
+        clear_plan()
+    assert isinstance(raised.value, LookupError)
+    assert isinstance(raised.value, HbmSimError)

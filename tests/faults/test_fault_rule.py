@@ -4,7 +4,7 @@
 "which fault does a command of kind K draw at counter i" (stall and
 hang on any command, drop on DROPPABLE kinds, ghost on GHOSTABLE kinds,
 jitter on ACT/HAMMER).  The compiler's window mask, the session's probe
-windows and the injector's look-ahead caches all read it, so it must
+windows and the injector's fault schedule all read it, so it must
 agree with the decisions the scalar :meth:`FaultyStack._platform` and
 :meth:`FaultyStack._jitter_ns` make, command by command.
 """
@@ -67,7 +67,9 @@ class TestRuleAgreesWithScalar:
                         if mask[position]}
                 assert rule == _scalar_decisions(stack, kind, index), \
                     f"{kind} at counter {index}"
-                # Independent of the injector's block cache, which is
+                # The injector skips classifying a class with no fault.
+                assert rule <= plan.kind_faults(kind)
+                # Independent of the injector's fault schedule, which is
                 # itself built from the rule.
                 jitter = ("hang" not in rule and kind in JITTERED
                           and bool(plan.act_jitter_ns)

@@ -17,7 +17,7 @@ from repro.errors import (HbmSimError, PlatformFaultError,
                           PlatformHangError)
 from repro.faults import (FaultPlan, FaultyStack, clear_plan, install_plan,
                           wrap_device)
-from repro.faults.injector import _JITTER_LOOKAHEAD, FaultEvent
+from repro.faults.injector import _WINDOW, FaultEvent
 from repro.faults.plan import TAG_JITTER
 
 ROW = RowAddress(0, 0, 0, 100)
@@ -265,15 +265,16 @@ class TestRefreshBurst:
 
 
 class TestJitterLookahead:
-    """``_jitter_ns`` classifies whole counter blocks with the vectorized
-    sampler; every decision must equal the per-counter scalar draw."""
+    """``_jitter_ns`` reads a fault schedule that classifies whole
+    counter windows with the vectorized fault rule; every decision must
+    equal the per-counter scalar draw."""
 
-    #: Dense jitter; seed 167 hits counters 2W and W+1 (W = block
-    #: width), so a block bound off by one either way misses a hit.
-    PLAN = FaultPlan(seed=167, act_jitter_rate=0.05, act_jitter_ns=3.0)
+    #: Dense jitter; seed 992 hits counters 2W and W+1 (W = window
+    #: width), so a window bound off by one either way misses a hit.
+    PLAN = FaultPlan(seed=992, act_jitter_rate=0.05, act_jitter_ns=3.0)
 
     def test_seed_puts_hits_on_block_edges(self):
-        width = _JITTER_LOOKAHEAD
+        width = _WINDOW
         rate = self.PLAN.act_jitter_rate
         assert self.PLAN.sampler_hits(2 * width, TAG_JITTER, rate)
         assert self.PLAN.sampler_hits(width + 1, TAG_JITTER, rate)
@@ -339,7 +340,7 @@ class TestJitterLookahead:
         return events, device.now_ns
 
     def test_matches_per_counter_draws(self):
-        width = _JITTER_LOOKAHEAD
+        width = _WINDOW
         ops = self._ops(width, blocks=3)
         stack = FaultyStack(make_device(), self.PLAN)
         for kind, step in ops:
