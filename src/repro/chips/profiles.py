@@ -157,14 +157,50 @@ CHIP_SPECS: Tuple[ChipSpec, ...] = (
 )
 
 
-#: Version stamp of the calibration model.  Folded into the cross-process
-#: calibration cache key (:mod:`repro.chips.cache`): bump it whenever the
-#: math feeding ``base_f_weak`` changes (spatial factor tables, sigma
-#: couplings, the refinement loop, or the seeding scheme), so stale cached
-#: calibrations can never leak into a newer model.  Version 2: the
+#: Version stamp of the calibration model.  Folded into the result-store
+#: key (:func:`repro.experiments.store.result_key`, through
+#: :func:`calibration_fingerprint`): bump it whenever the math feeding
+#: ``base_f_weak`` changes (spatial factor tables, sigma couplings, the
+#: refinement loop, or the seeding scheme), so results stored under an
+#: older model are never served for a newer one.  Version 2: the
 #: refinement batch evaluates ``mu_weak`` with ``math.log10`` like the
 #: scalar loop, which moves Chip 1's ``base_f_weak`` by 1 ulp.
 CALIBRATION_VERSION = 2
+
+
+def calibration_fingerprint(spec: ChipSpec,
+                            geometry: HBM2Geometry) -> dict:
+    """Everything ``base_f_weak`` is a function of, JSON-serializable."""
+    return {
+        "calibration_version": CALIBRATION_VERSION,
+        "spec": {
+            "index": spec.index,
+            "seed": spec.seed,
+            "die_ber_factors": list(spec.die_ber_factors),
+            "base_hc_first": spec.base_hc_first,
+            "mean_ber_target": spec.mean_ber_target,
+            "hc_row_sigma": spec.hc_row_sigma,
+        },
+        "geometry": {
+            "channels": geometry.channels,
+            "pseudo_channels": geometry.pseudo_channels,
+            "banks": geometry.banks,
+            "rows": geometry.rows,
+            "row_bits": geometry.row_bits,
+            "dies": geometry.dies,
+            "subarray_sizes": list(geometry.subarrays.sizes),
+        },
+        "model": {
+            "pattern_ber": _PATTERN_BER,
+            "pattern_hc": _PATTERN_HC,
+            "bank_groups": [list(group) for group in _BANK_GROUPS],
+            "resilient": [_RESILIENT_BER_FACTOR, _RESILIENT_HC_FACTOR],
+            "sigma_couplings": [_SIGMA_N_COUPLING, _SIGMA_HC_COUPLING,
+                                list(_SIGMA_WEAK_CLAMP)],
+            "sigma_weak": DEFAULT_SIGMA_WEAK,
+            "ber_test_hammers": BER_TEST_HAMMERS,
+        },
+    }
 
 
 @functools.lru_cache(maxsize=None)
@@ -204,8 +240,8 @@ class ChipProfile:
 
     def __init__(self, spec: ChipSpec,
                  geometry: HBM2Geometry = DEFAULT_GEOMETRY,
-                 disturbance: DisturbanceModel = DEFAULT_DISTURBANCE,
-                 use_cache: bool = True) -> None:
+                 disturbance: DisturbanceModel = DEFAULT_DISTURBANCE
+                 ) -> None:
         self.spec = spec
         self.geometry = geometry
         self.disturbance = disturbance
@@ -222,18 +258,9 @@ class ChipProfile:
         self._populations: Dict[_RowKey, CellPopulation] = {}
         self._floor_tables: Dict[_SubarrayKey, List[float]] = {}
         from repro import perf
-        from repro.chips import cache as calibration_cache
         with perf.timed_phase("calibrate"):
-            cached = (calibration_cache.load_base_f_weak(spec, geometry)
-                      if use_cache else None)
-            if cached is not None:
-                self.base_f_weak = cached
-            else:
-                self.base_f_weak = self._calibrate_f_weak()
-                self._refine_f_weak()
-                if use_cache:
-                    calibration_cache.store_base_f_weak(
-                        spec, geometry, self.base_f_weak)
+            self.base_f_weak = self._calibrate_f_weak()
+            self._refine_f_weak()
 
     @property
     def n_weak_reference(self) -> int:

@@ -109,7 +109,6 @@ def main(argv=None) -> int:
         return 0
     scale = args.scale if args.scale is not None else default_scale()
     ids = args.ids or list(EXPERIMENTS)
-    cache = bench.cache_state()  # observed before the run warms it
     sweep_start = time.perf_counter()
     try:
         __, records = run_timed(
@@ -158,8 +157,8 @@ def main(argv=None) -> int:
         if timed:
             samples = [timed]
             # Median-of-N: extra silent sweeps (no checkpoint resume —
-            # a cached repeat would time nothing).  The wall clock and
-            # cold/warm label describe the first, printed sweep.
+            # a cached repeat would time nothing).  The wall clock
+            # describes the first, printed sweep.
             repeat_ids = [record.experiment_id for record in timed]
             for __ in range(max(1, args.bench_repeats) - 1):
                 try:
@@ -177,7 +176,7 @@ def main(argv=None) -> int:
                                 if record.succeeded])
             entries = bench.median_entries(samples)
             path = bench.record_run(entries, scale, jobs=args.jobs,
-                                    cache=cache, path=args.bench,
+                                    path=args.bench,
                                     wall_seconds=wall,
                                     repeats=len(samples))
             print(f"\nbench: recorded {len(entries)} timings "

@@ -13,7 +13,6 @@ document::
           "timestamp": "2026-08-06T12:00:00+00:00",
           "scale": 0.25,
           "jobs": 1,
-          "cache": "cold",          # "cold" | "warm" | "disabled"
           "batch": true,            # batched analytic engine active?
           "faults": false,          # fault plan active during the run?
           "repeats": 3,             # timing samples behind each entry
@@ -30,14 +29,13 @@ document::
       ]
     }
 
-Reading it: compare the same (scale, jobs, cache, batch) tuples across
-runs — a "warm" run isolates compute from calibration, a "cold" run
-includes one calibration per chip, "disabled" reproduces the pre-cache
-behaviour, and ``batch: false`` is the scalar (``HBMSIM_BATCH=0``)
-engine.  ``total_seconds`` sums per-experiment attempt times;
-``wall_seconds`` is the sweep's wall clock, which ``jobs > 1`` can
-push *below* ``total_seconds``.  Entries append chronologically; the
-last run with matching parameters is the current state of the tree.
+Reading it: compare the same (scale, jobs, batch) tuples across runs;
+``batch: false`` is the scalar (``HBMSIM_BATCH=0``) engine, and every
+run includes one in-memory calibration per chip.  ``total_seconds``
+sums per-experiment attempt times; ``wall_seconds`` is the sweep's
+wall clock, which ``jobs > 1`` can push *below* ``total_seconds``.
+Entries append chronologically; the last run with matching parameters
+is the current state of the tree.
 
 Schema 3 adds ``repeats`` (how many timing samples each per-experiment
 entry is the median of; see :func:`median_entries`) and
@@ -57,7 +55,10 @@ valid history: every stored entry is a ``{"seconds": ...}`` mapping
 (the schema-1 runs in the committed history were converted from plain
 floats in place), and the keys later schemas added are optional to
 readers (see :func:`experiment_seconds` and
-:func:`repro.experiments.perf_gate.find_run`).
+:func:`repro.experiments.perf_gate.find_run`).  Runs recorded while a
+cross-process calibration cache existed also carry ``cache``
+(``"cold"`` | ``"warm"`` | ``"disabled"``); it is kept as historical
+data, and no reader or writer uses it any more.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ import time
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Union
 
-from repro.chips import cache as calibration_cache
 from repro.experiments.store import atomic_write
 
 #: Default bench record, relative to the invoking working directory.
@@ -88,22 +88,6 @@ _LOCK_STALE_S = 30.0
 def bench_path(path: Optional[str] = None) -> Path:
     """Resolve the bench record path (argument > env > default)."""
     return Path(path or os.environ.get(_ENV_PATH, DEFAULT_BENCH_PATH))
-
-
-def cache_state() -> str:
-    """Classify the calibration cache for the run about to start.
-
-    "disabled" when ``HBMSIM_NO_CACHE`` is set, "warm" when the cache
-    directory already holds calibration entries, else "cold".
-    """
-    if not calibration_cache.cache_enabled():
-        return "disabled"
-    directory = calibration_cache.cache_dir()
-    try:
-        next(directory.glob("fweak-*.json"))
-    except (StopIteration, OSError):
-        return "cold"
-    return "warm"
 
 
 def _load(path: Path) -> dict:
@@ -298,8 +282,7 @@ def median_entries(samples: Iterable) -> Dict[str, dict]:
 
 def _describe_run(run: dict) -> str:
     """One-line parameter summary of a bench run record."""
-    parts = [f"scale {run.get('scale')}", f"jobs {run.get('jobs')}",
-             f"cache {run.get('cache')}"]
+    parts = [f"scale {run.get('scale')}", f"jobs {run.get('jobs')}"]
     if "batch" in run:
         parts.append(f"batch {'on' if run.get('batch') else 'off'}")
     if run.get("geometry"):
@@ -319,7 +302,7 @@ def compare_runs(path_a: Union[str, Path],
     over the baseline (``A/B`` — above 1.0 is faster), and a regression
     marker when the candidate is slower by more than 5%.  Raises
     :class:`~repro.errors.HbmSimError` when either file holds no runs,
-    and flags mismatched run parameters (scale/jobs/cache/batch/
+    and flags mismatched run parameters (scale/jobs/batch/
     geometry) instead of silently comparing apples to oranges.
     """
     from repro.errors import HbmSimError
@@ -333,8 +316,7 @@ def compare_runs(path_a: Union[str, Path],
     a, b = runs["A"], runs["B"]
     lines = [f"A (baseline):  {path_a} — {_describe_run(a)}",
              f"B (candidate): {path_b} — {_describe_run(b)}"]
-    mismatched = [key for key in ("scale", "jobs", "cache", "batch",
-                                  "geometry")
+    mismatched = [key for key in ("scale", "jobs", "batch", "geometry")
                   if key in a and key in b and a[key] != b[key]]
     if mismatched:
         lines.append(
@@ -377,7 +359,6 @@ def compare_runs(path_a: Union[str, Path],
 
 def record_run(timings: Union[Dict[str, float], Iterable],
                scale: float, jobs: int = 1,
-               cache: Optional[str] = None,
                path: Optional[str] = None,
                batch: Optional[bool] = None,
                wall_seconds: Optional[float] = None,
@@ -390,13 +371,11 @@ def record_run(timings: Union[Dict[str, float], Iterable],
     :class:`~repro.experiments.runner.RunRecord` (the second return
     of :func:`repro.experiments.registry.run_timed`; duplicate-id
     invocations aggregate by summing — their per-phase breakdowns come
-    along from ``result.phases``).  ``cache`` defaults to
-    :func:`cache_state` *as observed now* — call it before the run for
-    an accurate cold/warm label, since the run itself warms the cache.
-    ``batch`` defaults to the live ``HBMSIM_BATCH`` setting;
-    ``wall_seconds`` is the sweep's wall clock when the caller measured
-    one.  ``repeats`` records how many timing samples each entry is the
-    median of (pre-combine them with :func:`median_entries`).
+    along from ``result.phases``).  ``batch`` defaults to the live
+    ``HBMSIM_BATCH`` setting; ``wall_seconds`` is the sweep's wall
+    clock when the caller measured one.  ``repeats`` records how many
+    timing samples each entry is the median of (pre-combine them with
+    :func:`median_entries`).
     ``faults`` defaults to whether a fault plan is live right now —
     chaos-mode timings are tagged so the perf gate never compares them
     against fault-free history.  Concurrent writers are serialized
@@ -405,12 +384,12 @@ def record_run(timings: Union[Dict[str, float], Iterable],
     entries = _as_entries(timings)
     target = bench_path(path)
     with _exclusive_lock(target):
-        return _append_run(target, entries, scale, jobs, cache, batch,
+        return _append_run(target, entries, scale, jobs, batch,
                            wall_seconds, repeats, faults)
 
 
 def _append_run(target: Path, entries: Dict[str, dict], scale: float,
-                jobs: int, cache: Optional[str], batch: Optional[bool],
+                jobs: int, batch: Optional[bool],
                 wall_seconds: Optional[float], repeats: int = 1,
                 faults: Optional[bool] = None) -> Path:
     if batch is None:
@@ -426,7 +405,6 @@ def _append_run(target: Path, entries: Dict[str, dict], scale: float,
             datetime.timezone.utc).isoformat(timespec="seconds"),
         "scale": scale,
         "jobs": jobs,
-        "cache": cache if cache is not None else cache_state(),
         "batch": bool(batch),
         "faults": bool(faults),
         "geometry": geometry_label(),

@@ -10,13 +10,12 @@ time exceeds ``factor`` times the baseline.
 Both files are read through
 :func:`repro.experiments.bench.experiment_seconds`; schema-1 history (no
 ``batch`` key, no phases) still serves as a baseline.  Runs are matched
-on (experiment, scale, jobs, cache, faults) — the warm/jobs=1/faults=off
-default isolates the compute path from calibration, pool variance and
-chaos plans, which is what a 2x threshold can police without flaking on
-shared CI hardware.  ``--faults on`` gates chaos-mode (fault-plan)
-runs instead — the teeth behind the fault-path batching: its
-``--min-batch-speedup`` collapses if fault windows ever fall back to
-per-command dispatch wholesale.
+on (experiment, scale, jobs, faults) — the jobs=1/faults=off default
+isolates the compute path from pool variance and chaos plans, which is
+what a 2x threshold can police without flaking on shared CI hardware.
+``--faults on`` gates chaos-mode (fault-plan) runs instead — the teeth
+behind the fault-path batching: its ``--min-batch-speedup`` collapses
+if fault windows ever fall back to per-command dispatch wholesale.
 
 Two further checks, both against the measured file only:
 
@@ -54,8 +53,7 @@ from repro.experiments.bench import experiment_seconds
 
 
 def find_run(payload: dict, experiment_id: str, scale: float,
-             jobs: int, cache: Optional[str],
-             batch: Optional[bool] = None,
+             jobs: int, batch: Optional[bool] = None,
              faults: Optional[bool] = False) -> Tuple[Optional[float],
                                                       Optional[dict]]:
     """Newest (seconds, run) matching the criteria, or ``(None, None)``.
@@ -70,8 +68,6 @@ def find_run(payload: dict, experiment_id: str, scale: float,
     """
     for run in reversed(payload.get("runs", [])):
         if run.get("scale") != scale or run.get("jobs") != jobs:
-            continue
-        if cache is not None and run.get("cache") != cache:
             continue
         if batch is not None and run.get("batch") != batch:
             continue
@@ -106,9 +102,6 @@ def main(argv=None) -> int:
     parser.add_argument("--experiment", default="fig05")
     parser.add_argument("--scale", type=float, default=0.25)
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--cache", default="warm",
-                        help="cache state to match ('warm'; pass '' to "
-                             "match any)")
     parser.add_argument("--batch", choices=["any", "on", "off"],
                         default="any",
                         help="engine to match: 'on' compares batched "
@@ -162,7 +155,6 @@ def main(argv=None) -> int:
                              "--min-parallel-speedup compares against "
                              "jobs=1 (default 4)")
     args = parser.parse_args(argv)
-    cache = args.cache or None
     batch = {"any": None, "on": True, "off": False}[args.batch]
     faults = {"any": None, "on": True, "off": False}[args.faults]
 
@@ -172,13 +164,11 @@ def main(argv=None) -> int:
         return 2
 
     baseline, baseline_run = find_run(baseline_payload, args.experiment,
-                                      args.scale, args.jobs, cache, batch,
-                                      faults)
+                                      args.scale, args.jobs, batch, faults)
     measured, measured_run = find_run(measured_payload, args.experiment,
-                                      args.scale, args.jobs, cache, batch,
-                                      faults)
+                                      args.scale, args.jobs, batch, faults)
     criteria = (f"{args.experiment} @ scale {args.scale}, "
-                f"jobs={args.jobs}, cache={cache or 'any'}, "
+                f"jobs={args.jobs}, "
                 f"batch={args.batch}, faults={args.faults}")
     if baseline is None:
         print(f"perf-gate: no baseline run matches {criteria} in "
@@ -226,11 +216,9 @@ def main(argv=None) -> int:
 
     if args.min_batch_speedup is not None:
         batched, __ = find_run(measured_payload, args.experiment,
-                               args.scale, args.jobs, cache, True,
-                               faults)
+                               args.scale, args.jobs, True, faults)
         scalar, __ = find_run(measured_payload, args.experiment,
-                              args.scale, args.jobs, cache, False,
-                              faults)
+                              args.scale, args.jobs, False, faults)
         if batched is None or scalar is None:
             print(f"perf-gate: --min-batch-speedup needs both a "
                   f"batch=on and a batch=off measured run for "
@@ -248,10 +236,10 @@ def main(argv=None) -> int:
     if args.min_parallel_speedup is not None:
         serial_s, serial_run = find_run(measured_payload,
                                         args.experiment, args.scale, 1,
-                                        cache, batch, faults)
+                                        batch, faults)
         para_s, para_run = find_run(measured_payload, args.experiment,
                                     args.scale, args.parallel_jobs,
-                                    cache, batch, faults)
+                                    batch, faults)
         if serial_s is None or para_s is None:
             print(f"perf-gate: --min-parallel-speedup needs both a "
                   f"jobs=1 and a jobs={args.parallel_jobs} measured "

@@ -180,9 +180,9 @@ def run_timed(experiment_ids: Iterable[str], scale: float = 1.0,
     (their timings no longer collapse into a single dict entry).  A
     parallel run (``jobs > 1``) renders the identical record and report
     sequence as a serial one (asserted in
-    ``tests/experiments/test_parallel.py``); workers reuse the
-    cross-process calibration cache (:mod:`repro.chips.cache`), so the
-    per-worker chip setup cost is milliseconds, not a recalibration.
+    ``tests/experiments/test_parallel.py``); forked workers inherit the
+    parent's calibrated chips (:func:`repro.chips.profiles.make_chip`
+    memo), so no worker recalibrates.
 
     ``**resilience`` forwards to
     :func:`repro.experiments.runner.run_resilient` (``timeout``,

@@ -422,9 +422,9 @@ def _available_cores() -> int:
 def _prewarm_calibration() -> None:
     """Calibrate every chip once in the parent before forking workers.
 
-    Forked workers inherit the parent's ``make_chip`` memo, so warming
-    it here turns N-per-worker calibration-cache loads (the jobs>1
-    slowdown: every worker repeated the whole chip setup) into zero.
+    Forked workers inherit the parent's ``make_chip`` memo, so filling
+    it here turns N per-worker calibrations (the jobs>1 slowdown: every
+    worker repeated the whole chip setup) into zero.
     Best-effort: a failure here surfaces later in whichever experiment
     actually needs the chip, with its normal error handling.
     """

@@ -71,8 +71,7 @@ def result_key(experiment_id: str, scale: float,
     ``shard`` is an ``"i/n"`` string or ``None``; the fault plan is the
     effective active one.
     """
-    from repro.chips.cache import calibration_fingerprint
-    from repro.chips.profiles import CHIP_SPECS
+    from repro.chips.profiles import CHIP_SPECS, calibration_fingerprint
     from repro.dram.batch import batch_enabled
     from repro.dram.geometry import DEFAULT_GEOMETRY
 

@@ -10,8 +10,8 @@ rules, every such exception is an explicit, reviewed entry in
     {
       "version": 1,
       "suppressions": [
-        {"rule": "D105", "location": "repro/chips/cache.py",
-         "reason": "cache config module: HBMSIM_CACHE_DIR surface"}
+        {"rule": "D105", "location": "repro/experiments/bench.py",
+         "reason": "bench config module: HBMSIM_BENCH_PATH surface"}
       ]
     }
 

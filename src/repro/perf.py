@@ -1,10 +1,11 @@
 """Per-phase wall-time accounting for the experiment suite.
 
 The bench harness (``experiments/bench.py``) records where each
-experiment's wall time went — ``calibrate`` (chip profile construction
-and cache loads), ``report`` (table/text rendering) and ``execute``
-(everything else) — so a future perf regression can be localized to a
-phase instead of bisected from a single total.
+experiment's wall time went — ``calibrate`` (chip profile
+construction, which calibrates the chip in memory), ``report``
+(table/text rendering) and ``execute`` (everything else) — so a future
+perf regression can be localized to a phase instead of bisected from a
+single total.
 
 This module is dependency-free on purpose: the instrumented call sites
 live in low layers (``chips.profiles``, ``analysis.reporting``) that

@@ -1,10 +1,12 @@
 """Tests for the calibrated chip profiles."""
 
+import os
+
 import numpy as np
 import pytest
 
-from repro.chips.profiles import (CHIP_SPECS, all_chips, chip_labels,
-                                  make_chip)
+from repro.chips.profiles import (CHIP_SPECS, ChipProfile, all_chips,
+                                  chip_labels, make_chip)
 from repro.dram.geometry import RowAddress
 
 
@@ -64,6 +66,17 @@ class TestCalibration:
         measured = float(np.concatenate(bers).mean())
         assert measured == pytest.approx(chip0.spec.mean_ber_target,
                                          rel=0.15)
+
+    def test_calibration_writes_no_files(self, tmp_path, monkeypatch):
+        """Calibration runs in memory: nothing lands under the home
+        directory (where every XDG base directory falls back once unset),
+        and a second construction lands on the same value."""
+        monkeypatch.setenv("HOME", str(tmp_path))
+        for name in [name for name in os.environ if name.startswith("XDG_")]:
+            monkeypatch.delenv(name)
+        first = ChipProfile(CHIP_SPECS[1])
+        assert list(tmp_path.iterdir()) == []
+        assert ChipProfile(CHIP_SPECS[1]).base_f_weak == first.base_f_weak
 
 
 class TestSpatialFactors:

@@ -133,8 +133,8 @@ class TestRefineEquivalence:
 
     def test_vectorized_refine_matches_scalar(self):
         for spec in CHIP_SPECS:
-            vectorized = ChipProfile(spec, use_cache=False)
-            scalar = ChipProfile(spec, use_cache=False)
+            vectorized = ChipProfile(spec)
+            scalar = ChipProfile(spec)
             scalar.base_f_weak = scalar._calibrate_f_weak()
             scalar._refine_f_weak(vectorized=False)
             assert vectorized.base_f_weak == scalar.base_f_weak, spec.label

@@ -1,11 +1,10 @@
 """Shared fixtures.
 
-Chip profiles are expensive to construct (their calibration runs a
-Monte-Carlo refinement), so they are session-scoped; devices and sessions
-are function-scoped because they carry mutable state.
+Chip profiles are session-scoped: ``make_chip`` hands out the process's
+one calibrated profile per chip, whose row-population memos later tests
+reuse.  Devices and sessions are function-scoped because they carry
+mutable state.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -15,24 +14,6 @@ from repro.chips.profiles import ChipProfile, all_chips, make_chip
 from repro.dram.cell_model import CellPopulation
 from repro.dram.device import HBM2Stack, UniformProfileProvider
 from repro.dram.geometry import RowAddress
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _hermetic_calibration_cache(tmp_path_factory):
-    """Point the calibration cache at a per-session directory.
-
-    Tests must neither read stale entries from nor write into the
-    user's real ``~/.cache/hbmsim``; within the session the cache still
-    works normally (and speeds up subprocess-based tests).
-    """
-    cache_dir = tmp_path_factory.mktemp("hbmsim-cache")
-    previous = os.environ.get("HBMSIM_CACHE_DIR")
-    os.environ["HBMSIM_CACHE_DIR"] = str(cache_dir)
-    yield
-    if previous is None:
-        os.environ.pop("HBMSIM_CACHE_DIR", None)
-    else:
-        os.environ["HBMSIM_CACHE_DIR"] = previous
 
 
 @pytest.fixture(scope="session")

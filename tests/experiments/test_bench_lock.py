@@ -16,7 +16,7 @@ needs_fork = pytest.mark.skipif(
 def _append(path: str, writer: int, runs: int) -> None:
     for index in range(runs):
         bench.record_run({f"w{writer}-r{index}": 0.1}, scale=0.5,
-                         jobs=1, cache="warm", path=path)
+                         jobs=1, path=path)
 
 
 @needs_fork

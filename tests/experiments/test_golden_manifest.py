@@ -8,7 +8,8 @@ intentional change lands as a re-pin: regenerate the file and review
 which ids it says changed (the pins are of the default configuration;
 :func:`test_manifest_pins_hold_across_configs` checks that the
 chunk-streamed sweeps keep them under another chunk bound and through
-the pool's shard fan-out and merge)::
+the pool's shard fan-out and merge, and that every id keeps them on the
+scalar engine, ``HBMSIM_BATCH=0``)::
 
     PYTHONPATH=src python -m tests.experiments.test_golden_manifest
 """
@@ -101,9 +102,16 @@ def _pooled(monkeypatch) -> List:
 POOLED = tuple(sorted(registry.SHARDABLE))
 
 
+def _scalar(monkeypatch) -> List:
+    monkeypatch.setenv("HBMSIM_BATCH", "0")
+    return [registry.run_experiment(experiment_id, SCALE)
+            for experiment_id in registry.known_ids()]
+
+
 @pytest.mark.parametrize("run,ids", [(_chunked, STREAMED),
-                                     (_pooled, POOLED)],
-                         ids=["cells-chunk-700", "jobs-2"])
+                                     (_pooled, POOLED),
+                                     (_scalar, registry.known_ids())],
+                         ids=["cells-chunk-700", "jobs-2", "batch-off"])
 def test_manifest_pins_hold_across_configs(run, ids, monkeypatch):
     pinned = _pinned()
     results = run(monkeypatch)

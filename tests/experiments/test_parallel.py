@@ -55,14 +55,14 @@ class TestBenchHarness:
     def test_record_creates_and_appends(self, tmp_path):
         path = tmp_path / "BENCH_experiments.json"
         bench.record_run({"fig05": 1.25}, scale=0.25, jobs=1,
-                         cache="cold", path=str(path))
+                         path=str(path))
         bench.record_run({"fig05": 0.40, "fig07": 0.30}, scale=0.25,
-                         jobs=2, cache="warm", path=str(path))
+                         jobs=2, path=str(path))
         payload = json.loads(path.read_text())
         assert payload["schema"] == 5
         assert len(payload["runs"]) == 2
         first, second = payload["runs"]
-        assert first["cache"] == "cold"
+        assert "cache" not in first
         assert first["geometry"] == bench.geometry_label()
         assert bench.experiment_seconds(
             first["experiments"]["fig05"]) == 1.25
@@ -141,16 +141,6 @@ class TestBenchHarness:
                            str(tmp_path / "bench.json"))
         assert bench.bench_path() == tmp_path / "bench.json"
 
-    def test_cache_state_classification(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HBMSIM_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.delenv("HBMSIM_NO_CACHE", raising=False)
-        assert bench.cache_state() == "cold"
-        (tmp_path / "cache").mkdir()
-        (tmp_path / "cache" / "fweak-abc.json").write_text("{}")
-        assert bench.cache_state() == "warm"
-        monkeypatch.setenv("HBMSIM_NO_CACHE", "1")
-        assert bench.cache_state() == "disabled"
-
 
 class TestCli:
     def test_jobs_and_bench_flags(self, tmp_path, capsys):
@@ -174,8 +164,7 @@ class TestCli:
 
 class TestBenchCompare:
     def record(self, path, timings, **kwargs):
-        bench.record_run(timings, scale=0.25, cache="warm",
-                         path=str(path), **kwargs)
+        bench.record_run(timings, scale=0.25, path=str(path), **kwargs)
 
     def test_reports_speedup_and_regression(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

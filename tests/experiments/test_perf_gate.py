@@ -10,8 +10,8 @@ def write_bench(path, runs):
     path.write_text(json.dumps({"schema": 2, "runs": runs}))
 
 
-def run_entry(seconds, scale=0.25, jobs=1, cache="warm", **extra):
-    run = {"scale": scale, "jobs": jobs, "cache": cache,
+def run_entry(seconds, scale=0.25, jobs=1, **extra):
+    run = {"scale": scale, "jobs": jobs,
            "batch": True, "timestamp": "2026-08-06T00:00:00+00:00",
            "experiments": {"fig05": {"seconds": seconds, "phases": {}}},
            "total_seconds": seconds}
@@ -22,15 +22,15 @@ def run_entry(seconds, scale=0.25, jobs=1, cache="warm", **extra):
 class TestFindRun:
     def test_newest_matching_run_wins(self, tmp_path):
         payload = {"runs": [run_entry(1.0), run_entry(0.5)]}
-        seconds, run = find_run(payload, "fig05", 0.25, 1, "warm")
+        seconds, run = find_run(payload, "fig05", 0.25, 1)
         assert seconds == 0.5
 
     def test_criteria_filter(self):
-        payload = {"runs": [run_entry(9.0, cache="cold"),
+        payload = {"runs": [run_entry(9.0, faults=True),
                             run_entry(8.0, jobs=2),
                             run_entry(7.0, scale=0.1),
                             run_entry(0.4)]}
-        seconds, __ = find_run(payload, "fig05", 0.25, 1, "warm")
+        seconds, __ = find_run(payload, "fig05", 0.25, 1)
         assert seconds == 0.4
 
     def test_schema1_entries(self):
@@ -38,11 +38,19 @@ class TestFindRun:
         payload = {"runs": [{"scale": 0.25, "jobs": 1, "cache": "warm",
                              "experiments": {"fig05": {"seconds": 1.2838}},
                              "total_seconds": 1.2838}]}
-        seconds, __ = find_run(payload, "fig05", 0.25, 1, "warm")
+        seconds, __ = find_run(payload, "fig05", 0.25, 1)
         assert seconds == 1.2838
 
+    def test_historical_cache_key_is_ignored(self):
+        """Runs recorded while the calibration cache existed carry a
+        ``cache`` label; the newest run matches whatever it says."""
+        payload = {"runs": [run_entry(0.4, cache="warm"),
+                            run_entry(0.5, cache="cold")]}
+        seconds, __ = find_run(payload, "fig05", 0.25, 1)
+        assert seconds == 0.5
+
     def test_no_match_returns_none(self):
-        assert find_run({"runs": []}, "fig05", 0.25, 1, "warm") \
+        assert find_run({"runs": []}, "fig05", 0.25, 1) \
             == (None, None)
 
     def test_batch_filter_skips_other_engine(self):
@@ -50,13 +58,13 @@ class TestFindRun:
         baseline when the gate asks for like-for-like."""
         payload = {"runs": [run_entry(0.3, batch=True),
                             run_entry(1.1, batch=False)]}
-        seconds, __ = find_run(payload, "fig05", 0.25, 1, "warm",
+        seconds, __ = find_run(payload, "fig05", 0.25, 1,
                                batch=True)
         assert seconds == 0.3
-        seconds, __ = find_run(payload, "fig05", 0.25, 1, "warm",
+        seconds, __ = find_run(payload, "fig05", 0.25, 1,
                                batch=False)
         assert seconds == 1.1
-        seconds, __ = find_run(payload, "fig05", 0.25, 1, "warm")
+        seconds, __ = find_run(payload, "fig05", 0.25, 1)
         assert seconds == 1.1  # default: newest regardless of engine
 
     def test_batch_filter_excludes_schema1(self):
@@ -65,9 +73,9 @@ class TestFindRun:
         payload = {"runs": [{"scale": 0.25, "jobs": 1, "cache": "warm",
                              "experiments": {"fig05": {"seconds": 1.2838}},
                              "total_seconds": 1.2838}]}
-        assert find_run(payload, "fig05", 0.25, 1, "warm",
+        assert find_run(payload, "fig05", 0.25, 1,
                         batch=True) == (None, None)
-        seconds, __ = find_run(payload, "fig05", 0.25, 1, "warm")
+        seconds, __ = find_run(payload, "fig05", 0.25, 1)
         assert seconds == 1.2838
 
 
@@ -93,7 +101,7 @@ class TestGateCli:
     def test_missing_baseline_run_errors(self, tmp_path):
         baseline = tmp_path / "baseline.json"
         measured = tmp_path / "measured.json"
-        write_bench(baseline, [run_entry(0.3, cache="cold")])
+        write_bench(baseline, [run_entry(0.3, jobs=2)])
         write_bench(measured, [run_entry(0.3)])
         assert main(["--baseline", str(baseline),
                      "--measured", str(measured)]) == 2
@@ -122,9 +130,9 @@ class TestGateCli:
         baseline = tmp_path / "baseline.json"
         measured = tmp_path / "measured.json"
         bench.record_run({"fig05": 0.30}, scale=0.25, jobs=1,
-                         cache="warm", path=str(baseline))
+                         path=str(baseline))
         bench.record_run({"fig05": 0.45}, scale=0.25, jobs=1,
-                         cache="warm", path=str(measured))
+                         path=str(measured))
         assert main(["--baseline", str(baseline),
                      "--measured", str(measured)]) == 0
 
@@ -182,21 +190,21 @@ class TestFaultsFilter:
         so they cannot shadow a fault-free baseline."""
         payload = {"runs": [run_entry(0.3),
                             run_entry(9.9, faults=True)]}
-        seconds, __ = find_run(payload, "fig05", 0.25, 1, "warm")
+        seconds, __ = find_run(payload, "fig05", 0.25, 1)
         assert seconds == 0.3
-        seconds, __ = find_run(payload, "fig05", 0.25, 1, "warm",
+        seconds, __ = find_run(payload, "fig05", 0.25, 1,
                                faults=True)
         assert seconds == 9.9
-        seconds, __ = find_run(payload, "fig05", 0.25, 1, "warm",
+        seconds, __ = find_run(payload, "fig05", 0.25, 1,
                                faults=None)
         assert seconds == 9.9  # 'any': newest regardless
 
     def test_pre_schema4_runs_match_faults_off(self):
         payload = {"runs": [run_entry(0.7)]}  # no "faults" key
-        seconds, __ = find_run(payload, "fig05", 0.25, 1, "warm",
+        seconds, __ = find_run(payload, "fig05", 0.25, 1,
                                faults=False)
         assert seconds == 0.7
-        assert find_run(payload, "fig05", 0.25, 1, "warm",
+        assert find_run(payload, "fig05", 0.25, 1,
                         faults=True) == (None, None)
 
     def test_faults_on_speedup_gate(self, tmp_path):

@@ -1,89 +1,32 @@
-"""Concurrent-access robustness for the calibration cache and the
-whole-experiment result store: a corrupt or mid-write entry must read
-as a miss, never crash."""
+"""The whole-experiment result store (run dirs): content keys, and
+robustness — a corrupt or mid-write entry must read as a miss, never
+crash."""
 
-import json
 import multiprocessing
 
 import pytest
 
-from repro.chips import cache
-from repro.chips.profiles import CHIP_SPECS
+from repro.chips.profiles import CHIP_SPECS, calibration_fingerprint
 from repro.dram.geometry import DEFAULT_GEOMETRY
 from repro.errors import ShardSpecError
 from repro.experiments.store import ResultStore, result_key
 from repro.faults import FaultPlan, clear_plan, install_plan
 
-SPEC = CHIP_SPECS[1]
-GEOMETRY = DEFAULT_GEOMETRY
-
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="concurrent writers use the fork start method")
 
+#: ``result_key("fig05", 0.25, None)`` with no fault plan and the batched
+#: engine on.  Run dirs written by earlier releases are found only while
+#: it holds: change it only with a deliberate key change, such as a
+#: ``CALIBRATION_VERSION`` bump.
+FIG05_KEY = "06a5b3448d08bac7287032ebb27dd5679ce6691426da03dde29e9fbf00a27568"
+
 
 @pytest.fixture
-def cache_dir(tmp_path, monkeypatch):
-    target = tmp_path / "hbmsim-cache"
-    monkeypatch.setenv("HBMSIM_CACHE_DIR", str(target))
-    monkeypatch.delenv("HBMSIM_NO_CACHE", raising=False)
-    return target
+def store_dir(tmp_path):
+    return tmp_path / "run-dir"
 
-
-def _entry_path():
-    return cache._entry_path(cache.cache_key(SPEC, GEOMETRY))
-
-
-class TestCorruptEntries:
-    @pytest.mark.parametrize("payload", [
-        "",                      # zero-length: writer crashed pre-flush
-        "{\"base_f_weak",        # truncated mid-write
-        "not json at all",
-        "[1, 2, 3]",             # wrong shape
-        "{\"base_f_weak_hex\": 12}",  # wrong type
-    ])
-    def test_corrupt_entry_reads_as_miss(self, cache_dir, payload):
-        cache_dir.mkdir(parents=True)
-        _entry_path().write_text(payload)
-        assert cache.load_base_f_weak(SPEC, GEOMETRY) is None
-
-    def test_store_recovers_corrupt_entry(self, cache_dir):
-        cache_dir.mkdir(parents=True)
-        _entry_path().write_text("garbage")
-        assert cache.store_base_f_weak(SPEC, GEOMETRY, 0.0145)
-        assert cache.load_base_f_weak(SPEC, GEOMETRY) == 0.0145
-
-
-def _writer_loop(value: float, iterations: int) -> None:
-    for _ in range(iterations):
-        assert cache.store_base_f_weak(SPEC, GEOMETRY, value)
-
-
-@needs_fork
-def test_reads_under_concurrent_writer_never_crash(cache_dir):
-    """Atomic-rename stores mean a reader sees either a complete old
-    value, a complete new value, or a miss — never an exception."""
-    context = multiprocessing.get_context("fork")
-    writer = context.Process(target=_writer_loop, args=(0.0145, 300))
-    writer.start()
-    try:
-        observed = set()
-        for _ in range(2000):
-            observed.add(cache.load_base_f_weak(SPEC, GEOMETRY))
-    finally:
-        writer.join(timeout=60)
-    assert writer.exitcode == 0
-    assert observed <= {None, 0.0145}
-    assert 0.0145 in observed
-    # No stray temp files leak into the cache directory.
-    leftovers = [p for p in cache_dir.iterdir()
-                 if p.suffix == ".tmp"]
-    assert leftovers == []
-
-
-# ----------------------------------------------------------------------
-# Whole-experiment result store (run dirs)
-# ----------------------------------------------------------------------
 
 def _sample_result(text: str = "report"):
     from repro.experiments.base import ExperimentResult
@@ -111,8 +54,8 @@ def _result_writer_loop(root, key: str, iterations: int) -> None:
 
 
 class TestExperimentResultCache:
-    def test_roundtrip_preserves_the_result(self, cache_dir):
-        store = ResultStore(cache_dir)
+    def test_roundtrip_preserves_the_result(self, store_dir):
+        store = ResultStore(store_dir)
         key = _key()
         assert store.load(key) is None
         stored = _sample_result()
@@ -121,7 +64,7 @@ class TestExperimentResultCache:
         assert loaded.text == stored.text
         assert loaded.data == stored.data
 
-    def test_key_covers_every_run_input(self, cache_dir):
+    def test_key_covers_every_run_input(self, store_dir):
         base = _key()
         assert _key() == base
         assert _key(experiment_id="fig07") != base
@@ -130,14 +73,14 @@ class TestExperimentResultCache:
         assert _key(shard="0/2") == _key(shard=" 0/2")  # canonical label
         assert _key(plan=FaultPlan(seed=3)) != base
 
-    def test_key_ignores_worker_only_plan_fields(self, cache_dir):
+    def test_key_ignores_worker_only_plan_fields(self, store_dir):
         plain = _key(plan=FaultPlan(seed=7))
         assert _key(plan=FaultPlan(seed=7, crash_once=("fig05",),
                                    stall_experiments={"fig05": 9.0})) \
             == plain
         assert _key(plan=FaultPlan(seed=7, read_flip_rate=0.001)) != plain
 
-    def test_key_falls_back_to_the_active_plan(self, cache_dir):
+    def test_key_falls_back_to_the_active_plan(self, store_dir):
         """The key always names the plan the process runs under."""
         base = _key()
         install_plan(FaultPlan(seed=3, read_flip_rate=0.9))
@@ -147,38 +90,29 @@ class TestExperimentResultCache:
             clear_plan()
         assert _key() == base
 
-    def test_malformed_shard_has_no_key(self, cache_dir):
+    def test_malformed_shard_has_no_key(self, store_dir):
         with pytest.raises(ShardSpecError):
             _key(shard="ch0")
 
     @pytest.mark.parametrize("payload", [
         b"", b"\x80\x04garbage", b"not a pickle at all"])
-    def test_corrupt_result_reads_as_miss(self, cache_dir, payload):
-        store = ResultStore(cache_dir)
+    def test_corrupt_result_reads_as_miss(self, store_dir, payload):
+        store = ResultStore(store_dir)
         key = _key()
-        cache_dir.mkdir(parents=True, exist_ok=True)
+        store_dir.mkdir(parents=True, exist_ok=True)
         store._path(key).write_bytes(payload)
         assert store.load(key) is None
         # And store recovers the slot.
         store.store(key, _sample_result())
         assert store.load(key) is not None
 
-    def test_wrong_object_type_reads_as_miss(self, cache_dir):
+    def test_wrong_object_type_reads_as_miss(self, store_dir):
         import pickle
-        store = ResultStore(cache_dir)
+        store = ResultStore(store_dir)
         key = _key()
-        cache_dir.mkdir(parents=True, exist_ok=True)
+        store_dir.mkdir(parents=True, exist_ok=True)
         store._path(key).write_bytes(pickle.dumps({"not": "a result"}))
         assert store.load(key) is None
-
-    def test_disabled_cache_stores_and_loads_nothing(self, cache_dir,
-                                                     monkeypatch):
-        """``HBMSIM_NO_CACHE`` turns the calibration cache off; an
-        explicit store (a ``--run-dir``) ignores it."""
-        monkeypatch.setenv("HBMSIM_NO_CACHE", "1")
-        store = ResultStore(cache_dir)
-        store.store(_key(), _sample_result())
-        assert store.load(_key()) is not None
 
     def test_unwritable_root_raises(self, tmp_path):
         blocker = tmp_path / "file"
@@ -190,14 +124,14 @@ class TestExperimentResultCache:
 
     @needs_fork
     def test_reads_under_concurrent_result_writer_never_crash(
-            self, cache_dir):
+            self, store_dir):
         """The store's concurrency contract: a reader sees a complete
         result or a miss, never a torn pickle."""
         key = _key()
-        store = ResultStore(cache_dir)
+        store = ResultStore(store_dir)
         context = multiprocessing.get_context("fork")
         writer = context.Process(target=_result_writer_loop,
-                                 args=(cache_dir, key, 200))
+                                 args=(store_dir, key, 200))
         writer.start()
         try:
             outcomes = set()
@@ -209,6 +143,27 @@ class TestExperimentResultCache:
         assert writer.exitcode == 0
         assert outcomes <= {None, "report"}
         assert "report" in outcomes
-        leftovers = [p for p in cache_dir.iterdir()
+        leftovers = [p for p in store_dir.iterdir()
                      if p.suffix == ".tmp"]
         assert leftovers == []
+
+
+class TestInvalidation:
+    def test_key_is_pinned(self, monkeypatch):
+        """Moving or editing the calibration fingerprint must not orphan
+        existing run dirs."""
+        monkeypatch.delenv("HBMSIM_BATCH", raising=False)
+        assert _key() == FIG05_KEY
+
+    def test_fingerprint_differs_per_spec(self):
+        fingerprints = {repr(calibration_fingerprint(spec, DEFAULT_GEOMETRY))
+                        for spec in CHIP_SPECS}
+        assert len(fingerprints) == len(CHIP_SPECS)
+
+    def test_key_tracks_calibration_version(self, monkeypatch):
+        from repro.chips import profiles
+
+        before = _key()
+        monkeypatch.setattr(profiles, "CALIBRATION_VERSION",
+                            profiles.CALIBRATION_VERSION + 1)
+        assert _key() != before

@@ -125,22 +125,24 @@ def test_d100_unparseable_module():
 # -- baseline machinery --------------------------------------------------
 
 
-def _finding(rule="D105", location="src/repro/chips/cache.py:49"):
+def _finding(rule="D105", location="src/repro/experiments/bench.py:49"):
     return Finding(rule=rule, severity="error", message="m",
                    location=location)
 
 
 def test_suppression_matches_line_agnostically():
-    suppression = Suppression("D105", "repro/chips/cache.py")
-    assert suppression.matches(_finding(location="src/repro/chips/cache.py:49"))
-    assert suppression.matches(_finding(location="src/repro/chips/cache.py:54"))
+    suppression = Suppression("D105", "repro/experiments/bench.py")
+    assert suppression.matches(
+        _finding(location="src/repro/experiments/bench.py:49"))
+    assert suppression.matches(
+        _finding(location="src/repro/experiments/bench.py:54"))
     assert not suppression.matches(_finding(rule="D101"))
     assert not suppression.matches(
         _finding(location="src/repro/faults/plan.py:10"))
 
 
 def test_baseline_apply_and_unused():
-    used_s = Suppression("D105", "repro/chips/cache.py")
+    used_s = Suppression("D105", "repro/experiments/bench.py")
     rotten = Suppression("D105", "repro/never/there.py")
     baseline = Baseline([used_s, rotten])
     surviving, used = baseline.apply([_finding(), _finding(rule="D101")])
