@@ -67,6 +67,15 @@ def percent(fraction: float, digits: int = 2) -> str:
     return f"{100.0 * fraction:.{digits}f}%"
 
 
+def duration_label(nanoseconds: float) -> str:
+    """Format a duration such as an aggressor on-time: ns, us or ms."""
+    if nanoseconds < 1000:
+        return f"{nanoseconds:.0f} ns"
+    if nanoseconds < 1.0e6:
+        return f"{nanoseconds / 1000:.1f} us"
+    return f"{nanoseconds / 1.0e6:.0f} ms"
+
+
 def compare_line(label: str, paper: object, measured: object) -> str:
     """One EXPERIMENTS.md-style 'paper vs measured' line."""
     return f"  {label}: paper={_cell(paper)}  measured={_cell(measured)}"

@@ -35,16 +35,6 @@ class ManySidedResult:
     #: victim physical row -> bitflips observed.
     flips: Dict[int, int] = field(default_factory=dict)
 
-    @property
-    def victims_flipped(self) -> int:
-        """Number of victims with at least one bitflip."""
-        return sum(1 for count in self.flips.values() if count > 0)
-
-    @property
-    def total_flips(self) -> int:
-        """Bitflips across every victim."""
-        return sum(self.flips.values())
-
 
 def run_many_sided(chip: ChipProfile,
                    victim_rows: Sequence[int],

@@ -11,7 +11,7 @@ quantifies exactly that speedup.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -77,13 +77,6 @@ class TemplatingResult:
         if self.rows_scanned == 0:
             return 0.0
         return len(self.exploitable) / self.rows_scanned
-
-    @property
-    def seconds_per_hit(self) -> Optional[float]:
-        """Simulated scan time per exploitable row found."""
-        if not self.exploitable:
-            return None
-        return self.simulated_seconds / len(self.exploitable)
 
 
 class TemplatingCampaign:

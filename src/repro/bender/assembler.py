@@ -25,7 +25,7 @@ Mnemonics: ``ACT ch pc bank row``, ``PRE ch pc bank``, ``REF ch pc``,
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 

@@ -37,12 +37,13 @@ from repro.core.metrics import BER_TEST_HAMMERS
 from repro.core.patterns import PATTERNS_BY_NAME
 from repro.dram.cell_model import (DEFAULT_MU_STRONG, DEFAULT_SIGMA_WEAK,
                                    CellPopulation, RowDisturbanceProfile,
-                                   disturbance_floors, solve_mu_weak)
+                                   disturbance_floors)
 from repro.dram.disturbance import DEFAULT_DISTURBANCE, DisturbanceModel
 from repro.dram.geometry import DEFAULT_GEOMETRY, HBM2Geometry, RowAddress
 from repro.dram.retention import RetentionModel
 from repro.dram.row_mapping import RowMapping, make_mapping
-from repro.dram.seeding import derive_seed, normal_for, uniform_for
+from repro.dram.seeding import (derive_seed, hash_pattern, normal_for,
+                                uniform_for)
 from repro.dram.trr import TrrConfig
 
 #: ``(channel, pseudo channel, bank, physical row, pattern)``.
@@ -496,7 +497,7 @@ class ChipProfile:
         row_hc_noise = 10.0 ** (spec.hc_row_sigma * normal_for(
             spec.seed, 0x4C, *coords))
         affinity = 10.0 ** (0.06 * normal_for(
-            spec.seed, 0xAF, *coords, _pattern_id(pattern)))
+            spec.seed, 0xAF, *coords, hash_pattern(pattern)))
         # The within-subarray position factor modulates how many weak
         # cells a row has (Fig. 8's periodic BER profile) but not their
         # threshold scale; folding it into hc_target would let the sigma
@@ -544,7 +545,7 @@ class ChipProfile:
             self._populations[key] = population
         seed = derive_seed(self.spec.seed, 0xD0, address.channel,
                            address.pseudo_channel, address.bank, address.row,
-                           _pattern_id(pattern))
+                           hash_pattern(pattern))
         return RowDisturbanceProfile(population, seed,
                                      self.geometry.row_bits)
 
@@ -608,13 +609,6 @@ class ChipProfile:
     def label(self) -> str:
         """Paper label ('Chip 0' .. 'Chip 5')."""
         return self.spec.label
-
-
-def _pattern_id(pattern: str) -> int:
-    value = 0
-    for char in pattern:
-        value = (value * 131 + ord(char)) & 0xFFFFFFFF
-    return value
 
 
 @functools.lru_cache(maxsize=None)

@@ -31,13 +31,13 @@ from scipy.special import ndtr, ndtri
 
 from repro.chips.profiles import (_PATTERN_BER, _SIGMA_HC_COUPLING,
                                   _SIGMA_N_COUPLING, _SIGMA_WEAK_CLAMP,
-                                  ChipProfile, _pattern_id)
+                                  ChipProfile)
 from repro.dram.cell_model import (DEFAULT_MU_STRONG, DEFAULT_SIGMA_STRONG,
                                    DEFAULT_SIGMA_WEAK,
                                    order_stats_from_draws)
-from repro.dram.seeding import (fold_seed_states, normals_from_states,
-                                seed_array_mixed, uniforms_from_seeds,
-                                uniforms_from_states)
+from repro.dram.seeding import (fold_seed_states, hash_pattern,
+                                normals_from_states, seed_array_mixed,
+                                uniforms_from_seeds, uniforms_from_states)
 
 
 def _mixture_ber(f_weak: np.ndarray, mu_weak: np.ndarray,
@@ -243,7 +243,7 @@ class PopulationBatch:
         patt_ber = _PATTERN_BER.get(pattern, 1.0)
         patt_hc = chip.pattern_hc_table(pattern)[base.channels]
 
-        pattern_id = _pattern_id(pattern)
+        pattern_id = hash_pattern(pattern)
         affinity = _pow(10.0, 0.06 * chains.normal(0xAF, pattern_id),
                         faithful)
 

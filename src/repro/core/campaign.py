@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.analysis.reporting import percent, render_table
 from repro.chips.profiles import ChipProfile
-from repro.core import analytic, metrics
+from repro.core import analytic
 from repro.core.rowpress import ROWPRESS_HCFIRST_T_ONS
 from repro.core.spatial import (channel_ber_study, channel_hcfirst_study,
                                 row_ber_profile)

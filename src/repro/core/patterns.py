@@ -19,7 +19,7 @@ count of 256K (Section 3.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 

@@ -16,7 +16,7 @@ occupancy (:func:`repro.dram.cell_model.sample_clustered_positions`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from repro.chips.profiles import ChipProfile
 from repro.core import analytic, metrics
 from repro.core.patterns import ALL_PATTERNS
 from repro.dram.cell_model import WORD_BITS, WORD_CLUSTER_ALPHA
-from repro.dram.ecc import DecodeStatus, SecdedCodec, classify_flip_count
+from repro.dram.ecc import DecodeStatus, SecdedCodec
 
 
 @dataclass

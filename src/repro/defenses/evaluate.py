@@ -13,8 +13,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-import numpy as np
-
 from repro.bender.host import BenderSession
 from repro.bender.routines.rowinit import initialize_window
 from repro.chips.profiles import ChipProfile

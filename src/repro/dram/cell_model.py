@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 from scipy.special import ndtr, ndtri

@@ -14,7 +14,7 @@ loops and that our interpreter may fuse for speed:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

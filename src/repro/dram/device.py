@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Deque, Dict, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -38,7 +38,7 @@ from repro.dram.mode_registers import ModeRegisters
 from repro.dram.retention import (DEFAULT_RETENTION, RETENTION_FLOOR_NS,
                                   RetentionModel)
 from repro.dram.row_mapping import IdentityMapping, RowMapping
-from repro.dram.seeding import derive_seed
+from repro.dram.seeding import derive_seed, hash_pattern
 from repro.dram.timing import DEFAULT_TIMINGS, TimingParameters
 from repro.errors import TimingError
 from repro.dram.trr import TrrConfig, TrrEngine
@@ -108,14 +108,6 @@ class UniformProfileProvider:
         """The (row, pattern) pair's weakest cell threshold (see
         :meth:`RowDisturbanceProfile.disturbance_floor`)."""
         return self.profile(address, pattern).disturbance_floor()
-
-
-def hash_pattern(pattern: str) -> int:
-    """Stable integer id for a pattern name (order-independent)."""
-    value = 0
-    for char in pattern:
-        value = (value * 131 + ord(char)) & 0xFFFFFFFF
-    return value
 
 
 @dataclass

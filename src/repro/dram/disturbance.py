@@ -170,14 +170,6 @@ class DisturbanceModel:
         per_act = self.units_per_activation(t_on, distance)
         return hammer_count * sides * per_act
 
-    def hc_first_scale(self, t_on: float) -> float:
-        """Factor by which HC_first shrinks at on-time ``t_on``.
-
-        The paper reports an average reduction of 222.57x at 35.1 us
-        (Section 1, key observation 3).
-        """
-        return self.amplification(t_on)
-
 
 #: Model shared by all chips (per-chip variation enters via cell thresholds).
 DEFAULT_DISTURBANCE = DisturbanceModel()

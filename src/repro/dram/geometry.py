@@ -177,11 +177,6 @@ class HBM2Geometry:
         """Stack density in bytes (4 GiB for all tested chips)."""
         return self.total_banks * self.rows * self.row_bytes
 
-    @property
-    def channels_per_die(self) -> int:
-        """Channels co-located on one 3D-stacked DRAM die."""
-        return self.channels // self.dies
-
     def die_of_channel(self, channel: int) -> int:
         """Map a channel to the die it lives on.
 

@@ -10,8 +10,6 @@ suitable for ``numpy.random.Philox``.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -23,6 +21,18 @@ def splitmix64(value: int) -> int:
     value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
     return value ^ (value >> 31)
+
+
+def hash_pattern(pattern: str) -> int:
+    """Stable integer id for a name such as a data pattern.
+
+    Unlike :func:`hash` it does not change between processes, so it can
+    key seeds.
+    """
+    value = 0
+    for char in pattern:
+        value = (value * 131 + ord(char)) & 0xFFFFFFFF
+    return value
 
 
 def derive_seed(*components: int) -> int:

@@ -7,7 +7,7 @@ heating-pad/fan controller, Chips 1-5 uncontrolled but stable.
 from __future__ import annotations
 
 from repro.analysis.reporting import render_table
-from repro.experiments.base import ExperimentResult, scaled
+from repro.experiments.base import ExperimentResult
 from repro.thermal.trace import TRACE_DURATION_S, all_traces
 
 

@@ -9,14 +9,14 @@ Paper headlines (Observations 1-3, Takeaway 1):
 
 The sweep is shardable by channel: binomial sampling is unit-local per
 (channel, pattern) grid (see :func:`repro.core.spatial.chip_ber_flats`),
-so :func:`run_shard` measures one contiguous channel range for every
-chip and :func:`merge_shards` concatenates the per-shard flats back into
-the full population bit-identically to :func:`run`.
+so a shard of :data:`SWEEP` measures one contiguous channel range for
+every chip and the merge concatenates the per-shard flats back into the
+full population bit-identically to the unsharded sweep.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -25,13 +25,8 @@ from repro.chips.profiles import all_chips
 from repro.core.spatial import PATTERN_COLUMNS, ChipBerStudy, chip_ber_flats
 from repro.dram.geometry import DEFAULT_GEOMETRY
 from repro.experiments.base import ExperimentResult, scaled
-from repro.experiments.sharding import ShardSpec, SweepExperiment
+from repro.experiments.sharding import SweepExperiment
 from repro.experiments import fig05_hcfirst_chips as _hc_sweep
-
-
-def shard_units() -> int:
-    """One independently sampled sweep unit per channel."""
-    return DEFAULT_GEOMETRY.channels
 
 
 def chip_flats(scale: float,
@@ -90,25 +85,9 @@ SWEEP = SweepExperiment(
     experiment_id="fig04",
     title="BER across chips",
     payload_key="flats",
-    units=shard_units,
+    # One independently sampled sweep unit per channel.
+    units=DEFAULT_GEOMETRY.channels,
     compute=chip_flats,
     combine=_hc_sweep.combine_flats,
     render=_render,
-    describe=_hc_sweep.describe_flats,
 )
-
-
-def run(scale: float = 1.0) -> ExperimentResult:
-    """Run the Fig. 4 study at the requested population scale."""
-    return SWEEP.run(scale)
-
-
-def run_shard(scale: float, shard: ShardSpec) -> ExperimentResult:
-    """Measure one shard's channel range (a partial for merge_shards)."""
-    return SWEEP.run_shard(scale, shard)
-
-
-def merge_shards(partials: Sequence[ExperimentResult],
-                 scale: float) -> ExperimentResult:
-    """Assemble the full Fig. 4 report from one complete fan-out."""
-    return SWEEP.merge_shards(partials, scale)

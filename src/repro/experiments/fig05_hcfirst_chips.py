@@ -7,12 +7,13 @@ Paper headlines (Observations 4-6, Takeaway 2):
 - minimum HC_first differs by up to 3556 across chips,
 - mean HC_first of Chip 5 is 10.59% above Chip 2 for Rowstripe0.
 
-The sweep is shardable: :func:`run_shard` measures one contiguous range
-of (channel, pseudo channel) units and :func:`merge_shards` concatenates
-the per-shard flats back into the full population — byte-identical to
-:func:`run` because the flat layout is combo-major (see
-:func:`repro.core.spatial.hcfirst_flat`).  The sharding protocol lives
-in :class:`~repro.experiments.sharding.SweepExperiment`; this module
+The sweep is shardable: a shard of :data:`SWEEP` measures one
+contiguous range of (channel, pseudo channel) units and the merge
+concatenates the per-shard flats back into the full population —
+byte-identical to the unsharded sweep because the flat layout is
+combo-major (see :func:`repro.core.spatial.hcfirst_flat`).  The
+sharding protocol lives in
+:class:`~repro.experiments.sharding.SweepExperiment`; this module
 supplies compute/combine/render.
 """
 
@@ -28,7 +29,7 @@ from repro.core.spatial import (PATTERN_COLUMNS, ChipHcFirstStudy,
                                 hcfirst_flat)
 from repro.dram.geometry import DEFAULT_GEOMETRY
 from repro.experiments.base import ExperimentResult, scaled
-from repro.experiments.sharding import ShardSpec, SweepExperiment
+from repro.experiments.sharding import SweepExperiment
 
 #: Paper Table of per-chip minima (Obsv. 4/5).
 PAPER_MINIMA = {
@@ -39,11 +40,6 @@ PAPER_MINIMA = {
 #: Table 2 sweep coordinates (shared with Fig. 7).
 SWEEP_BANKS: Tuple[int, ...] = (0, 5, 11)
 SWEEP_PSEUDO_CHANNELS: Tuple[int, ...] = (0, 1)
-
-
-def shard_units() -> int:
-    """Number of independently computable (channel, PC) sweep units."""
-    return DEFAULT_GEOMETRY.channels * len(SWEEP_PSEUDO_CHANNELS)
 
 
 def chip_flats(scale: float,
@@ -68,22 +64,6 @@ def combine_flats(payloads: Sequence[Dict[str, Dict[str, np.ndarray]]]
             [payload[label][name] for payload in payloads])
             for name in PATTERN_COLUMNS}
         for label in payloads[0]}
-
-
-def describe_flats(flats: Dict[str, Dict[str, np.ndarray]]) -> str:
-    """Human line for a shard partial (shared with Fig. 7)."""
-    measured = sum(flat["WCDP"].size for flat in flats.values())
-    return f"{measured} row measurements across {len(flats)} chips"
-
-
-def merge_flats(partials: Sequence[ExperimentResult]
-                ) -> Dict[str, Dict[str, np.ndarray]]:
-    """Reassemble full flats from per-shard partial results.
-
-    Validates coverage (one partial per shard index of one fan-out) and
-    concatenates in shard order.
-    """
-    return dict(SWEEP.merge_payloads(partials))
 
 
 def _render(flats: Dict[str, Dict[str, np.ndarray]],
@@ -132,26 +112,9 @@ SWEEP = SweepExperiment(
     experiment_id="fig05",
     title="HC_first across chips",
     payload_key="flats",
-    units=shard_units,
+    # One independently computable unit per (channel, PC) pair.
+    units=DEFAULT_GEOMETRY.channels * len(SWEEP_PSEUDO_CHANNELS),
     compute=chip_flats,
     combine=combine_flats,
     render=_render,
-    describe=describe_flats,
 )
-
-
-def run(scale: float = 1.0) -> ExperimentResult:
-    """Run the Fig. 5 study at the requested population scale."""
-    return SWEEP.run(scale)
-
-
-def run_shard(scale: float, shard: ShardSpec) -> ExperimentResult:
-    """Measure one shard's unit range; the result is a partial carrying
-    the flat arrays for :func:`merge_shards` (not a Fig. 5 report)."""
-    return SWEEP.run_shard(scale, shard)
-
-
-def merge_shards(partials: Sequence[ExperimentResult],
-                 scale: float) -> ExperimentResult:
-    """Assemble the full Fig. 5 report from one complete fan-out."""
-    return SWEEP.merge_shards(partials, scale)

@@ -12,14 +12,14 @@ Paper headlines (Observations 7-11, Takeaway 3):
 
 The study uses closed-form (noise-free) BER, so one per-channel flat
 serves both the channel-level and chip-level statistics, and the sweep
-shards by channel: :func:`run_shard` computes one contiguous channel
-range for every chip, :func:`merge_shards` concatenates the flats back
-bit-identically to :func:`run`.
+shards by channel: a shard of :data:`SWEEP` computes one contiguous
+channel range for every chip, and the merge concatenates the flats back
+bit-identically to the unsharded sweep.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -30,13 +30,8 @@ from repro.core.spatial import (ChannelStudy, ChipBerStudy,
                                 die_pairs)
 from repro.dram.geometry import DEFAULT_GEOMETRY
 from repro.experiments.base import ExperimentResult, scaled
-from repro.experiments.sharding import ShardSpec, SweepExperiment
+from repro.experiments.sharding import SweepExperiment
 from repro.experiments import fig05_hcfirst_chips as _hc_sweep
-
-
-def shard_units() -> int:
-    """One deterministic sweep unit per channel."""
-    return DEFAULT_GEOMETRY.channels
 
 
 def chip_flats(scale: float,
@@ -107,25 +102,9 @@ SWEEP = SweepExperiment(
     experiment_id="fig06",
     title="BER across channels",
     payload_key="flats",
-    units=shard_units,
+    # One deterministic sweep unit per channel.
+    units=DEFAULT_GEOMETRY.channels,
     compute=chip_flats,
     combine=_hc_sweep.combine_flats,
     render=_render,
-    describe=_hc_sweep.describe_flats,
 )
-
-
-def run(scale: float = 1.0) -> ExperimentResult:
-    """Run the Fig. 6 study at the requested population scale."""
-    return SWEEP.run(scale)
-
-
-def run_shard(scale: float, shard: ShardSpec) -> ExperimentResult:
-    """Measure one shard's channel range (a partial for merge_shards)."""
-    return SWEEP.run_shard(scale, shard)
-
-
-def merge_shards(partials: Sequence[ExperimentResult],
-                 scale: float) -> ExperimentResult:
-    """Assemble the full Fig. 6 report from one complete fan-out."""
-    return SWEEP.merge_shards(partials, scale)

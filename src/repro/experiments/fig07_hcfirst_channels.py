@@ -8,16 +8,16 @@ Paper headlines (Observations 12-13):
   HC_first is 103905 for Rowstripe0 vs 75990 for Rowstripe1 (1.37x).
 
 The sweep shares Fig. 5's shardable flat layout (the same Table 2
-population): :func:`run_shard` measures a contiguous (channel, pseudo
-channel) unit range and :func:`merge_shards` reassembles the full
-per-channel report byte-identically to :func:`run`.  Both delegate to a
-:class:`~repro.experiments.sharding.SweepExperiment` built from Fig. 5's
-compute/combine with this module's renderer.
+population): a shard of :data:`SWEEP` measures a contiguous (channel,
+pseudo channel) unit range and the merge reassembles the full
+per-channel report byte-identically to the unsharded sweep.
+:data:`SWEEP` is built from Fig. 5's units and compute/combine with this
+module's renderer.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict
 
 import numpy as np
 
@@ -27,10 +27,7 @@ from repro.core import analytic
 from repro.core.spatial import ChannelStudy, channel_summaries_from_flat
 from repro.experiments import fig05_hcfirst_chips as _sweep
 from repro.experiments.base import ExperimentResult, scaled
-from repro.experiments.sharding import ShardSpec, SweepExperiment
-
-#: Same sweep units as Fig. 5 (both run the Table 2 HC_first population).
-shard_units = _sweep.shard_units
+from repro.experiments.sharding import SweepExperiment
 
 
 def _render(flats: Dict[str, Dict[str, np.ndarray]],
@@ -96,25 +93,10 @@ SWEEP = SweepExperiment(
     experiment_id="fig07",
     title="HC_first across channels",
     payload_key="flats",
-    units=shard_units,
+    # Same sweep units as Fig. 5 (both run the Table 2 HC_first
+    # population).
+    units=_sweep.SWEEP.units,
     compute=_sweep.chip_flats,
     combine=_sweep.combine_flats,
     render=_render,
-    describe=_sweep.describe_flats,
 )
-
-
-def run(scale: float = 1.0) -> ExperimentResult:
-    """Run the Fig. 7 study at the requested population scale."""
-    return SWEEP.run(scale)
-
-
-def run_shard(scale: float, shard: ShardSpec) -> ExperimentResult:
-    """Measure one shard's unit range (partial; see Fig. 5's analogue)."""
-    return SWEEP.run_shard(scale, shard)
-
-
-def merge_shards(partials: Sequence[ExperimentResult],
-                 scale: float) -> ExperimentResult:
-    """Assemble the full Fig. 7 report from one complete fan-out."""
-    return SWEEP.merge_shards(partials, scale)

@@ -10,9 +10,9 @@ Paper headlines (Observations 14-15, Takeaway 4):
   than the rest of the bank.
 
 The sweep shards by studied channel (units = the three channels of
-:data:`CHANNELS`): sampling is unit-local per channel, so
-:func:`run_shard` profiles a channel subset and :func:`merge_shards`
-reassembles the full study bit-identically to :func:`run`.
+:data:`CHANNELS`): sampling is unit-local per channel, so a shard of
+:data:`SWEEP` profiles a channel subset and the merge reassembles the
+full study bit-identically to the unsharded sweep.
 """
 
 from __future__ import annotations
@@ -25,15 +25,10 @@ from repro.analysis.reporting import percent, render_table
 from repro.chips.profiles import make_chip
 from repro.core.spatial import RowProfileStudy, row_ber_profile
 from repro.experiments.base import ExperimentResult
-from repro.experiments.sharding import ShardSpec, SweepExperiment
+from repro.experiments.sharding import SweepExperiment
 
 #: The paper's three studied channels (one bank, PC 0, Chip 0).
 CHANNELS: Tuple[int, ...] = (0, 3, 7)
-
-
-def shard_units() -> int:
-    """One independently sampled sweep unit per studied channel."""
-    return len(CHANNELS)
 
 
 def _stride(scale: float) -> int:
@@ -60,11 +55,6 @@ def combine_profiles(payloads: Sequence[Dict[int, np.ndarray]]
     for payload in payloads:
         merged.update(payload)
     return merged
-
-
-def describe_profiles(payload: Dict[int, np.ndarray]) -> str:
-    """Human line for a shard partial."""
-    return f"{len(payload)} channels profiled"
 
 
 def _render(ber_by_channel: Dict[int, np.ndarray],
@@ -141,25 +131,9 @@ SWEEP = SweepExperiment(
     experiment_id="fig08",
     title="BER across a bank",
     payload_key="profiles",
-    units=shard_units,
+    # One independently sampled sweep unit per studied channel.
+    units=len(CHANNELS),
     compute=channel_profiles,
     combine=combine_profiles,
     render=_render,
-    describe=describe_profiles,
 )
-
-
-def run(scale: float = 1.0) -> ExperimentResult:
-    """Run the Fig. 8 study (row stride grows as scale shrinks)."""
-    return SWEEP.run(scale)
-
-
-def run_shard(scale: float, shard: ShardSpec) -> ExperimentResult:
-    """Profile one shard's channel subset (a partial for merge_shards)."""
-    return SWEEP.run_shard(scale, shard)
-
-
-def merge_shards(partials: Sequence[ExperimentResult],
-                 scale: float) -> ExperimentResult:
-    """Assemble the full Fig. 8 report from one complete fan-out."""
-    return SWEEP.merge_shards(partials, scale)

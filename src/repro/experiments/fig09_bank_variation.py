@@ -9,10 +9,10 @@ Paper headlines (Observations 16-17, Takeaway 5):
 - bank-to-bank variation is dominated by channel-to-channel variation.
 
 The sweep shards by (channel, PC, bank) combo — sampling is unit-local
-per combo (see :func:`repro.core.spatial.bank_variation_study`), so
-:func:`run_shard` measures a contiguous combo range and
-:func:`merge_shards` concatenates the per-shard point lists back into
-the full 256-bank cloud bit-identically to :func:`run`.
+per combo (see :func:`repro.core.spatial.bank_variation_study`), so a
+shard of :data:`SWEEP` measures a contiguous combo range and the merge
+concatenates the per-shard point lists back into the full 256-bank
+cloud bit-identically to the unsharded sweep.
 """
 
 from __future__ import annotations
@@ -26,14 +26,9 @@ from repro.analysis.stats import bimodality_coefficient
 from repro.chips.profiles import make_chip
 from repro.core.spatial import BankPoint, BankVariationStudy, \
     bank_variation_study
+from repro.dram.geometry import DEFAULT_GEOMETRY
 from repro.experiments.base import ExperimentResult, scaled
-from repro.experiments.sharding import ShardSpec, SweepExperiment
-
-
-def shard_units() -> int:
-    """One independently sampled sweep unit per (channel, PC, bank)."""
-    geometry = make_chip(0).geometry
-    return geometry.channels * geometry.pseudo_channels * geometry.banks
+from repro.experiments.sharding import SweepExperiment
 
 
 def bank_points(scale: float,
@@ -52,11 +47,6 @@ def bank_points(scale: float,
 def combine_points(payloads: Sequence[List[BankPoint]]) -> List[BankPoint]:
     """Concatenate per-shard point lists in shard (= combo) order."""
     return [point for payload in payloads for point in payload]
-
-
-def describe_points(points: List[BankPoint]) -> str:
-    """Human line for a shard partial."""
-    return f"{len(points)} banks measured"
 
 
 def _render(points: List[BankPoint], scale: float) -> ExperimentResult:
@@ -113,25 +103,10 @@ SWEEP = SweepExperiment(
     experiment_id="fig09",
     title="Bank variation",
     payload_key="points",
-    units=shard_units,
+    # One independently sampled sweep unit per (channel, PC, bank).
+    units=(DEFAULT_GEOMETRY.channels * DEFAULT_GEOMETRY.pseudo_channels
+           * DEFAULT_GEOMETRY.banks),
     compute=bank_points,
     combine=combine_points,
     render=_render,
-    describe=describe_points,
 )
-
-
-def run(scale: float = 1.0) -> ExperimentResult:
-    """Run the Fig. 9 study at the requested population scale."""
-    return SWEEP.run(scale)
-
-
-def run_shard(scale: float, shard: ShardSpec) -> ExperimentResult:
-    """Measure one shard's combo range (a partial for merge_shards)."""
-    return SWEEP.run_shard(scale, shard)
-
-
-def merge_shards(partials: Sequence[ExperimentResult],
-                 scale: float) -> ExperimentResult:
-    """Assemble the full Fig. 9 report from one complete fan-out."""
-    return SWEEP.merge_shards(partials, scale)

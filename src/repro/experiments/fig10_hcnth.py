@@ -11,8 +11,6 @@ Paper headlines (Observations 18-19):
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.reporting import render_table
 from repro.chips.profiles import all_chips
 from repro.core.hcnth import hcnth_study

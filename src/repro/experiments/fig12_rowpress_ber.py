@@ -9,43 +9,30 @@ Paper headlines (Observations 21-22, Takeaway 7):
 - channels rank consistently across on-times.
 
 The sweep shards by channel: sampling is unit-local per (channel, t_on)
-(see :func:`repro.core.rowpress.rowpress_ber_study`), so
-:func:`run_shard` measures one contiguous channel range for every chip
-and :func:`merge_shards` merges the per-channel means back into the
-full study bit-identically to :func:`run`.
+(see :func:`repro.core.rowpress.rowpress_ber_study`), so a shard of
+:data:`SWEEP` measures one contiguous channel range for every chip and
+the merge puts the per-channel means back into the full study
+bit-identically to the unsharded sweep.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.analysis.reporting import percent, render_table
+from repro.analysis.reporting import duration_label, percent, render_table
 from repro.chips.profiles import all_chips
 from repro.core import metrics
 from repro.core.rowpress import (ROWPRESS_BER_T_ONS, RowPressBerStudy,
                                  rowpress_ber_study)
 from repro.dram.geometry import DEFAULT_GEOMETRY
 from repro.experiments.base import ExperimentResult, scaled
-from repro.experiments.sharding import ShardSpec, SweepExperiment
+from repro.experiments.sharding import SweepExperiment
 
 #: Paper's mean BER series (%) at the six on-times.
 PAPER_SERIES = (0.08, 0.24, 0.40, 0.73, 31.00, 50.35)
 
 #: chip label -> t_on -> channel -> mean BER (one of "sampled"/"expected").
 MeanTable = Dict[str, Dict[float, Dict[int, float]]]
-
-
-def _label(t_on: float) -> str:
-    if t_on < 1000:
-        return f"{t_on:.0f} ns"
-    if t_on < 1.0e6:
-        return f"{t_on / 1000:.1f} us"
-    return f"{t_on / 1.0e6:.0f} ms"
-
-
-def shard_units() -> int:
-    """One independently sampled sweep unit per channel."""
-    return DEFAULT_GEOMETRY.channels
 
 
 def channel_tables(scale: float,
@@ -72,13 +59,6 @@ def combine_tables(payloads: Sequence[Dict[str, MeanTable]]
     return merged
 
 
-def describe_tables(payload: Dict[str, MeanTable]) -> str:
-    """Human line for a shard partial."""
-    channels = sum(len(next(iter(by_t.values()), {}))
-                   for by_t in payload["sampled"].values())
-    return f"{channels} chip-channels measured"
-
-
 def _render(tables: Dict[str, MeanTable], scale: float) -> ExperimentResult:
     """Build the full Fig. 12 report from the per-channel mean tables."""
     chips = all_chips()
@@ -86,7 +66,7 @@ def _render(tables: Dict[str, MeanTable], scale: float) -> ExperimentResult:
                              tuple(ROWPRESS_BER_T_ONS),
                              tables["sampled"], tables["expected"])
     series = study.series()
-    rows = [[_label(t_on), percent(mean), f"{paper:.2f}%"]
+    rows = [[duration_label(t_on), percent(mean), f"{paper:.2f}%"]
             for (t_on, mean), paper in zip(series, PAPER_SERIES)]
     means = [mean for __, mean in series]
     monotone = all(b >= a for a, b in zip(means, means[1:]))
@@ -129,25 +109,9 @@ SWEEP = SweepExperiment(
     experiment_id="fig12",
     title="RowPress BER sweep",
     payload_key="tables",
-    units=shard_units,
+    # One independently sampled sweep unit per channel.
+    units=DEFAULT_GEOMETRY.channels,
     compute=channel_tables,
     combine=combine_tables,
     render=_render,
-    describe=describe_tables,
 )
-
-
-def run(scale: float = 1.0) -> ExperimentResult:
-    """Run the Fig. 12 study at the requested population scale."""
-    return SWEEP.run(scale)
-
-
-def run_shard(scale: float, shard: ShardSpec) -> ExperimentResult:
-    """Measure one shard's channel range (a partial for merge_shards)."""
-    return SWEEP.run_shard(scale, shard)
-
-
-def merge_shards(partials: Sequence[ExperimentResult],
-                 scale: float) -> ExperimentResult:
-    """Assemble the full Fig. 12 report from one complete fan-out."""
-    return SWEEP.merge_shards(partials, scale)

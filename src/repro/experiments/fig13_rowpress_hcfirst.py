@@ -9,9 +9,10 @@ Paper headlines (Observation 23, Takeaway 7):
   included (the paper's grey row-count boxes).
 
 The sweep is rng-free and shards by studied channel (units = the three
-channels of :data:`CHANNELS`): :func:`run_shard` measures a channel
-subset for every chip and :func:`merge_shards` concatenates the kept
-HC_first arrays back in channel order bit-identically to :func:`run`.
+channels of :data:`CHANNELS`): a shard of :data:`SWEEP` measures a
+channel subset for every chip and the merge concatenates the kept
+HC_first arrays back in channel order bit-identically to the unsharded
+sweep.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.reporting import render_table
+from repro.analysis.reporting import duration_label, render_table
 from repro.chips.profiles import all_chips
 from repro.core.rowpress import (ROWPRESS_HCFIRST_T_ONS,
                                  RowPressHcFirstStudy,
                                  rowpress_hcfirst_study)
 from repro.experiments.base import ExperimentResult, scaled
-from repro.experiments.sharding import ShardSpec, SweepExperiment
+from repro.experiments.sharding import SweepExperiment
 
 #: Paper's mean (min) HC_first at the four on-times.
 PAPER_MEANS = {29.0: 83689, 3.9e3: 1519, 35.1e3: 376, 16.0e6: 1}
@@ -34,19 +35,6 @@ PAPER_MINS = {29.0: 29183, 3.9e3: 335, 35.1e3: 123, 16.0e6: 1}
 
 #: The paper's three studied channels (one bank, PC 0, every chip).
 CHANNELS: Tuple[int, ...] = (0, 1, 2)
-
-
-def _label(t_on: float) -> str:
-    if t_on < 1000:
-        return f"{t_on:.0f} ns"
-    if t_on < 1.0e6:
-        return f"{t_on / 1000:.1f} us"
-    return f"{t_on / 1.0e6:.0f} ms"
-
-
-def shard_units() -> int:
-    """One sweep unit per studied channel."""
-    return len(CHANNELS)
 
 
 def channel_series(scale: float,
@@ -79,12 +67,6 @@ def combine_series(payloads: Sequence[Dict[str, Dict[str, Any]]]
             for label, entry in merged.items()}
 
 
-def describe_series(payload: Dict[str, Dict[str, Any]]) -> str:
-    """Human line for a shard partial."""
-    included = sum(entry["included"] for entry in payload.values())
-    return f"{included} rows included across {len(payload)} chips"
-
-
 def _render(series: Dict[str, Dict[str, Any]],
             scale: float) -> ExperimentResult:
     """Build the full Fig. 13 report from the per-chip kept arrays."""
@@ -99,7 +81,7 @@ def _render(series: Dict[str, Dict[str, Any]],
         minimum = study.min_at(t_on)
         data["mean"][t_on] = mean
         data["min"][t_on] = minimum
-        rows.append([_label(t_on), f"{mean:.0f}", f"{minimum:.0f}",
+        rows.append([duration_label(t_on), f"{mean:.0f}", f"{minimum:.0f}",
                      f"{PAPER_MEANS[t_on]}", f"{PAPER_MINS[t_on]}"])
     reduction = study.reduction_factor(35.1e3)
     data["reduction_at_35us"] = reduction
@@ -128,25 +110,9 @@ SWEEP = SweepExperiment(
     experiment_id="fig13",
     title="RowPress HC_first sweep",
     payload_key="series",
-    units=shard_units,
+    # One sweep unit per studied channel.
+    units=len(CHANNELS),
     compute=channel_series,
     combine=combine_series,
     render=_render,
-    describe=describe_series,
 )
-
-
-def run(scale: float = 1.0) -> ExperimentResult:
-    """Run the Fig. 13 study at the requested population scale."""
-    return SWEEP.run(scale)
-
-
-def run_shard(scale: float, shard: ShardSpec) -> ExperimentResult:
-    """Measure one shard's channel subset (a partial for merge_shards)."""
-    return SWEEP.run_shard(scale, shard)
-
-
-def merge_shards(partials: Sequence[ExperimentResult],
-                 scale: float) -> ExperimentResult:
-    """Assemble the full Fig. 13 report from one complete fan-out."""
-    return SWEEP.merge_shards(partials, scale)

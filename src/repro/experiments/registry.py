@@ -17,7 +17,7 @@ from repro.experiments import (fig03_temperature, fig04_ber_chips,
                                fig15_wordlevel, sec7_trr_reveng, tables)
 from repro.experiments.base import ExperimentResult
 from repro.experiments.runner import RunRecord, run_resilient
-from repro.experiments.sharding import ShardSpec
+from repro.experiments.sharding import ShardSpec, SweepExperiment
 
 #: Experiment id -> runner, in paper order.
 EXPERIMENTS: Dict[str, Callable[[float], ExperimentResult]] = {
@@ -25,16 +25,16 @@ EXPERIMENTS: Dict[str, Callable[[float], ExperimentResult]] = {
     "table2": tables.run_table2,
     "table3": tables.run_table3,
     "fig03": fig03_temperature.run,
-    "fig04": fig04_ber_chips.run,
-    "fig05": fig05_hcfirst_chips.run,
-    "fig06": fig06_ber_channels.run,
-    "fig07": fig07_hcfirst_channels.run,
-    "fig08": fig08_ber_rows.run,
-    "fig09": fig09_bank_variation.run,
+    "fig04": fig04_ber_chips.SWEEP.run,
+    "fig05": fig05_hcfirst_chips.SWEEP.run,
+    "fig06": fig06_ber_channels.SWEEP.run,
+    "fig07": fig07_hcfirst_channels.SWEEP.run,
+    "fig08": fig08_ber_rows.SWEEP.run,
+    "fig09": fig09_bank_variation.SWEEP.run,
     "fig10": fig10_hcnth.run,
     "fig11": fig11_additional_hc.run,
-    "fig12": fig12_rowpress_ber.run,
-    "fig13": fig13_rowpress_hcfirst.run,
+    "fig12": fig12_rowpress_ber.SWEEP.run,
+    "fig13": fig13_rowpress_hcfirst.SWEEP.run,
     "sec7": sec7_trr_reveng.run,
     "fig14": fig14_trr_bypass.run,
     "fig15": fig15_wordlevel.run,
@@ -43,18 +43,18 @@ EXPERIMENTS: Dict[str, Callable[[float], ExperimentResult]] = {
 
 #: Experiments whose row sweep splits across independently computable
 #: units — (channel, pseudo channel) pairs, channels, or bank combos:
-#: id -> module exposing ``shard_units`` / ``run_shard`` /
-#: ``merge_shards`` (see :mod:`repro.experiments.sharding`).  The pool
+#: id -> the module's :class:`~repro.experiments.sharding.SweepExperiment`,
+#: the one entry point for full runs, shards and merges.  The pool
 #: runner fans these out across worker slots at ``jobs > 1``.
-SHARDABLE = {
-    "fig04": fig04_ber_chips,
-    "fig05": fig05_hcfirst_chips,
-    "fig06": fig06_ber_channels,
-    "fig07": fig07_hcfirst_channels,
-    "fig08": fig08_ber_rows,
-    "fig09": fig09_bank_variation,
-    "fig12": fig12_rowpress_ber,
-    "fig13": fig13_rowpress_hcfirst,
+SHARDABLE: Dict[str, SweepExperiment] = {
+    "fig04": fig04_ber_chips.SWEEP,
+    "fig05": fig05_hcfirst_chips.SWEEP,
+    "fig06": fig06_ber_channels.SWEEP,
+    "fig07": fig07_hcfirst_channels.SWEEP,
+    "fig08": fig08_ber_rows.SWEEP,
+    "fig09": fig09_bank_variation.SWEEP,
+    "fig12": fig12_rowpress_ber.SWEEP,
+    "fig13": fig13_rowpress_hcfirst.SWEEP,
 }
 
 
@@ -63,12 +63,6 @@ SHARDABLE = {
 #: A long id that waits behind short ones delays the end of the whole
 #: run.
 LONG_RUNNING = frozenset({"fig15"})
-
-
-def shard_units(experiment_id: str) -> Optional[int]:
-    """Sweep-unit count of a shardable experiment (None otherwise)."""
-    module = SHARDABLE.get(experiment_id)
-    return None if module is None else module.shard_units()
 
 
 #: Extension experiments executing the paper's Section 8 implications
@@ -108,6 +102,16 @@ def validate_ids(experiment_ids: Iterable[str]) -> None:
             raise _unknown(experiment_id)
 
 
+def _sweep(experiment_id: str) -> SweepExperiment:
+    """The sweep of a shardable experiment; raises for any other id."""
+    sweep = SHARDABLE.get(experiment_id)
+    if sweep is None:
+        raise HbmSimError(
+            f"experiment {experiment_id!r} does not support shard "
+            f"execution (shardable: {sorted(SHARDABLE)})")
+    return sweep
+
+
 def run_experiment(experiment_id: str, scale: float = 1.0,
                    shard: Optional[str] = None) -> ExperimentResult:
     """Run one experiment (paper artifact or extension) by id.
@@ -128,12 +132,8 @@ def run_experiment(experiment_id: str, scale: float = 1.0,
         raise _unknown(experiment_id)
     spec = ShardSpec.parse(shard)
     if spec is not None:
-        module = SHARDABLE.get(experiment_id)
-        if module is None:
-            raise HbmSimError(
-                f"experiment {experiment_id!r} does not support shard "
-                f"execution (shardable: {sorted(SHARDABLE)})")
-        runner = lambda s: module.run_shard(s, spec)  # noqa: E731
+        sweep = _sweep(experiment_id)
+        runner = lambda s: sweep.run_shard(s, spec)  # noqa: E731
     start = time.perf_counter()
     with perf.collect_phases() as phases:
         result = runner(scale)
@@ -154,13 +154,9 @@ def merge_shard_results(experiment_id: str,
     ``tests/experiments/test_sharding.py``); its phases are the per-key
     sums over the partials plus this call's merge time as ``merge``.
     """
-    module = SHARDABLE.get(experiment_id)
-    if module is None:
-        raise HbmSimError(
-            f"experiment {experiment_id!r} does not support shard "
-            f"execution (shardable: {sorted(SHARDABLE)})")
+    sweep = _sweep(experiment_id)
     start = time.perf_counter()
-    result = module.merge_shards(partials, scale)
+    result = sweep.merge_shards(partials, scale)
     phases: Dict[str, float] = {}
     for partial in partials:
         for key, value in partial.phases.items():

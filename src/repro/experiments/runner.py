@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
-from repro.dram.seeding import uniform_for
+from repro.dram.seeding import hash_pattern, uniform_for
 from repro.errors import (ExperimentError, ExperimentTimeoutError,
                           HbmSimError, WorkerCrashError)
 from repro.experiments.base import ExperimentResult
@@ -122,7 +122,6 @@ def backoff_delay(experiment_id: str, attempt: int,
     """
     if base <= 0:
         return 0.0
-    from repro.dram.device import hash_pattern  # stable string hash
     u = uniform_for(_TAG_BACKOFF, hash_pattern(experiment_id), attempt)
     return base * (2.0 ** max(0, attempt - 1)) * (1.0 + 0.5 * u)
 
@@ -447,10 +446,10 @@ def _shard_fanout(experiment_id: str, jobs: int) -> int:
     if jobs <= 1:
         return 1
     from repro.experiments import registry
-    units = registry.shard_units(experiment_id)
-    if units is None:
+    sweep = registry.SHARDABLE.get(experiment_id)
+    if sweep is None:
         return 1
-    return max(1, min(jobs, units))
+    return max(1, min(jobs, sweep.units))
 
 
 def _next_runnable(pending: Deque[_Task], now: float) -> Optional[_Task]:

@@ -6,17 +6,16 @@ The row sweeps cross a row population with independently computable
 (fig04/06/08/09/12/13) — in combo-major order, so a *contiguous range
 of units* is a contiguous block of the sweep's flat result arrays (see
 :func:`repro.core.spatial.spatial_units`).  A :class:`ShardSpec` names
-one such range — "shard ``i`` of ``n``" — and each shardable experiment
-module exposes ``run_shard``/``merge_shards`` so the pool can fan one
+one such range — "shard ``i`` of ``n``" — so the pool can fan one
 experiment out across worker processes and reassemble the full result
 bit-for-bit (merging is plain concatenation in shard order).
 
-:class:`SweepExperiment` packages the idiom once: an experiment module
-supplies its unit count, a ``compute(scale, unit_range)`` producing a
-payload for a unit range, a ``combine`` concatenating shard payloads in
-order, and a ``render`` building the full report from a payload — the
-base derives ``run``/``run_shard``/``merge_shards`` with the shared
-fan-out-coverage validation.
+:class:`SweepExperiment` is the one sharding protocol: an experiment
+module builds its ``SWEEP`` from its unit count, a ``compute(scale,
+unit_range)`` producing a payload for a unit range, a ``combine``
+concatenating shard payloads in order, and a ``render`` building the
+full report from a payload.  The registry and the pool call the sweep
+object's ``run``/``run_shard``/``merge_shards`` directly.
 
 Shard strings are ``"i/n"`` (e.g. ``"0/8"``); anything else is rejected
 with :class:`~repro.errors.ShardSpecError`.
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 from repro.errors import HbmSimError, ShardSpecError
 from repro.experiments.base import ExperimentResult
@@ -88,11 +87,6 @@ class ShardSpec:
         return start, stop
 
 
-def shard_labels(count: int) -> List[str]:
-    """The ``"i/n"`` labels of a full ``count``-way fan-out, in order."""
-    return [ShardSpec(index, count).label for index in range(count)]
-
-
 @dataclass(frozen=True)
 class SweepExperiment:
     """One shardable row sweep: unit decomposition + report rendering.
@@ -109,20 +103,15 @@ class SweepExperiment:
     title: str
     #: ``data`` key the per-shard payload travels under in partials.
     payload_key: str
-    #: Number of independently computable sweep units.
-    units: Callable[[], int]
+    #: Number of independently computable sweep units, fixed by the
+    #: default geometry.
+    units: int
     #: ``(scale, unit_range)`` -> payload; ``None`` = the full sweep.
     compute: Callable[[float, Optional[Tuple[int, int]]], Any]
     #: Shard payloads in shard order -> the merged payload.
     combine: Callable[[Sequence[Any]], Any]
     #: ``(payload, scale)`` -> the full experiment report.
     render: Callable[[Any, float], ExperimentResult]
-    #: Optional human-readable summary of a shard payload.
-    describe: Optional[Callable[[Any], str]] = None
-
-    def shard_units(self) -> int:
-        """Number of units a fan-out can split this sweep into."""
-        return self.units()
 
     def run(self, scale: float = 1.0) -> ExperimentResult:
         """The full (unsharded) sweep at ``scale``."""
@@ -131,20 +120,18 @@ class SweepExperiment:
     def run_shard(self, scale: float, shard: ShardSpec) -> ExperimentResult:
         """Compute one shard's unit range; the result is a partial
         carrying the payload for :meth:`merge_shards`, not a report."""
-        units = self.units()
-        start, stop = shard.slice_of(units)
+        start, stop = shard.slice_of(self.units)
         payload = self.compute(scale, (start, stop))
         text = (f"{self.experiment_id} shard {shard.label}: units "
-                f"[{start}, {stop}) of {units}")
-        if self.describe is not None:
-            text += ", " + self.describe(payload)
+                f"[{start}, {stop}) of {self.units}")
         data = {"shard_index": shard.index, "shard_count": shard.count,
                 "unit_range": (start, stop), self.payload_key: payload}
         return ExperimentResult(self.experiment_id,
                                 f"{self.title} (shard)", text, data)
 
-    def merge_payloads(self, partials: Sequence[ExperimentResult]) -> Any:
-        """Validate one complete fan-out and combine its payloads.
+    def merge_shards(self, partials: Sequence[ExperimentResult],
+                     scale: float) -> ExperimentResult:
+        """Assemble the full report from one complete fan-out.
 
         Requires exactly one partial per shard index of a single
         ``n``-way fan-out; anything else (missing, duplicate, or mixed
@@ -160,10 +147,6 @@ class SweepExperiment:
             raise HbmSimError(
                 f"shard results do not cover one {count}-way fan-out: "
                 f"got indices {indices}")
-        return self.combine([part.data[self.payload_key]
-                             for part in parts])
-
-    def merge_shards(self, partials: Sequence[ExperimentResult],
-                     scale: float) -> ExperimentResult:
-        """Assemble the full report from one complete fan-out."""
-        return self.render(self.merge_payloads(partials), scale)
+        payload = self.combine([part.data[self.payload_key]
+                                for part in parts])
+        return self.render(payload, scale)

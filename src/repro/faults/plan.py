@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import (Any, Dict, FrozenSet, Mapping, NamedTuple,
                     Optional, Tuple)
 
@@ -455,9 +455,6 @@ class FaultPlan:
                 f"HBMSIM_FAULTS must be a JSON object of fault plan "
                 f"fields, got {type(payload).__name__}")
         return cls.from_dict(payload)
-
-    def with_seed(self, seed: int) -> "FaultPlan":
-        return replace(self, seed=seed)
 
 
 # ----------------------------------------------------------------------

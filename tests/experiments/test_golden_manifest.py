@@ -6,10 +6,11 @@ sha256 of the report text and of its canonicalized ``data`` (see
 report is built from, fails here with the id that moved.  An
 intentional change lands as a re-pin: regenerate the file and review
 which ids it says changed (the pins are of the default configuration;
-:func:`test_manifest_pins_hold_across_configs` checks that the
-chunk-streamed sweeps keep them under another chunk bound and through
-the pool's shard fan-out and merge, and that every id keeps them on the
-scalar engine, ``HBMSIM_BATCH=0``)::
+:func:`test_manifest_pins_hold_across_configs` checks that every id
+keeps them under another chunk bound, through the ``-j 2`` pool (with
+its shard fan-out and merge) and on the scalar engine,
+``HBMSIM_BATCH=0``, and that the shardable sweeps keep them through the
+CLI's ``--shard i/n`` path and a merge)::
 
     PYTHONPATH=src python -m tests.experiments.test_golden_manifest
 """
@@ -22,7 +23,7 @@ from typing import Any, Dict, List
 import numpy as np
 import pytest
 
-from repro.experiments import registry
+from repro.experiments import registry, runner
 
 MANIFEST = Path(__file__).with_name("golden_manifest.json")
 SCALE = 0.25
@@ -82,24 +83,16 @@ def test_manifest_pins_report(experiment_id):
     assert digests(experiment_id) == pinned[experiment_id]
 
 
-#: The population sweeps (Figs. 4-15), which a chunk bound must leave
-#: byte-identical.
-STREAMED = tuple(f"fig{number:02d}" for number in range(4, 16))
-
-
 def _chunked(monkeypatch) -> List:
     monkeypatch.setenv("HBMSIM_CELLS_CHUNK", "700")
     return [registry.run_experiment(experiment_id, SCALE)
-            for experiment_id in STREAMED]
+            for experiment_id in registry.known_ids()]
 
 
 def _pooled(monkeypatch) -> List:
-    return registry.run_timed(POOLED, SCALE, jobs=2)[0]
-
-
-#: The shardable sweeps, which the pool's shard fan-out and merge must
-#: leave byte-identical too.
-POOLED = tuple(sorted(registry.SHARDABLE))
+    # Two slots on any host, so the shardable ids always fan out.
+    monkeypatch.setattr(runner, "_available_cores", lambda: 2)
+    return registry.run_timed(registry.known_ids(), SCALE, jobs=2)[0]
 
 
 def _scalar(monkeypatch) -> List:
@@ -108,10 +101,30 @@ def _scalar(monkeypatch) -> List:
             for experiment_id in registry.known_ids()]
 
 
-@pytest.mark.parametrize("run,ids", [(_chunked, STREAMED),
-                                     (_pooled, POOLED),
-                                     (_scalar, registry.known_ids())],
-                         ids=["cells-chunk-700", "jobs-2", "batch-off"])
+#: The shardable sweeps, which the CLI's ``--shard`` path and a merge
+#: must leave byte-identical.
+SHARDED = tuple(registry.SHARDABLE)
+
+
+def _cli_sharded(monkeypatch) -> List:
+    """Each shardable id run as ``--shard 0/2`` and ``--shard 1/2`` (the
+    CLI's ``run_timed`` call), then merged."""
+    merged = []
+    for experiment_id in SHARDED:
+        partials = [registry.run_timed([experiment_id], SCALE,
+                                       shard=f"{index}/2")[0][0]
+                    for index in range(2)]
+        merged.append(registry.merge_shard_results(experiment_id,
+                                                   partials, SCALE))
+    return merged
+
+
+@pytest.mark.parametrize("run,ids", [(_chunked, registry.known_ids()),
+                                     (_pooled, registry.known_ids()),
+                                     (_scalar, registry.known_ids()),
+                                     (_cli_sharded, SHARDED)],
+                         ids=["cells-chunk-700", "jobs-2", "batch-off",
+                              "cli-shard-2"])
 def test_manifest_pins_hold_across_configs(run, ids, monkeypatch):
     pinned = _pinned()
     results = run(monkeypatch)

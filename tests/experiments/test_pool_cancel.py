@@ -31,9 +31,7 @@ PROMPT_S = 10.0
 class _FailingFanout:
     """A shardable experiment: shard 0 raises, shard 1 hangs."""
 
-    @staticmethod
-    def shard_units() -> int:
-        return 2
+    units = 2
 
     @staticmethod
     def run_shard(scale: float, spec) -> ExperimentResult:

@@ -12,11 +12,13 @@ from unittest import mock
 
 import pytest
 
+from repro.chips.profiles import all_chips
+from repro.dram.geometry import DEFAULT_GEOMETRY
 from repro.errors import HbmSimError, ShardSpecError
-from repro.experiments import fig05_hcfirst_chips, registry, runner
+from repro.experiments import registry, runner
 from repro.experiments.__main__ import main
 from repro.experiments.registry import run_timed
-from repro.experiments.sharding import ShardSpec, shard_labels
+from repro.experiments.sharding import ShardSpec
 
 SCALE = 0.02
 
@@ -39,9 +41,6 @@ class TestShardSpec:
     def test_malformed_matches_rejected(self, value):
         with pytest.raises(ValueError):
             ShardSpec.parse(value)
-
-    def test_labels_enumerate_a_fanout(self):
-        assert shard_labels(3) == ["0/3", "1/3", "2/3"]
 
     @pytest.mark.parametrize("count,n_units", [(1, 16), (3, 16),
                                                (4, 16), (16, 16),
@@ -66,23 +65,23 @@ class TestMergeIdentity:
     @pytest.mark.parametrize("count", [1, 3, 4, 16, 20])
     @pytest.mark.parametrize("eid", sorted(registry.SHARDABLE))
     def test_merged_shards_match_full_run(self, full, eid, count):
-        partials = [registry.run_experiment(eid, SCALE, shard=label)
-                    for label in shard_labels(count)]
-        module = registry.SHARDABLE[eid]
-        merged = module.merge_shards(partials, SCALE)
+        partials = [registry.run_experiment(eid, SCALE,
+                                            shard=f"{index}/{count}")
+                    for index in range(count)]
+        merged = registry.SHARDABLE[eid].merge_shards(partials, SCALE)
         assert merged.text == full[eid].text
 
     def test_incomplete_fanout_rejected(self):
         partials = [registry.run_experiment("fig05", SCALE, shard=label)
                     for label in ("0/4", "2/4", "3/4")]
         with pytest.raises(HbmSimError, match="fan-out"):
-            fig05_hcfirst_chips.merge_flats(partials)
+            registry.merge_shard_results("fig05", partials, SCALE)
 
     def test_mixed_fanout_rejected(self):
         partials = [registry.run_experiment("fig05", SCALE, shard="0/2"),
                     registry.run_experiment("fig05", SCALE, shard="1/4")]
         with pytest.raises(HbmSimError):
-            fig05_hcfirst_chips.merge_flats(partials)
+            registry.merge_shard_results("fig05", partials, SCALE)
 
     def test_empty_shards_beyond_units_contribute_nothing(self):
         # 20 > 16 units: the tail shards carry empty flats.
@@ -94,15 +93,14 @@ class TestMergeIdentity:
 
 class TestRegistryShardApi:
     def test_shard_units(self):
-        assert registry.shard_units("fig05") == 16
-        assert registry.shard_units("fig07") == 16
-        assert registry.shard_units("fig04") == 8
-        assert registry.shard_units("fig06") == 8
-        assert registry.shard_units("fig08") == 3
-        assert registry.shard_units("fig09") == 256
-        assert registry.shard_units("fig12") == 8
-        assert registry.shard_units("fig13") == 3
-        assert registry.shard_units("fig03") is None
+        units = {eid: sweep.units
+                 for eid, sweep in registry.SHARDABLE.items()}
+        assert units == {"fig04": 8, "fig05": 16, "fig06": 8, "fig07": 16,
+                         "fig08": 3, "fig09": 256, "fig12": 8, "fig13": 3}
+        assert "fig03" not in registry.SHARDABLE
+        # The counts are fixed from the default geometry at import, so
+        # every chip must sweep that geometry.
+        assert all(chip.geometry == DEFAULT_GEOMETRY for chip in all_chips())
 
     def test_non_shard_label_rejected(self):
         with pytest.raises(ShardSpecError):
