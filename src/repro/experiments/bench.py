@@ -7,7 +7,7 @@ PR instead of living in commit messages.  The file is a single JSON
 document::
 
     {
-      "schema": 4,
+      "schema": 5,
       "runs": [
         {
           "timestamp": "2026-08-06T12:00:00+00:00",
@@ -15,6 +15,7 @@ document::
           "jobs": 1,
           "batch": true,            # batched analytic engine active?
           "faults": false,          # fault plan active during the run?
+          "geometry": "8x2x16x16384",
           "repeats": 3,             # timing samples behind each entry
           "peak_rss_mb": 412.3,     # process peak RSS at record time
           "experiments": {
@@ -29,7 +30,8 @@ document::
       ]
     }
 
-Reading it: compare the same (scale, jobs, batch) tuples across runs;
+Reading it: compare the same (scale, jobs, batch, faults, geometry)
+tuples across runs;
 ``batch: false`` is the scalar (``HBMSIM_BATCH=0``) engine, and every
 run includes one in-memory calibration per chip.  ``total_seconds``
 sums per-experiment attempt times; ``wall_seconds`` is the sweep's
@@ -50,12 +52,14 @@ test programs to epoch segments, recorded alongside ``calibrate`` /
 device shape as ``"channels x pseudo-channels x banks x rows"`` (e.g.
 ``"8x2x16x16384"``, the paper's Table 1 HBM2 geometry) — so scale-1.0
 full-geometry runs are distinguishable from reduced-geometry history at
-a glance and the perf gate can match on it.  Runs of schemas 1-4 remain
-valid history: every stored entry is a ``{"seconds": ...}`` mapping
-(the schema-1 runs in the committed history were converted from plain
-floats in place), and the keys later schemas added are optional to
-readers (see :func:`experiment_seconds` and
-:func:`repro.experiments.perf_gate.find_run`).  Runs recorded while a
+a glance and :func:`compare_runs` flags a mismatch.  Runs of schemas
+1-4 remain valid history: every stored entry is a ``{"seconds": ...}``
+mapping (the schema-1 runs in the committed history were converted
+from plain floats in place), and the keys later schemas added are
+optional to :func:`experiment_seconds`.  The perf gate
+(:func:`repro.experiments.perf_gate.find_run`) matches only runs that
+carry ``batch: true``, so schema-1 runs never serve as its baseline.
+Runs recorded while a
 cross-process calibration cache existed also carry ``cache``
 (``"cold"`` | ``"warm"`` | ``"disabled"``); it is kept as historical
 data, and no reader or writer uses it any more.
@@ -191,8 +195,8 @@ def experiment_seconds(entry: dict) -> float:
 def _as_entries(timings_or_records) -> Dict[str, dict]:
     """Normalize inputs to ``{id: {"seconds": ..., "phases": {...}}}``.
 
-    Accepts ``{id: seconds}`` dicts (phases unknown), schema-2 style
-    ``{id: {"seconds": ...}}`` dicts, or an iterable of
+    Accepts ``{id: {"seconds": ..., "phases": ...}}`` entry dicts (as
+    :func:`median_entries` returns) or an iterable of
     :class:`~repro.experiments.runner.RunRecord`.  Per-invocation
     records may repeat an experiment id; repeats aggregate by *summing*
     seconds (and phases) so the bench schema stays one entry per id.
@@ -208,12 +212,9 @@ def _as_entries(timings_or_records) -> Dict[str, dict]:
             entry["phases"][name] = entry["phases"].get(name, 0.0) + value
 
     if isinstance(timings_or_records, dict):
-        for experiment_id, value in timings_or_records.items():
-            if isinstance(value, dict):
-                merge(experiment_id, experiment_seconds(value),
-                      value.get("phases"))
-            else:
-                merge(experiment_id, float(value), None)
+        for experiment_id, entry in timings_or_records.items():
+            merge(experiment_id, experiment_seconds(entry),
+                  entry.get("phases"))
     else:
         for record in timings_or_records:
             phases = getattr(record.result, "phases", None) \
@@ -256,7 +257,7 @@ def median_entries(samples: Iterable) -> Dict[str, dict]:
     """Combine repeated timing sweeps into one per-experiment entry set.
 
     ``samples`` is an iterable of :func:`record_run`-style inputs (each
-    a ``{id: seconds}`` / schema-entry dict or a RunRecord iterable).
+    an entry dict or a RunRecord iterable).
     Per experiment, the samples are sorted by seconds and the *lower
     median* sample's whole entry is kept — seconds and phase breakdown
     stay one real, self-consistent measurement instead of a synthetic
@@ -283,8 +284,9 @@ def median_entries(samples: Iterable) -> Dict[str, dict]:
 def _describe_run(run: dict) -> str:
     """One-line parameter summary of a bench run record."""
     parts = [f"scale {run.get('scale')}", f"jobs {run.get('jobs')}"]
-    if "batch" in run:
-        parts.append(f"batch {'on' if run.get('batch') else 'off'}")
+    for flag in ("batch", "faults"):
+        if flag in run:
+            parts.append(f"{flag} {'on' if run[flag] else 'off'}")
     if run.get("geometry"):
         parts.append(f"geometry {run['geometry']}")
     if run.get("timestamp"):
@@ -302,7 +304,7 @@ def compare_runs(path_a: Union[str, Path],
     over the baseline (``A/B`` — above 1.0 is faster), and a regression
     marker when the candidate is slower by more than 5%.  Raises
     :class:`~repro.errors.HbmSimError` when either file holds no runs,
-    and flags mismatched run parameters (scale/jobs/batch/
+    and flags mismatched run parameters (scale/jobs/batch/faults/
     geometry) instead of silently comparing apples to oranges.
     """
     from repro.errors import HbmSimError
@@ -316,7 +318,8 @@ def compare_runs(path_a: Union[str, Path],
     a, b = runs["A"], runs["B"]
     lines = [f"A (baseline):  {path_a} — {_describe_run(a)}",
              f"B (candidate): {path_b} — {_describe_run(b)}"]
-    mismatched = [key for key in ("scale", "jobs", "batch", "geometry")
+    mismatched = [key for key in ("scale", "jobs", "batch", "faults",
+                                  "geometry")
                   if key in a and key in b and a[key] != b[key]]
     if mismatched:
         lines.append(
@@ -357,7 +360,7 @@ def compare_runs(path_a: Union[str, Path],
     return "\n".join(lines)
 
 
-def record_run(timings: Union[Dict[str, float], Iterable],
+def record_run(timings: Union[Dict[str, dict], Iterable],
                scale: float, jobs: int = 1,
                path: Optional[str] = None,
                batch: Optional[bool] = None,
@@ -366,8 +369,9 @@ def record_run(timings: Union[Dict[str, float], Iterable],
                faults: Optional[bool] = None) -> Path:
     """Append one run record; returns the path written.
 
-    ``timings`` maps experiment id -> wall seconds (or a schema-2 entry
-    dict), or is an iterable of
+    ``timings`` maps experiment id -> entry dict (``{"seconds": ...,
+    "phases": {...}}``, as :func:`median_entries` returns), or is an
+    iterable of
     :class:`~repro.experiments.runner.RunRecord` (the second return
     of :func:`repro.experiments.registry.run_timed`; duplicate-id
     invocations aggregate by summing — their per-phase breakdowns come

@@ -16,8 +16,10 @@ full multi-window attack run (every REF, every TRR sample) against a
 templated weak victim, at 3 and 4 dummy rows.  The run dispatches to
 the epoch-level replay (:func:`repro.core.trr_bypass.run_attack`) when
 batching is enabled and to the scalar command engine under
-``HBMSIM_BATCH=0`` — both bit-identical, which CI checks via the bench
-perf gate and the report-hash equivalence tests.
+``HBMSIM_BATCH=0`` — both bit-identical, which the golden manifest's
+``batch-off`` param checks; ``test_fig14_takes_the_fast_path`` counts
+that the epoch replay (no fault plan) and the compiled epoch segments
+(CI chaos plan) are taken.
 """
 
 from __future__ import annotations

@@ -8,36 +8,32 @@ checked-in history) and exits 1 when the measured per-experiment wall
 time exceeds ``factor`` times the baseline.
 
 Both files are read through
-:func:`repro.experiments.bench.experiment_seconds`; schema-1 history (no
-``batch`` key, no phases) still serves as a baseline.  Runs are matched
-on (experiment, scale, jobs, faults) — the jobs=1/faults=off default
-isolates the compute path from pool variance and chaos plans, which is
-what a 2x threshold can police without flaking on shared CI hardware.
-``--faults on`` gates chaos-mode (fault-plan) runs instead — the teeth
-behind the fault-path batching: its ``--min-batch-speedup`` collapses
-if fault windows ever fall back to per-command dispatch wholesale.
+:func:`repro.experiments.bench.experiment_seconds`.  Runs are matched
+on (experiment, scale, jobs, faults) among batched-engine runs
+(``batch: true``) only: a scalar ``HBMSIM_BATCH=0`` run recorded later
+never serves as a baseline.  The jobs=1/faults=off default isolates the
+compute path from pool variance and chaos plans, which is what a 2x
+threshold can police without flaking on shared CI hardware.
+``--faults on`` gates chaos-mode (fault-plan) runs instead.  Whether
+the compiled engines take their fast paths is not timed here: tier-1
+count tests assert it (``test_fig14_takes_the_fast_path`` and
+``test_ext_defenses_takes_the_fast_path``).
 
 Two further checks, both against the measured file only:
 
 ``--max-rss-mb`` fails when the measured run's recorded peak RSS
 (schema 3's ``peak_rss_mb``) exceeds the ceiling; the generous default
 catches accidental whole-population materialization, not incremental
-growth.  ``--min-batch-speedup`` requires the newest batched
-(``batch: true``) run to be at least that many times faster than the
-newest scalar (``batch: false``) run of the same experiment — the CI
-teeth behind the epoch engine's TRR support: if the epoch replay ever
-falls back to the scalar path, the speedup collapses and the gate
-trips.
+growth.  ``--min-parallel-speedup`` requires the experiment's recorded
+seconds in the measured ``jobs=4`` run to beat the measured ``jobs=1``
+run's by that factor — shard fan-out records the slowest shard's
+worker-side compute time, so the ratio measures sweep scaling rather
+than pool spawn overhead: the CI teeth behind shard fan-out at full
+geometry.
 
 ``--rss-factor`` compares the measured run's peak RSS against the
 *baseline* run's recorded peak RSS — a relative ceiling that tracks
-the checked-in history instead of a hand-set constant — and
-``--min-parallel-speedup`` requires the experiment's recorded seconds
-in the measured ``jobs=N`` run (``--parallel-jobs``, default 4) to
-beat the measured ``jobs=1`` run's by that factor — shard fan-out
-records the slowest shard's worker-side compute time, so the ratio
-measures sweep scaling rather than pool spawn overhead: the CI teeth
-behind shard fan-out at full geometry.
+the checked-in history instead of a hand-set constant.
 
 Exit status: 0 pass, 1 regression, 2 missing/unreadable data.
 """
@@ -51,27 +47,29 @@ from typing import Optional, Tuple
 
 from repro.experiments.bench import experiment_seconds
 
+#: Jobs count of the run ``--min-parallel-speedup`` compares with jobs=1.
+PARALLEL_JOBS = 4
+
 
 def find_run(payload: dict, experiment_id: str, scale: float,
-             jobs: int, batch: Optional[bool] = None,
-             faults: Optional[bool] = False) -> Tuple[Optional[float],
-                                                      Optional[dict]]:
-    """Newest (seconds, run) matching the criteria, or ``(None, None)``.
+             jobs: int, faults: bool = False) -> Tuple[Optional[float],
+                                                       Optional[dict]]:
+    """Newest batched (seconds, run) matching the criteria, or
+    ``(None, None)``.
 
-    ``batch=True/False`` restricts to runs recorded with that engine
-    (schema-1 history carries no ``batch`` key and only matches the
-    default ``None`` = any).  ``faults`` defaults to ``False`` —
-    chaos-mode (schema 4 ``faults: true``) runs never match unless
-    explicitly requested, so fault-enabled speedup measurements cannot
+    Only runs recorded with ``batch: true`` match; schema-1 history
+    carries no ``batch`` key and never does.  ``faults`` defaults to
+    ``False`` — chaos-mode (schema 4 ``faults: true``) runs never match
+    unless explicitly requested, so fault-enabled measurements cannot
     pollute fault-free baselines; pre-schema-4 history carries no key
     and matches ``False``.
     """
     for run in reversed(payload.get("runs", [])):
         if run.get("scale") != scale or run.get("jobs") != jobs:
             continue
-        if batch is not None and run.get("batch") != batch:
+        if run.get("batch") is not True:
             continue
-        if faults is not None and bool(run.get("faults", False)) != faults:
+        if bool(run.get("faults", False)) != faults:
             continue
         entry = run.get("experiments", {}).get(experiment_id)
         if entry is None:
@@ -102,21 +100,12 @@ def main(argv=None) -> int:
     parser.add_argument("--experiment", default="fig05")
     parser.add_argument("--scale", type=float, default=0.25)
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--batch", choices=["any", "on", "off"],
-                        default="any",
-                        help="engine to match: 'on' compares batched "
-                             "runs only, 'off' the scalar engine, "
-                             "'any' the newest run regardless (the "
-                             "only choice that matches schema-1 "
-                             "history, which has no batch flag)")
-    parser.add_argument("--faults", choices=["any", "on", "off"],
+    parser.add_argument("--faults", choices=["on", "off"],
                         default="off",
                         help="fault-plan state to match: 'off' (the "
                              "default) ignores chaos-mode runs so they "
                              "never pollute fault-free baselines, 'on' "
-                             "compares fault-enabled runs only (the "
-                             "chaos speedup gate), 'any' disables the "
-                             "filter")
+                             "compares fault-enabled runs only")
     parser.add_argument("--factor", type=float, default=2.0,
                         help="fail when measured > factor * baseline")
     parser.add_argument("--max-rss-mb", type=float, default=6144.0,
@@ -132,31 +121,19 @@ def main(argv=None) -> int:
                              "matching baseline run's recorded peak "
                              "RSS (skipped with a note when either "
                              "run predates RSS recording)")
-    parser.add_argument("--min-batch-speedup", type=float, default=None,
-                        metavar="X",
-                        help="additionally require the measured "
-                             "batched run to be at least X times "
-                             "faster than the measured scalar "
-                             "(batch off) run of the same experiment")
     parser.add_argument("--min-parallel-speedup", type=float,
                         default=None, metavar="X",
                         help="additionally require the experiment's "
                              "recorded seconds in the measured "
-                             "jobs=--parallel-jobs run to be at least "
+                             f"jobs={PARALLEL_JOBS} run to be at least "
                              "X times faster than in the measured "
                              "jobs=1 run (shard fan-out records the "
                              "slowest shard's compute time, so the "
                              "ratio measures sweep scaling, not "
                              "worker spawn overhead; wall-clock is "
                              "printed as context)")
-    parser.add_argument("--parallel-jobs", type=int, default=4,
-                        metavar="N",
-                        help="jobs count of the parallel run that "
-                             "--min-parallel-speedup compares against "
-                             "jobs=1 (default 4)")
     args = parser.parse_args(argv)
-    batch = {"any": None, "on": True, "off": False}[args.batch]
-    faults = {"any": None, "on": True, "off": False}[args.faults]
+    faults = args.faults == "on"
 
     baseline_payload = _load(args.baseline, "baseline")
     measured_payload = _load(args.measured, "measured run")
@@ -164,12 +141,11 @@ def main(argv=None) -> int:
         return 2
 
     baseline, baseline_run = find_run(baseline_payload, args.experiment,
-                                      args.scale, args.jobs, batch, faults)
+                                      args.scale, args.jobs, faults)
     measured, measured_run = find_run(measured_payload, args.experiment,
-                                      args.scale, args.jobs, batch, faults)
+                                      args.scale, args.jobs, faults)
     criteria = (f"{args.experiment} @ scale {args.scale}, "
-                f"jobs={args.jobs}, "
-                f"batch={args.batch}, faults={args.faults}")
+                f"jobs={args.jobs}, faults={args.faults}")
     if baseline is None:
         print(f"perf-gate: no baseline run matches {criteria} in "
               f"{args.baseline!r}", file=sys.stderr)
@@ -184,8 +160,7 @@ def main(argv=None) -> int:
     print(f"perf-gate [{verdict}] {criteria}: measured {measured:.4f}s "
           f"vs baseline {baseline:.4f}s "
           f"(limit {args.factor:g}x = {limit:.4f}s; baseline recorded "
-          f"{baseline_run.get('timestamp', '?')}, batch="
-          f"{baseline_run.get('batch', 'n/a')})")
+          f"{baseline_run.get('timestamp', '?')})")
     status = 0 if measured <= limit else 1
 
     rss = measured_run.get("peak_rss_mb")
@@ -214,35 +189,15 @@ def main(argv=None) -> int:
             if not factor_ok:
                 status = 1
 
-    if args.min_batch_speedup is not None:
-        batched, __ = find_run(measured_payload, args.experiment,
-                               args.scale, args.jobs, True, faults)
-        scalar, __ = find_run(measured_payload, args.experiment,
-                              args.scale, args.jobs, False, faults)
-        if batched is None or scalar is None:
-            print(f"perf-gate: --min-batch-speedup needs both a "
-                  f"batch=on and a batch=off measured run for "
-                  f"{criteria}", file=sys.stderr)
-            return 2
-        speedup = scalar / batched if batched > 0 else float("inf")
-        speedup_ok = speedup >= args.min_batch_speedup
-        print(f"perf-gate [{'PASS' if speedup_ok else 'FAIL'}] "
-              f"{args.experiment} batch speedup {speedup:.2f}x "
-              f"(scalar {scalar:.4f}s / batched {batched:.4f}s; "
-              f"required >= {args.min_batch_speedup:g}x)")
-        if not speedup_ok:
-            status = 1
-
     if args.min_parallel_speedup is not None:
         serial_s, serial_run = find_run(measured_payload,
                                         args.experiment, args.scale, 1,
-                                        batch, faults)
+                                        faults)
         para_s, para_run = find_run(measured_payload, args.experiment,
-                                    args.scale, args.parallel_jobs,
-                                    batch, faults)
+                                    args.scale, PARALLEL_JOBS, faults)
         if serial_s is None or para_s is None:
             print(f"perf-gate: --min-parallel-speedup needs both a "
-                  f"jobs=1 and a jobs={args.parallel_jobs} measured "
+                  f"jobs=1 and a jobs={PARALLEL_JOBS} measured "
                   f"run for {criteria}", file=sys.stderr)
             return 2
         speedup = serial_s / para_s if para_s > 0 else float("inf")
@@ -253,7 +208,7 @@ def main(argv=None) -> int:
                      f" -> {float(para_run['wall_seconds']):.4f}s")
         print(f"perf-gate [{'PASS' if parallel_ok else 'FAIL'}] "
               f"{args.experiment} parallel speedup {speedup:.2f}x "
-              f"(jobs=1 {serial_s:.4f}s / jobs={args.parallel_jobs} "
+              f"(jobs=1 {serial_s:.4f}s / jobs={PARALLEL_JOBS} "
               f"{para_s:.4f}s; required >= "
               f"{args.min_parallel_speedup:g}x{walls})")
         if not parallel_ok:

@@ -1,5 +1,7 @@
 """Tests for the Section 7 TRR-bypass attack."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -272,3 +274,70 @@ class TestEpochAttackEquivalence:
         for session in sessions:
             run_attack(session, RowAddress(0, 0, 0, 5000), config)
         assert taken == ["epochs", "epochs", "exact", "exact"]
+
+
+#: The fault plan CI's chaos perf runs install (``HBMSIM_FAULTS``).
+CI_PLAN = dict(seed=7, read_flip_rate=0.001, drop_rate=0.0002,
+               act_jitter_rate=0.0005, act_jitter_ns=3.0)
+
+
+@pytest.mark.parametrize("plan", [None, CI_PLAN], ids=["no-plan", "ci-chaos"])
+def test_fig14_takes_the_fast_path(plan, monkeypatch):
+    """fig14 at 0.25: with no plan every validation attack is an epoch
+    replay and the command path never runs; under the CI chaos plan the
+    command path lowers each attack loop to one epoch segment, no
+    segment falls back to per-command dispatch, and at most 1% of the
+    windows are dirty (replayed command by command)."""
+    from repro.bender import compile as compiler
+    from repro.core import trr_bypass
+    from repro.experiments.registry import run_experiment
+
+    paths = {"epochs": 0, "exact": 0}
+    segments = []
+    dirty = []
+
+    def spy(name, target):
+        def counted(*args, **kwargs):
+            paths[name] += 1
+            return target(*args, **kwargs)
+        return counted
+
+    def spy_segment(executor, segment):
+        segments.append(segment.repeats)
+        return run_epoch_segment(executor, segment)
+
+    def spy_dirty(*args):
+        mask = dirty_window_mask(*args)
+        dirty.append(int(mask.sum()))
+        return mask
+
+    def no_scalar_segment(*args, **kwargs):
+        raise AssertionError("an epoch segment fell back to per-command "
+                             "dispatch")
+
+    run_epoch_segment = compiler.PlanExecutor._run_epoch_segment
+    dirty_window_mask = compiler.dirty_window_mask
+    monkeypatch.setattr(trr_bypass, "run_attack_epochs",
+                        spy("epochs", trr_bypass.run_attack_epochs))
+    monkeypatch.setattr(trr_bypass, "run_attack_exact",
+                        spy("exact", trr_bypass.run_attack_exact))
+    monkeypatch.setattr(compiler.PlanExecutor, "_run_epoch_segment",
+                        spy_segment)
+    monkeypatch.setattr(compiler.PlanExecutor, "_run_segment_scalar",
+                        no_scalar_segment)
+    monkeypatch.setattr(compiler, "dirty_window_mask", spy_dirty)
+    monkeypatch.setenv("HBMSIM_BATCH", "1")
+    if plan is None:
+        monkeypatch.delenv("HBMSIM_FAULTS", raising=False)
+    else:
+        monkeypatch.setenv("HBMSIM_FAULTS", json.dumps(plan))
+    run_experiment("fig14", 0.25)
+    if plan is None:
+        assert paths == {"epochs": 2, "exact": 0}
+        assert segments == []
+        return
+    assert paths == {"epochs": 0, "exact": 2}
+    windows = sum(segments)
+    assert len(segments) == 2 and windows == 8204
+    assert len(dirty) == 2
+    assert 0 < sum(dirty) <= windows // 100

@@ -15,8 +15,8 @@ needs_fork = pytest.mark.skipif(
 
 def _append(path: str, writer: int, runs: int) -> None:
     for index in range(runs):
-        bench.record_run({f"w{writer}-r{index}": 0.1}, scale=0.5,
-                         jobs=1, path=path)
+        bench.record_run({f"w{writer}-r{index}": {"seconds": 0.1}},
+                         scale=0.5, jobs=1, path=path)
 
 
 @needs_fork
@@ -42,7 +42,7 @@ def test_concurrent_writers_lose_no_records(tmp_path):
 
 def test_lock_file_removed_after_append(tmp_path):
     path = tmp_path / "BENCH_experiments.json"
-    bench.record_run({"fig05": 1.0}, scale=0.1, path=str(path))
+    bench.record_run({"fig05": {"seconds": 1.0}}, scale=0.1, path=str(path))
     assert path.exists()
     assert not (tmp_path / "BENCH_experiments.json.lock").exists()
 
@@ -54,7 +54,7 @@ def test_stale_lock_is_broken(tmp_path, monkeypatch):
     # Pretend the lock is ancient so the stale-breaking path fires
     # without waiting out the real 30 s threshold.
     monkeypatch.setattr(bench, "_LOCK_STALE_S", 0.0)
-    bench.record_run({"fig05": 1.0}, scale=0.1, path=str(path))
+    bench.record_run({"fig05": {"seconds": 1.0}}, scale=0.1, path=str(path))
     payload = json.loads(path.read_text())
     assert len(payload["runs"]) == 1
     assert not lock.exists()

@@ -54,9 +54,10 @@ class TestParallelEquivalence:
 class TestBenchHarness:
     def test_record_creates_and_appends(self, tmp_path):
         path = tmp_path / "BENCH_experiments.json"
-        bench.record_run({"fig05": 1.25}, scale=0.25, jobs=1,
-                         path=str(path))
-        bench.record_run({"fig05": 0.40, "fig07": 0.30}, scale=0.25,
+        bench.record_run({"fig05": {"seconds": 1.25}}, scale=0.25,
+                         jobs=1, path=str(path))
+        bench.record_run({"fig05": {"seconds": 0.40},
+                          "fig07": {"seconds": 0.30}}, scale=0.25,
                          jobs=2, path=str(path))
         payload = json.loads(path.read_text())
         assert payload["schema"] == 5
@@ -79,7 +80,7 @@ class TestBenchHarness:
             {"fig05": {"seconds": 1.4,
                        "phases": {"execute": 1.4}}},
             {"fig05": {"seconds": 0.9, "phases": {"execute": 0.9}},
-             "fig07": 0.5},
+             "fig07": {"seconds": 0.5}},
             {"fig05": {"seconds": 1.1, "phases": {"execute": 1.1}}},
         ]
         entries = bench.median_entries(samples)
@@ -132,7 +133,8 @@ class TestBenchHarness:
     def test_corrupt_file_is_replaced(self, tmp_path):
         path = tmp_path / "BENCH_experiments.json"
         path.write_text("not json")
-        bench.record_run({"fig05": 1.0}, scale=0.1, path=str(path))
+        bench.record_run({"fig05": {"seconds": 1.0}}, scale=0.1,
+                         path=str(path))
         payload = json.loads(path.read_text())
         assert len(payload["runs"]) == 1
 
@@ -163,8 +165,10 @@ class TestCli:
 
 
 class TestBenchCompare:
-    def record(self, path, timings, **kwargs):
-        bench.record_run(timings, scale=0.25, path=str(path), **kwargs)
+    def record(self, path, seconds, **kwargs):
+        bench.record_run({experiment_id: {"seconds": value}
+                          for experiment_id, value in seconds.items()},
+                         scale=0.25, path=str(path), **kwargs)
 
     def test_reports_speedup_and_regression(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -178,6 +182,16 @@ class TestBenchCompare:
         assert "only in B" in report         # fig14 absent from A
         assert "wall" in report
         assert "run parameters differ (jobs)" in report
+
+    def test_flags_fault_plan_mismatch(self, tmp_path):
+        """A chaos-mode run compared with a fault-free one says so."""
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        self.record(a, {"fig05": 1.0}, faults=False)
+        self.record(b, {"fig05": 2.0}, faults=True)
+        report = bench.compare_runs(str(a), str(b))
+        assert "0.50x  REGRESSION" in report
+        assert "run parameters differ (faults)" in report
+        assert "faults off" in report and "faults on" in report
 
     def test_compares_last_runs(self, tmp_path):
         a = tmp_path / "a.json"

@@ -33,14 +33,6 @@ class TestFindRun:
         seconds, __ = find_run(payload, "fig05", 0.25, 1)
         assert seconds == 0.4
 
-    def test_schema1_entries(self):
-        """The checked-in schema-1 history: no batch key, no phases."""
-        payload = {"runs": [{"scale": 0.25, "jobs": 1, "cache": "warm",
-                             "experiments": {"fig05": {"seconds": 1.2838}},
-                             "total_seconds": 1.2838}]}
-        seconds, __ = find_run(payload, "fig05", 0.25, 1)
-        assert seconds == 1.2838
-
     def test_historical_cache_key_is_ignored(self):
         """Runs recorded while the calibration cache existed carry a
         ``cache`` label; the newest run matches whatever it says."""
@@ -54,29 +46,21 @@ class TestFindRun:
             == (None, None)
 
     def test_batch_filter_skips_other_engine(self):
-        """A newer scalar-engine record must not shadow the batched
-        baseline when the gate asks for like-for-like."""
+        """A newer scalar-engine record never shadows the batched
+        baseline."""
         payload = {"runs": [run_entry(0.3, batch=True),
                             run_entry(1.1, batch=False)]}
-        seconds, __ = find_run(payload, "fig05", 0.25, 1,
-                               batch=True)
-        assert seconds == 0.3
-        seconds, __ = find_run(payload, "fig05", 0.25, 1,
-                               batch=False)
-        assert seconds == 1.1
         seconds, __ = find_run(payload, "fig05", 0.25, 1)
-        assert seconds == 1.1  # default: newest regardless of engine
+        assert seconds == 0.3
+        assert find_run({"runs": [run_entry(1.1, batch=False)]},
+                        "fig05", 0.25, 1) == (None, None)
 
     def test_batch_filter_excludes_schema1(self):
-        """Schema-1 entries carry no batch flag, so they only match
-        the 'any' default."""
+        """Schema-1 entries carry no batch flag, so they never match."""
         payload = {"runs": [{"scale": 0.25, "jobs": 1, "cache": "warm",
                              "experiments": {"fig05": {"seconds": 1.2838}},
                              "total_seconds": 1.2838}]}
-        assert find_run(payload, "fig05", 0.25, 1,
-                        batch=True) == (None, None)
-        seconds, __ = find_run(payload, "fig05", 0.25, 1)
-        assert seconds == 1.2838
+        assert find_run(payload, "fig05", 0.25, 1) == (None, None)
 
 
 class TestGateCli:
@@ -113,26 +97,25 @@ class TestGateCli:
                      "--measured", str(measured)]) == 2
 
     def test_batch_on_ignores_newer_scalar_baseline(self, tmp_path):
-        """The CI invocation (--batch on) gates against the batched
-        baseline even when a scalar-engine run was recorded later."""
+        """The gate compares against the batched baseline even when a
+        scalar-engine run was recorded later."""
         baseline = tmp_path / "baseline.json"
         measured = tmp_path / "measured.json"
         write_bench(baseline, [run_entry(0.30, batch=True),
                                run_entry(1.10, batch=False)])
         write_bench(measured, [run_entry(0.90, batch=True)])
-        args = ["--baseline", str(baseline), "--measured", str(measured)]
-        assert main(args) == 0            # any: 0.90 <= 2 * 1.10
-        assert main(args + ["--batch", "on"]) == 1  # 0.90 > 2 * 0.30
+        assert main(["--baseline", str(baseline),
+                     "--measured", str(measured)]) == 1  # 0.90 > 2 * 0.30
 
     def test_gate_reads_record_run_output(self, tmp_path):
         """End to end: records written by the bench harness gate
         cleanly (schema-2 round trip)."""
         baseline = tmp_path / "baseline.json"
         measured = tmp_path / "measured.json"
-        bench.record_run({"fig05": 0.30}, scale=0.25, jobs=1,
-                         path=str(baseline))
-        bench.record_run({"fig05": 0.45}, scale=0.25, jobs=1,
-                         path=str(measured))
+        bench.record_run({"fig05": {"seconds": 0.30}}, scale=0.25,
+                         jobs=1, path=str(baseline), batch=True)
+        bench.record_run({"fig05": {"seconds": 0.45}}, scale=0.25,
+                         jobs=1, path=str(measured), batch=True)
         assert main(["--baseline", str(baseline),
                      "--measured", str(measured)]) == 0
 
@@ -157,33 +140,6 @@ class TestRssCeiling:
         assert self.gate(tmp_path, {}, ["--max-rss-mb", "1"]) == 0
 
 
-class TestBatchSpeedupGate:
-    def gate(self, tmp_path, batched_s, scalar_s, minimum="3.0"):
-        baseline = tmp_path / "baseline.json"
-        measured = tmp_path / "measured.json"
-        write_bench(baseline, [run_entry(batched_s, batch=True)])
-        write_bench(measured, [run_entry(batched_s, batch=True),
-                               run_entry(scalar_s, batch=False)])
-        return main(["--baseline", str(baseline),
-                     "--measured", str(measured), "--batch", "on",
-                     "--min-batch-speedup", minimum])
-
-    def test_sufficient_speedup_passes(self, tmp_path):
-        assert self.gate(tmp_path, 0.10, 0.55) == 0
-
-    def test_insufficient_speedup_fails(self, tmp_path):
-        assert self.gate(tmp_path, 0.30, 0.55) == 1
-
-    def test_missing_scalar_run_errors(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        measured = tmp_path / "measured.json"
-        write_bench(baseline, [run_entry(0.10, batch=True)])
-        write_bench(measured, [run_entry(0.10, batch=True)])
-        assert main(["--baseline", str(baseline),
-                     "--measured", str(measured), "--batch", "on",
-                     "--min-batch-speedup", "3.0"]) == 2
-
-
 class TestFaultsFilter:
     def test_fault_runs_never_match_by_default(self):
         """Schema 4: chaos-mode runs are invisible to the default gate
@@ -195,9 +151,6 @@ class TestFaultsFilter:
         seconds, __ = find_run(payload, "fig05", 0.25, 1,
                                faults=True)
         assert seconds == 9.9
-        seconds, __ = find_run(payload, "fig05", 0.25, 1,
-                               faults=None)
-        assert seconds == 9.9  # 'any': newest regardless
 
     def test_pre_schema4_runs_match_faults_off(self):
         payload = {"runs": [run_entry(0.7)]}  # no "faults" key
@@ -207,25 +160,20 @@ class TestFaultsFilter:
         assert find_run(payload, "fig05", 0.25, 1,
                         faults=True) == (None, None)
 
-    def test_faults_on_speedup_gate(self, tmp_path):
-        """The chaos speedup CI invocation: both engine runs are
-        fault-tagged and only they feed the ratio."""
+    def test_faults_on_gates_fault_runs_only(self, tmp_path):
+        """The chaos wall-time CI invocation: only fault-tagged runs
+        feed the baseline and the measurement."""
         baseline = tmp_path / "baseline.json"
         measured = tmp_path / "measured.json"
-        write_bench(baseline, [run_entry(0.10, batch=True, faults=True)])
-        write_bench(measured, [run_entry(0.10, batch=True, faults=True),
-                               run_entry(0.80, batch=False, faults=True),
-                               run_entry(0.11, batch=False)])
-        args = ["--baseline", str(baseline), "--measured", str(measured),
-                "--batch", "on", "--faults", "on",
-                "--min-batch-speedup", "5.0"]
-        assert main(args) == 0  # 0.80 / 0.10 = 8x, fault runs only
-        # Without the faults filter the fault-free 0.11s scalar run is
-        # newest and the apparent speedup collapses below 5x.
-        assert main(["--baseline", str(baseline),
-                     "--measured", str(measured), "--batch", "on",
-                     "--faults", "any",
-                     "--min-batch-speedup", "5.0"]) == 1
+        write_bench(baseline, [run_entry(0.10, faults=True),
+                               run_entry(0.50)])
+        write_bench(measured, [run_entry(0.15, faults=True),
+                               run_entry(0.90)])
+        args = ["--baseline", str(baseline), "--measured", str(measured)]
+        assert main(args + ["--faults", "on"]) == 0  # 0.15 <= 2 * 0.10
+        assert main(args + ["--factor", "1.4",
+                            "--faults", "on"]) == 1  # 0.15 > 1.4 * 0.10
+        assert main(args) == 0  # fault-free: 0.90 <= 2 * 0.50
 
 
 class TestRssFactorGate:
