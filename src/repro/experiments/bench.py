@@ -17,7 +17,7 @@ document::
           "faults": false,          # fault plan active during the run?
           "geometry": "8x2x16x16384",
           "repeats": 3,             # timing samples behind each entry
-          "peak_rss_mb": 412.3,     # process peak RSS at record time
+          "peak_rss_mb": 412.3,     # peak RSS of the process or a worker
           "experiments": {
             "fig05": {"seconds": 1.03,
                       "phases": {"calibrate": 0.7, "compile": 0.01,
@@ -32,8 +32,11 @@ document::
 
 Reading it: compare the same (scale, jobs, batch, faults, geometry)
 tuples across runs;
-``batch: false`` is the scalar (``HBMSIM_BATCH=0``) engine, and every
-run includes one in-memory calibration per chip.  ``total_seconds``
+``batch: false`` is the scalar (``HBMSIM_BATCH=0``) engine.  Chips
+calibrate in memory once per process (the ``make_chip`` memo): the
+``--bench-repeats`` samples of a ``jobs=1`` run share the CLI process,
+so only the first sample carries a ``calibrate`` phase and the later
+ones find every chip calibrated.  ``total_seconds``
 sums per-experiment attempt times; ``wall_seconds`` is the sweep's
 wall clock, which ``jobs > 1`` can push *below* ``total_seconds``.
 Entries append chronologically; the last run with matching parameters
@@ -41,11 +44,13 @@ is the current state of the tree.
 
 Schema 3 adds ``repeats`` (how many timing samples each per-experiment
 entry is the median of; see :func:`median_entries`) and
-``peak_rss_mb`` (the recording process's peak resident set, from
-``resource.getrusage``, which the perf gate polices).  Schema 4 adds
-the ``faults`` run flag — ``true`` when a fault plan was active while
-timing, so chaos-mode speedup measurements never pollute fault-free
-baselines (the perf gate matches on it) — and the ``compile`` phase:
+``peak_rss_mb`` (the larger of the recording process's peak resident
+set and that of its largest waited-for child, such as a ``-j N`` run's
+pool workers, from ``resource.getrusage``; the perf gate polices it).
+Schema 4 adds the ``faults`` run flag — ``true`` when a fault plan
+was active while timing, so chaos-mode speedup measurements never
+pollute fault-free baselines (the perf gate matches on it) — and the
+``compile`` phase:
 time the program compiler (:mod:`repro.bender.compile`) spent lowering
 test programs to epoch segments, recorded alongside ``calibrate`` /
 ``execute`` / ``report``.  Schema 5 adds ``geometry`` — the simulated
@@ -237,17 +242,23 @@ def geometry_label() -> str:
 
 
 def peak_rss_mb() -> Optional[float]:
-    """This process's peak resident set size in MiB, if measurable.
+    """Peak resident set size in MiB of this process or of any child it
+    has waited for (the pool workers of a ``-j N`` run), if measurable.
 
-    ``ru_maxrss`` is kibibytes on Linux and bytes on macOS; normalize
-    both.  Returns ``None`` on platforms without ``resource``.
+    ``RUSAGE_CHILDREN`` reports the largest terminated, waited-for
+    child, so the reading is ``max(RUSAGE_SELF, RUSAGE_CHILDREN)``: a
+    worker that peaks above the parent sets it.  ``ru_maxrss`` is
+    kibibytes on Linux and bytes on macOS; normalize both.  Returns
+    ``None`` on platforms without ``resource``.
     """
     try:
         import resource
         import sys as _sys
     except ImportError:  # pragma: no cover - non-POSIX platform
         return None
-    maxrss = float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    maxrss = float(max(
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss))
     if _sys.platform == "darwin":  # pragma: no cover - linux CI
         return maxrss / (1024.0 * 1024.0)
     return maxrss / 1024.0

@@ -54,14 +54,18 @@ def chip_flats(scale: float,
 
 def combine_flats(payloads: Sequence[Dict[str, Dict[str, np.ndarray]]]
                   ) -> Dict[str, Dict[str, np.ndarray]]:
-    """Concatenate per-shard flats in shard order (shared with Fig. 7).
+    """Concatenate per-shard flats in shard order (shared with
+    Figs. 4, 6 and 7).
 
     The combo-major layout makes the result bit-identical to an
-    unsharded sweep.
+    unsharded sweep.  The merge consumes its inputs: each shard's array
+    is popped from its payload as it is concatenated, so the merge holds
+    one copy of the sweep plus one pattern's column at a time, and the
+    payloads' per-chip dicts are empty afterwards.
     """
     return {
         label: {name: np.concatenate(
-            [payload[label][name] for payload in payloads])
+            [payload[label].pop(name) for payload in payloads])
             for name in PATTERN_COLUMNS}
         for label in payloads[0]}
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import pickle
 import time
 import traceback
 from collections import deque
@@ -127,6 +128,47 @@ def backoff_delay(experiment_id: str, attempt: int,
 
 
 # ----------------------------------------------------------------------
+# Reply framing
+# ----------------------------------------------------------------------
+
+def _send_reply(conn, message: Any) -> None:
+    """Send one worker reply with its array buffers out of band.
+
+    The frame is a header ``(head, sizes)`` -- ``message`` pickled with
+    protocol 5, whose ``buffer_callback`` keeps every contiguous array's
+    memory out of ``head`` -- then one ``send_bytes`` per buffer,
+    straight from the array's memory.  The reply is never held as a
+    second full copy in the worker, and pickling completes before the
+    first byte is sent, so a message that cannot pickle raises with the
+    pipe still in frame.
+    """
+    buffers: List[pickle.PickleBuffer] = []
+    head = pickle.dumps(message, protocol=5,
+                        buffer_callback=buffers.append)
+    raws = [buffer.raw() for buffer in buffers]
+    conn.send((head, [raw.nbytes for raw in raws]))
+    for raw in raws:
+        conn.send_bytes(raw)
+
+
+def _recv_reply(conn) -> Any:
+    """Receive one :func:`_send_reply` frame and rebuild its message.
+
+    Each buffer lands in a fresh ``bytearray``, so the rebuilt arrays
+    own writable memory and the received bytes are the arrays.  A pipe
+    that ends mid-frame raises ``EOFError`` or ``OSError``, as one that
+    ends before it does.
+    """
+    head, sizes = conn.recv()
+    buffers = []
+    for size in sizes:
+        buffer = bytearray(size)
+        conn.recv_bytes_into(buffer)
+        buffers.append(buffer)
+    return pickle.loads(head, buffers=buffers)
+
+
+# ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
 
@@ -136,8 +178,8 @@ def _worker_main(conn) -> None:
     The worker runs under the fault plan it inherited at fork.  Replies
     ``("ok", elapsed, result)`` or ``("error", elapsed, payload)`` where
     payload carries the exception identity as strings (the exception
-    object itself may not pickle).  Exits on ``None``, a closed pipe,
-    or orphaning.
+    object itself may not pickle); both go through :func:`_send_reply`.
+    Exits on ``None``, a closed pipe, or orphaning.
 
     The orphan check matters because sibling workers forked later
     inherit this worker's parent-side pipe end, so a SIGKILL'd runner
@@ -166,7 +208,7 @@ def _worker_main(conn) -> None:
                                        experiment_id, attempt)
             result = registry.run_experiment(experiment_id, scale,
                                              shard=shard)
-            conn.send(("ok", time.perf_counter() - start, result))
+            _send_reply(conn, ("ok", time.perf_counter() - start, result))
         except BaseException as exc:  # noqa: BLE001 — must cross the pipe
             payload = {
                 "type": type(exc).__name__,
@@ -174,7 +216,8 @@ def _worker_main(conn) -> None:
                 "traceback": traceback.format_exc(),
             }
             try:
-                conn.send(("error", time.perf_counter() - start, payload))
+                _send_reply(conn,
+                            ("error", time.perf_counter() - start, payload))
             except (OSError, ValueError):
                 return
 
@@ -566,12 +609,12 @@ def _run_pool(tasks: Deque[_Task], records: List[RunRecord], jobs: int,
                 continue
             task = worker.task
             try:
-                kind, elapsed, payload = worker.conn.recv()
+                kind, elapsed, payload = _recv_reply(worker.conn)
             except (EOFError, OSError):
-                # Worker died without replying: the pool's broken-
-                # process failure mode.  Respawn the slot and retry
-                # just this task; survivors are unaffected.  The exit
-                # code is known only once the kill has reaped it.
+                # Worker died before its reply was whole: the pool's
+                # broken-process failure mode.  Respawn the slot and
+                # retry just this task; survivors are unaffected.  The
+                # exit code is known only once the kill has reaped it.
                 retire(workers.index(worker))
                 exitcode = worker.process.exitcode
                 ended.append((

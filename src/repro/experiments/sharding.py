@@ -13,7 +13,8 @@ bit-for-bit (merging is plain concatenation in shard order).
 :class:`SweepExperiment` is the one sharding protocol: an experiment
 module builds its ``SWEEP`` from its unit count, a ``compute(scale,
 unit_range)`` producing a payload for a unit range, a ``combine``
-concatenating shard payloads in order, and a ``render`` building the
+concatenating shard payloads in order (it may consume them, so a
+merge holds one copy of the sweep), and a ``render`` building the
 full report from a payload.  The registry and the pool call the sweep
 object's ``run``/``run_shard``/``merge_shards`` directly.
 
@@ -108,7 +109,8 @@ class SweepExperiment:
     units: int
     #: ``(scale, unit_range)`` -> payload; ``None`` = the full sweep.
     compute: Callable[[float, Optional[Tuple[int, int]]], Any]
-    #: Shard payloads in shard order -> the merged payload.
+    #: Shard payloads in shard order -> the merged payload (may empty
+    #: the shard payloads it reads).
     combine: Callable[[Sequence[Any]], Any]
     #: ``(payload, scale)`` -> the full experiment report.
     render: Callable[[Any, float], ExperimentResult]
@@ -136,6 +138,11 @@ class SweepExperiment:
         Requires exactly one partial per shard index of a single
         ``n``-way fan-out; anything else (missing, duplicate, or mixed
         fan-outs) raises :class:`~repro.errors.HbmSimError`.
+
+        Merging consumes the partials: ``combine`` may empty their
+        payloads as it goes (the flat sweeps release each shard's array
+        once it is concatenated), so a partial cannot be merged twice.
+        Keep the partials' reports, not their payloads.
         """
         if not partials:
             raise HbmSimError("no shard results to merge")

@@ -1,6 +1,9 @@
 """Tests for the parallel experiment runner and the bench harness."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,6 +76,37 @@ class TestBenchHarness:
         assert first["peak_rss_mb"] > 0
         assert second["jobs"] == 2
         assert second["total_seconds"] == pytest.approx(0.70)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_peak_rss_counts_waited_for_children(self):
+        """A ``-j N`` run's workers are children: a child that peaks
+        above the parent must raise the reading.
+
+        ``ru_maxrss`` survives ``exec``, so a fresh interpreter starts
+        at the test runner's peak; the measuring process is therefore a
+        fork of it, whose peak starts from its own resident set.
+        """
+        script = (
+            "import os\n"
+            "from repro.experiments import bench\n"
+            "if os.fork() == 0:\n"
+            "    before = bench.peak_rss_mb()\n"
+            "    pid = os.fork()\n"
+            "    if pid == 0:\n"
+            "        block = bytearray(64 << 20)\n"
+            "        block[::4096] = b'x' * len(block[::4096])\n"
+            "        os._exit(0)\n"
+            "    os.waitpid(pid, 0)\n"
+            "    print(before, bench.peak_rss_mb(), flush=True)\n"
+            "    os._exit(0)\n"
+            "os.wait()\n")
+        src = Path(bench.__file__).resolve().parents[2]
+        out = subprocess.run(
+            [sys.executable, "-c", script], check=True, text=True,
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        before, after = map(float, out.split())
+        assert after > before + 16.0
 
     def test_median_entries_and_repeats(self, tmp_path):
         """Schema 3: repeated sweeps record the lower-median sample."""

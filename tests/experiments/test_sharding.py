@@ -8,6 +8,7 @@ run — under the CLI ``--shard i/n`` flag and the pool's transparent
 ``-j N`` fan-out alike.
 """
 
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -89,6 +90,32 @@ class TestMergeIdentity:
         flats = result.data["flats"]
         assert all(flats[label][name].size == 0
                    for label in flats for name in flats[label])
+
+
+@pytest.mark.parametrize("eid", ["fig04", "fig05", "fig06", "fig07"])
+def test_merge_holds_one_copy(eid):
+    """The flat merge consumes its partials: concatenating releases each
+    shard's array, so the merge needs almost nothing beyond the memory
+    the partials already hold, and leaves their flats empty."""
+    tracemalloc.start()
+    try:
+        partials = [registry.run_experiment(eid, 0.25, shard=f"{index}/2")
+                    for index in range(2)]
+        payload = sum(column.nbytes for partial in partials
+                      for by_pattern in partial.data["flats"].values()
+                      for column in by_pattern.values())
+        tracemalloc.reset_peak()
+        held, __ = tracemalloc.get_traced_memory()
+        merged = registry.merge_shard_results(eid, partials, 0.25)
+        __, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert merged.experiment_id == eid
+    assert payload > 1 << 20
+    assert peak - held <= 0.1 * payload
+    for partial in partials:
+        assert all(not by_pattern
+                   for by_pattern in partial.data["flats"].values())
 
 
 class TestRegistryShardApi:
